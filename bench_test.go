@@ -46,6 +46,10 @@ func BenchmarkHotPathEndToEndChecked(b *testing.B) { bench.EndToEndChecked(b) }
 // regime unlocked by the tiered pattern sets and slab-backed state.
 func BenchmarkHotPathScale10k(b *testing.B) { bench.Scale10k(b) }
 
+// BenchmarkHotPathInstall10k is the stable subscription install of a
+// Scale10k-shaped system on its own: 20M routing rows per op.
+func BenchmarkHotPathInstall10k(b *testing.B) { bench.Install10k(b) }
+
 // BenchmarkHotPathAdaptiveChurn is an end-to-end hybrid run with the
 // closed-loop controller active under churn and loss — the adaptation
 // machinery's price on top of plain gossip rounds.

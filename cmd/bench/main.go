@@ -86,6 +86,7 @@ func main() {
 		{"EndToEndChecked", bench.EndToEndChecked},
 		{"AdaptiveChurn", bench.AdaptiveChurn},
 		{"Scale10k", bench.Scale10k},
+		{"Install10k", bench.Install10k},
 		{"MetricsPipelineExact", bench.MetricsPipelineExact},
 		{"MetricsPipelineStreaming", bench.MetricsPipelineStreaming},
 		{"Heavy10k", bench.Heavy10k},

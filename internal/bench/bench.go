@@ -326,6 +326,44 @@ func Scale10k(b *testing.B) {
 	}
 }
 
+// Install10k measures the stable subscription install alone at the
+// Scale10k shape: N=10,000 dispatchers on a degree-4 tree, a
+// 2,000-pattern universe, one subscription each — 20M (node, pattern)
+// routing rows per op. Node construction stays outside the timer, so
+// ns/op, B/op and allocs/op are the installer's: its arena, its sweep
+// scratch and the per-node tableSet builds.
+func Install10k(b *testing.B) {
+	const n = 10_000
+	k := sim.New(1)
+	topo, err := topology.New(n, 4, k.NewStream(2))
+	if err != nil {
+		b.Fatal(err)
+	}
+	nw := network.New(k, topo, network.DefaultConfig(), nil)
+	u := matching.Universe{NumPatterns: 2000, MaxMatch: 3}
+	subRNG := k.NewStream(3)
+	subs := make([][]ident.PatternID, n)
+	for i := range subs {
+		subs[i] = u.RandomSubscriptions(1, subRNG)
+	}
+	var pool pubsub.NodePool
+	nodes := make([]*pubsub.Node, n)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		for j := range nodes {
+			if nodes[j] != nil {
+				nodes[j].Release()
+			}
+			id := ident.NodeID(j)
+			nodes[j] = pubsub.NewNodeIn(id, k, nw, topo.Neighbors(id), pubsub.Config{}, &pool)
+		}
+		b.StartTimer()
+		pubsub.InstallStableSubscriptions(topo, nodes, subs)
+	}
+}
+
 // EndToEndChecked is EndToEnd with all five invariant monitors of
 // internal/check armed. The delta against EndToEnd is the full price
 // of runtime verification; the absence of a delta when the monitors

@@ -81,6 +81,9 @@ type Cache struct {
 
 // New returns a cache holding at most capacity events under the given
 // policy. rng is required by RandomPolicy and may be nil otherwise.
+// The maps start empty and grow with the content: a 10k-node run builds
+// thousands of caches that stay far below β, and a Reset-recycled cache
+// keeps the buckets it grew.
 func New(capacity int, policy Policy, rng *rand.Rand) *Cache {
 	if capacity < 1 {
 		panic(fmt.Sprintf("cache: capacity %d < 1", capacity))
@@ -89,7 +92,7 @@ func New(capacity int, policy Policy, rng *rand.Rand) *Cache {
 		capacity: capacity,
 		policy:   policy,
 		rng:      rng,
-		slots:    make(map[ident.EventID]slot, capacity+1),
+		slots:    make(map[ident.EventID]slot),
 	}
 	switch policy {
 	case RandomPolicy:
@@ -97,7 +100,7 @@ func New(capacity int, policy Policy, rng *rand.Rand) *Cache {
 			panic("cache: RandomPolicy requires an rng")
 		}
 		c.keys = make([]ident.EventID, 0, capacity)
-		c.pos = make(map[ident.EventID]int, capacity+1)
+		c.pos = make(map[ident.EventID]int)
 	case FIFOPolicy, LRUPolicy:
 	default:
 		panic(fmt.Sprintf("cache: unknown policy %d", int(policy)))
@@ -122,7 +125,7 @@ func (c *Cache) Reset(capacity int, policy Policy, rng *rand.Rand) {
 		}
 		if c.pos == nil {
 			c.keys = make([]ident.EventID, 0, capacity)
-			c.pos = make(map[ident.EventID]int, capacity+1)
+			c.pos = make(map[ident.EventID]int)
 		}
 	case FIFOPolicy, LRUPolicy:
 	default:

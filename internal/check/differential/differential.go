@@ -280,7 +280,7 @@ func runSim(c Case, pl *plan) (deliveredSets, error) {
 // the divergence).
 func runLive(c Case, pl *plan, want deliveredSets) (deliveredSets, error) {
 	var mu sync.Mutex
-	core_, sets := make(map[ident.EventID]bool), newDeliveredSets(c.N)
+	core_, all := make(map[ident.EventID]bool), newDeliveredSets(c.N)
 
 	mkcfg := func(i int) live.Config {
 		id := ident.NodeID(i)
@@ -288,14 +288,31 @@ func runLive(c Case, pl *plan, want deliveredSets) (deliveredSets, error) {
 			Algorithm:      c.Algorithm,
 			GossipInterval: gossipInterval,
 			DropProb:       dropProb,
+			// Every delivery is recorded and core_ filters at comparison
+			// time: Publish returns the ID core_ is marked with only after
+			// routing the event, and on loopback a subscriber's delivery
+			// can run first. Filtering here would discard that delivery
+			// for good (the node has the event, so recovery never
+			// redelivers it) and report a core event as missing.
 			OnDeliver: func(ev *wire.Event, recovered bool) {
 				mu.Lock()
-				if core_[ev.ID] {
-					sets[id][ev.ID] = true
-				}
+				all[id][ev.ID] = true
 				mu.Unlock()
 			},
 		}
+	}
+	// coreSets returns the recorded deliveries of core events; the
+	// caller holds mu.
+	coreSets := func() deliveredSets {
+		out := newDeliveredSets(c.N)
+		for i := range all {
+			for id := range all[i] {
+				if core_[id] {
+					out[i][id] = true
+				}
+			}
+		}
+		return out
 	}
 	var cluster *live.Cluster
 	var err error
@@ -336,7 +353,7 @@ func runLive(c Case, pl *plan, want deliveredSets) (deliveredSets, error) {
 	converged := func() bool {
 		mu.Lock()
 		defer mu.Unlock()
-		return sets.equal(want)
+		return coreSets().equal(want)
 	}
 	chains := pl.chains()
 	for w := 0; w < flushWaves && !converged(); w++ {
@@ -349,13 +366,7 @@ func runLive(c Case, pl *plan, want deliveredSets) (deliveredSets, error) {
 
 	mu.Lock()
 	defer mu.Unlock()
-	out := newDeliveredSets(c.N)
-	for i := range sets {
-		for id := range sets[i] {
-			out[i][id] = true
-		}
-	}
-	return out, nil
+	return coreSets(), nil
 }
 
 // waitFor polls cond every few milliseconds until it holds or the

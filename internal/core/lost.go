@@ -118,11 +118,14 @@ type LostBuffer struct {
 	patSet ident.PatternSet
 }
 
+// NewLostBuffer returns an empty buffer holding at most capacity
+// entries for ttl each. The entry map starts empty and grows with the
+// losses actually detected; most buffers of a large run stay near-empty.
 func NewLostBuffer(capacity int, ttl sim.Time) *LostBuffer {
 	return &LostBuffer{
 		capacity: capacity,
 		ttl:      ttl,
-		entries:  make(map[wire.LostEntry]sim.Time, capacity/4+1),
+		entries:  make(map[wire.LostEntry]sim.Time),
 		byPat:    make(map[ident.PatternID]*digestView),
 		bySrc:    make(map[ident.NodeID]*digestView),
 	}

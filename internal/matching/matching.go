@@ -87,12 +87,33 @@ func (u Universe) RandomContent(rng *rand.Rand) Content {
 // RandomSubscriptions draws k distinct patterns uniformly from the
 // universe: the subscription set of one dispatcher (k = πmax).
 func (u Universe) RandomSubscriptions(k int, rng *rand.Rand) []ident.PatternID {
+	var perm []int
+	return u.RandomSubscriptionsScratch(k, rng, &perm)
+}
+
+// RandomSubscriptionsScratch is RandomSubscriptions drawing into a
+// caller-kept permutation buffer, so assembling N dispatchers does not
+// allocate N Π-sized permutations. It consumes exactly the draws of
+// rng.Perm(Π) — the same inside-out shuffle, one Intn(i+1) per
+// position — and returns the same set; *perm is grown as needed and its
+// contents are scratch.
+func (u Universe) RandomSubscriptionsScratch(k int, rng *rand.Rand, perm *[]int) []ident.PatternID {
 	if k > u.NumPatterns {
 		k = u.NumPatterns
 	}
-	perm := rng.Perm(u.NumPatterns)[:k]
+	if cap(*perm) < u.NumPatterns {
+		*perm = make([]int, u.NumPatterns)
+	}
+	m := (*perm)[:u.NumPatterns]
+	// Stale contents are harmless: position i is written before any
+	// later step can read it.
+	for i := range m {
+		j := rng.Intn(i + 1)
+		m[i] = m[j]
+		m[j] = i
+	}
 	out := make([]ident.PatternID, k)
-	for i, p := range perm {
+	for i, p := range m[:k] {
 		out[i] = ident.PatternID(p)
 	}
 	slices.Sort(out)

@@ -2,6 +2,7 @@ package matching
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -84,6 +85,36 @@ func TestRandomSubscriptionsDistinct(t *testing.T) {
 	// k beyond the universe is clamped.
 	if got := len(u.RandomSubscriptions(200, rng)); got != u.NumPatterns {
 		t.Fatalf("oversized k gave %d patterns, want %d", got, u.NumPatterns)
+	}
+}
+
+// TestRandomSubscriptionsScratchMatchesPerm pins the scratch-reusing
+// draw against the rng.Perm formulation it replaced: the same sets and
+// the same generator state after every draw, with one scratch buffer
+// carried (stale) across universes of different sizes.
+func TestRandomSubscriptionsScratchMatchesPerm(t *testing.T) {
+	viaPerm := func(u Universe, k int, rng *rand.Rand) []ident.PatternID {
+		k = min(k, u.NumPatterns)
+		out := make([]ident.PatternID, k)
+		for i, p := range rng.Perm(u.NumPatterns)[:k] {
+			out[i] = ident.PatternID(p)
+		}
+		slices.Sort(out)
+		return out
+	}
+	a, b := rand.New(rand.NewSource(11)), rand.New(rand.NewSource(11))
+	pick := rand.New(rand.NewSource(12))
+	var perm []int
+	for i := 0; i < 1000; i++ {
+		u := Universe{NumPatterns: 1 + pick.Intn(400), MaxMatch: 3}
+		k := pick.Intn(u.NumPatterns + 5)
+		got, want := u.RandomSubscriptionsScratch(k, a, &perm), viaPerm(u, k, b)
+		if !slices.Equal(got, want) {
+			t.Fatalf("draw %d (k=%d, Π=%d): %v, rng.Perm gives %v", i, k, u.NumPatterns, got, want)
+		}
+		if x, y := a.Int63(), b.Int63(); x != y {
+			t.Fatalf("draw %d (k=%d, Π=%d): generators diverged", i, k, u.NumPatterns)
+		}
 	}
 }
 

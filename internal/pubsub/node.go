@@ -261,10 +261,8 @@ func (n *Node) addDir(p ident.PatternID, nb ident.NodeID) {
 	n.tableSet.Add(p)
 }
 
-// addDirRow is addDir without the tableSet update: the bulk installer
-// batches the per-pattern set bits into one ascending-order build per
-// node, because per-element spill Adds are O(|tableSet|) each under
-// copy-on-write and dominated large-N setup.
+// addDirRow is addDir without the tableSet update, which the sweep
+// reference installer (setup_test.go) batches into one build per node.
 func (n *Node) addDirRow(p ident.PatternID, nb ident.NodeID) {
 	if int(p) >= len(n.dirIdx) {
 		// Grow the pattern->row index in coarse steps so a universe
@@ -300,14 +298,6 @@ func (n *Node) addDirRow(p ident.PatternID, nb ident.NodeID) {
 		n.dirOver[p] = append(append([]ident.NodeID(nil), n.dirRows[off:off+dirStride]...), nb)
 		n.dirLen[row] = dirOverMark
 	}
-}
-
-// installRows is the bulk-install finalizer: the installer has laid
-// down direction rows via addDirRow for the strictly ascending pattern
-// list ps; fold them into tableSet in one pass.
-func (n *Node) installRows(ps []ident.PatternID) {
-	n.tableSet = n.tableSet.Union(ident.PatternSetFromAscending(ps))
-	n.invalidateKnown()
 }
 
 // removeDir deletes nb from p's direction row, preserving the order of

@@ -8,11 +8,12 @@ import (
 
 // NodePool recycles dispatcher state across node lifetimes. A sweep
 // worker builds N dispatchers per run and discards them all at the end;
-// with a pool, the per-node structures that dominate construction cost
-// — the dense per-pattern direction table, the received-event set, and
-// the per-pattern sequence map — are grown once and then reused run
-// after run. A pool must not be shared between goroutines; each sweep
-// worker owns its own.
+// with a pool, the per-node structures that are grown on demand — the
+// received-event set, the per-pattern sequence slab, the local pattern
+// list — are grown once and then reused run after run. The direction
+// table is not among them: it belongs to the stable install's arena
+// and is dropped on Release. A pool must not be shared between
+// goroutines; each sweep worker owns its own.
 type NodePool struct {
 	free []*Node
 }
@@ -41,19 +42,14 @@ func NewNodeIn(id ident.NodeID, k *sim.Kernel, net *network.Network, neighbors [
 
 // reset re-targets a pooled node at a new identity, clearing all
 // subscription, routing, and delivery state while keeping the grown
-// capacity of its table rows, maps, and scratch slices.
+// capacity of its maps and scratch slices.
 func (n *Node) reset(id ident.NodeID, k *sim.Kernel, net *network.Network, neighbors []ident.NodeID, cfg Config) {
 	n.id, n.p, n.net, n.cfg = id, k.Proc(int32(id)), net, cfg
 	n.neighbors = append(n.neighbors[:0], neighbors...)
 	n.localSet = ident.PatternSet{}
 	n.localList = n.localList[:0]
-	// The dirRows arena keeps its capacity; zeroing row lengths and the
-	// pattern index restores an all-empty table without freeing it.
-	for i := range n.dirIdx {
-		n.dirIdx[i] = -1
-	}
-	n.dirRows = n.dirRows[:0]
-	n.dirLen = n.dirLen[:0]
+	// Release dropped the direction table; the installer carves a new
+	// one.
 	n.dirOver = nil
 	n.tableSet = ident.PatternSet{}
 	n.known = nil
@@ -78,5 +74,8 @@ func (n *Node) Release() {
 	n.p, n.net = nil, nil
 	n.cfg = Config{}
 	n.recovery = NopRecovery{}
+	// The direction table is a region of the run-wide install arena:
+	// one pooled node keeping its slices would pin the whole arena.
+	n.dirIdx, n.dirRows, n.dirLen = nil, nil, nil
 	p.free = append(p.free, n)
 }

@@ -1,11 +1,25 @@
 package pubsub
 
 import (
-	"sort"
+	"math/bits"
+	"runtime"
+	"sync"
+	"sync/atomic"
 
 	"repro/internal/ident"
 	"repro/internal/topology"
 )
+
+// installBlock is how many patterns one sweep block carries (one bit
+// of the own-subscription mask each): neighbor, parent and BFS-order
+// lookups are paid once per (node, block) instead of once per (node,
+// pattern), and a node's rows for a block are written back to back.
+const installBlock = 32
+
+// installParallelMin is the N·Π cell count below which the blocks run
+// on a single worker: a paper-sized install (100 × 70) finishes before
+// a second worker's scratch is allocated.
+const installParallelMin = 1 << 18
 
 // InstallStableSubscriptions lays down local subscriptions and the
 // corresponding routing tables on every node instantaneously, without
@@ -16,151 +30,368 @@ import (
 // subs[i] lists the patterns node i subscribes to. For every subscriber
 // s of pattern p, every other node x gets a table entry (p → neighbor
 // of x on the path toward s), which is exactly the state subscription
-// forwarding converges to on a tree.
+// forwarding converges to on a tree. The nodes must be new or freshly
+// recycled from a NodePool: the installer lays direction tables down,
+// it does not merge into rows a node already holds.
 //
 // The reference formulation — BFS from every subscriber, then touch
-// every node — is O(N²·πmax) and alone dominated large-N setup (~20 s
-// of a 10k-node run). This implementation computes the same tables in
-// O(N·Π) with a down/up sweep per pattern: neighbor y of x is a
-// direction for p iff y's side of the tree (with x removed) contains a
-// subscriber of p. Row insertion order is reproduced exactly: the
-// reference appends directions while sweeping subscribers in ascending
-// node order, so a direction's rank at x is the minimum subscriber id
-// in its side — the sweep computes those minima and inserts in that
-// order, keeping every fixed-seed run bit-identical.
+// every node — is O(N²·πmax). This implementation computes the same
+// tables in O(N·Π) with a down/up sweep: neighbor y of x is a direction
+// for p iff y's side of the tree (with x removed) contains a subscriber
+// of p. Row insertion order is reproduced exactly: the reference
+// appends directions while sweeping subscribers in ascending node
+// order, so a direction's rank at x is the minimum subscriber id in its
+// side — the sweep computes those minima and emits in that order,
+// keeping every fixed-seed run bit-identical.
+//
+// The sweep is node-major over blocks of installBlock patterns, and the
+// tables it fills are carved out of three run-wide arrays sized up
+// front (see carveArena), so the install costs what it writes rather
+// than what per-node append-doubling reallocates. Patterns are
+// independent lanes of the sweep and blocks write disjoint table slots,
+// so blocks run on up to GOMAXPROCS goroutines; the tables are the same
+// for every worker count.
 func InstallStableSubscriptions(topo *topology.Tree, nodes []*Node, subs [][]ident.PatternID) {
+	installStable(topo, nodes, subs, runtime.GOMAXPROCS(0))
+}
+
+// installStable is InstallStableSubscriptions on at most maxWorkers
+// goroutines.
+func installStable(topo *topology.Tree, nodes []*Node, subs [][]ident.PatternID, maxWorkers int) {
 	n := topo.N()
 	if len(nodes) != n || len(subs) != n {
 		panic("pubsub: nodes/subs length must match topology size")
 	}
 	for i, nd := range nodes {
+		if len(nd.dirLen) != 0 {
+			panic("pubsub: stable install on a node that already holds direction rows")
+		}
 		nd.SetLocalInstant(subs[i])
 	}
+	in := installer{topo: topo, nodes: nodes}
+	in.groupByPattern(subs)
+	if len(in.pats) == 0 {
+		return
+	}
+	in.bfsForest()
+	in.carveArena()
 
-	// Group subscribers by pattern; iterating i ascending keeps each
-	// list in ascending node order, which the order-reproducing sweep
-	// below relies on.
-	byPat := make(map[ident.PatternID][]ident.NodeID)
-	for i, ps := range subs {
-		for _, p := range ps {
-			byPat[p] = append(byPat[p], ident.NodeID(i))
+	blocks := (len(in.pats) + installBlock - 1) / installBlock
+	workers := min(maxWorkers, blocks)
+	if n*len(in.pats) < installParallelMin {
+		workers = 1
+	}
+	over := make([][]overRow, blocks)
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			s := newInstallScratch(n)
+			for b := int(next.Add(1)) - 1; b < blocks; b = int(next.Add(1)) - 1 {
+				over[b] = in.sweepBlock(b, s)
+			}
+		}()
+	}
+	wg.Wait()
+
+	// Rows wider than the arena stride live in the per-node spill map;
+	// maps are not written from the parallel phase.
+	for _, rows := range over {
+		for _, r := range rows {
+			nd := nodes[r.node]
+			if nd.dirOver == nil {
+				nd.dirOver = make(map[ident.PatternID][]ident.NodeID)
+			}
+			nd.dirOver[r.pattern] = r.dirs
 		}
 	}
-	pats := make([]ident.PatternID, 0, len(byPat))
-	for p := range byPat {
-		pats = append(pats, p)
+	// One ascending bulk build of tableSet per node, instead of one
+	// copy-on-write spill Add per (node, pattern).
+	have := make([]ident.PatternID, 0, len(in.pats))
+	for _, nd := range nodes {
+		have = have[:0]
+		for r, l := range nd.dirLen {
+			if l != 0 {
+				have = append(have, in.pats[r])
+			}
+		}
+		nd.tableSet = ident.PatternSetFromAscending(have)
+		nd.invalidateKnown()
 	}
-	sort.Slice(pats, func(i, j int) bool { return pats[i] < pats[j] })
+}
 
-	// One BFS forest for the whole install: order[] visits parents
-	// before children within each component, roots are the smallest
-	// ids. Reused across every pattern.
-	const inf = int32(1 << 30)
-	parent := make([]int32, n)
-	order := make([]ident.NodeID, 0, n)
-	for i := range parent {
-		parent[i] = -2 // unvisited
+// installer is the state one stable install shares across its blocks;
+// everything here is read-only once the sweep starts.
+type installer struct {
+	topo  *topology.Tree
+	nodes []*Node
+
+	// Subscribers grouped by pattern: pats lists the subscribed
+	// patterns ascending, and the subscribers of pats[r] are
+	// members[start[r]:start[r+1]] in ascending node order. A pattern's
+	// rank r is its row number on every node.
+	pats    []ident.PatternID
+	start   []int32
+	members []ident.NodeID
+
+	// width is the length of every node's pattern→row index.
+	width int
+
+	// BFS forest of the overlay: order visits parents before children
+	// within each component (roots are the smallest ids); parent is -1
+	// at roots.
+	order  []ident.NodeID
+	parent []int32
+}
+
+// groupByPattern counting-sorts the subscriptions by pattern. Sweeping
+// nodes in ascending order keeps each pattern's subscriber list
+// ascending, which the order-reproducing sweep relies on.
+func (in *installer) groupByPattern(subs [][]ident.PatternID) {
+	maxPat, total := ident.PatternID(-1), 0
+	for _, ps := range subs {
+		total += len(ps)
+		for _, p := range ps {
+			maxPat = max(maxPat, p)
+		}
 	}
-	for r := 0; r < n; r++ {
-		if parent[r] != -2 {
+	count := make([]int32, maxPat+1)
+	for _, ps := range subs {
+		for _, p := range ps {
+			count[p]++
+		}
+	}
+	// count[p] becomes the fill cursor of p's member range.
+	at := int32(0)
+	for p, c := range count {
+		if c == 0 {
 			continue
 		}
-		parent[r] = -1
-		order = append(order, ident.NodeID(r))
-		for i := len(order) - 1; i < len(order); i++ {
-			x := order[i]
-			for _, y := range topo.Neighbors(x) {
-				if parent[y] == -2 {
-					parent[y] = int32(x)
-					order = append(order, y)
+		in.pats = append(in.pats, ident.PatternID(p))
+		in.start = append(in.start, at)
+		count[p] = at
+		at += c
+	}
+	in.start = append(in.start, at)
+	in.members = make([]ident.NodeID, total)
+	for i, ps := range subs {
+		for _, p := range ps {
+			in.members[count[p]] = ident.NodeID(i)
+			count[p]++
+		}
+	}
+}
+
+func (in *installer) bfsForest() {
+	n := in.topo.N()
+	in.parent = make([]int32, n)
+	in.order = make([]ident.NodeID, 0, n)
+	for i := range in.parent {
+		in.parent[i] = -2 // unvisited
+	}
+	for r := 0; r < n; r++ {
+		if in.parent[r] != -2 {
+			continue
+		}
+		in.parent[r] = -1
+		in.order = append(in.order, ident.NodeID(r))
+		for i := len(in.order) - 1; i < len(in.order); i++ {
+			x := in.order[i]
+			for _, y := range in.topo.Neighbors(x) {
+				if in.parent[y] == -2 {
+					in.parent[y] = int32(x)
+					in.order = append(in.order, y)
+				}
+			}
+		}
+	}
+}
+
+// carveArena gives every node a direction table with one row per
+// subscribed pattern, cut from three run-wide pointer-free arrays. Each
+// node's slices are capacity-limited to its own region, so a later
+// append (a pattern first learned after the install) reallocates that
+// node's table out of the arena instead of running into its
+// neighbor's. The arena has no owner of its own: it lives as long as
+// some node still holds a slice of it, and Release drops those.
+func (in *installer) carveArena() {
+	n, rows := len(in.nodes), len(in.pats)
+	// The index is as wide as addDirRow would have grown it for the
+	// largest pattern.
+	width := (int(in.pats[rows-1]) + ident.PatternSetCap) &^ (ident.PatternSetCap - 1)
+	idx := make([]int32, n*width)
+	dirs := make([]ident.NodeID, n*rows*dirStride)
+	lens := make([]uint16, n*rows)
+	for x, nd := range in.nodes {
+		nd.dirIdx = idx[x*width : (x+1)*width : (x+1)*width]
+		nd.dirRows = dirs[x*rows*dirStride : (x+1)*rows*dirStride : (x+1)*rows*dirStride]
+		nd.dirLen = lens[x*rows : (x+1)*rows : (x+1)*rows]
+	}
+	in.width = width
+}
+
+// installScratch is one worker's sweep state, reused across its blocks.
+type installScratch struct {
+	// minDown[x*installBlock+j] is the minimum subscriber id of the
+	// block's j-th pattern in subtree(x); minUp the minimum outside it.
+	minDown, minUp []int32
+	// self has bit j set when the node itself subscribes to pattern j.
+	self []uint32
+	keys [][]int32 // per neighbor of the node being emitted: its key lanes
+	row  []keyedDir
+}
+
+// keyedDir is a direction with its rank key: the minimum subscriber id
+// on that side.
+type keyedDir struct {
+	key int32
+	dir ident.NodeID
+}
+
+// overRow is a direction row wider than dirStride, bound for dirOver.
+type overRow struct {
+	node    ident.NodeID
+	pattern ident.PatternID
+	dirs    []ident.NodeID
+}
+
+func newInstallScratch(n int) *installScratch {
+	return &installScratch{
+		minDown: make([]int32, n*installBlock),
+		minUp:   make([]int32, n*installBlock),
+		self:    make([]uint32, n),
+	}
+}
+
+// noSub is the "no subscriber on that side" minimum.
+const noSub = int32(1 << 30)
+
+// sweepBlock fills every node's rows for the patterns of rank
+// [b*installBlock, (b+1)*installBlock) and returns the rows that did
+// not fit the arena stride. It writes only those rows and the index
+// entries of the block's pattern-id range.
+func (in *installer) sweepBlock(b int, s *installScratch) []overRow {
+	const B = installBlock
+	r0 := b * B
+	pats := in.pats[r0:min(r0+B, len(in.pats))]
+	minDown, minUp := s.minDown, s.minUp
+
+	for i := range minDown {
+		minDown[i] = noSub
+	}
+	clear(s.self)
+	for j := range pats {
+		for _, sub := range in.members[in.start[r0+j]:in.start[r0+j+1]] {
+			minDown[int(sub)*B+j] = int32(sub)
+			s.self[sub] |= 1 << j
+		}
+	}
+
+	// Bottom-up: children precede parents in reverse BFS order.
+	for i := len(in.order) - 1; i >= 0; i-- {
+		x := in.order[i]
+		pa := in.parent[x]
+		if pa < 0 {
+			continue
+		}
+		dx, dp := minDown[int(x)*B:][:B], minDown[int(pa)*B:][:B]
+		for j, d := range dx {
+			if d < dp[j] {
+				dp[j] = d
+			}
+		}
+	}
+
+	// Top-down: minUp[c] folds the parent's up value, the parent
+	// itself, and every sibling subtree. With bounded degree the
+	// two-smallest trick beats prefix/suffix arrays: track the two
+	// smallest contributions among {up, parent-local, children};
+	// excluding child c leaves the smallest, or the second smallest
+	// when c held it.
+	var best, second [B]int32
+	for _, x := range in.order {
+		pa := in.parent[x]
+		ux := minUp[int(x)*B:][:B]
+		if pa < 0 {
+			for j := range ux {
+				ux[j] = noSub
+			}
+		}
+		copy(best[:], ux)
+		for j := range second {
+			second[j] = noSub
+		}
+		for m := s.self[x]; m != 0; m &= m - 1 { // x itself is in every child's up-set
+			j := bits.TrailingZeros32(m)
+			if int32(x) < best[j] {
+				best[j], second[j] = int32(x), best[j]
+			} else if int32(x) < second[j] {
+				second[j] = int32(x)
+			}
+		}
+		nbrs := in.topo.Neighbors(x)
+		for _, y := range nbrs {
+			if int32(y) == pa {
+				continue
+			}
+			for j, d := range minDown[int(y)*B:][:B] {
+				if d < best[j] {
+					best[j], second[j] = d, best[j]
+				} else if d < second[j] {
+					second[j] = d
+				}
+			}
+		}
+		for _, y := range nbrs {
+			if int32(y) == pa {
+				continue
+			}
+			dy, uy := minDown[int(y)*B:][:B], minUp[int(y)*B:][:B]
+			for j, d := range dy {
+				if d == best[j] {
+					uy[j] = second[j]
+				} else {
+					uy[j] = best[j]
 				}
 			}
 		}
 	}
 
-	minDown := make([]int32, n) // min subscriber id in subtree(x)
-	minUp := make([]int32, n)   // min subscriber id outside subtree(x)
-	type keyed struct {
-		key int32
-		dir ident.NodeID
+	// The block owns the index entries from its first pattern up to the
+	// next block's first (the first block from 0, the last to the end).
+	lo, hi := 0, in.width
+	if b > 0 {
+		lo = int(pats[0])
 	}
-	row := make([]keyed, 0, 8)
-	// Patterns that got a row at each node, in ascending order (the
-	// pats loop ascends): folded into each node's tableSet in one bulk
-	// build at the end, instead of one copy-on-write spill Add per
-	// (node, pattern).
-	pend := make([][]ident.PatternID, n)
+	if r0+B < len(in.pats) {
+		hi = int(in.pats[r0+B])
+	}
 
-	for _, p := range pats {
-		ss := byPat[p]
-		for i := range minDown {
-			minDown[i] = inf
+	// Emit rows in ascending-minimum order, matching the reference
+	// subscriber sweep.
+	var over []overRow
+	keys, row := s.keys, s.row
+	for x, nd := range in.nodes {
+		idx := nd.dirIdx[lo:hi]
+		for i := range idx {
+			idx[i] = -1
 		}
-		for _, s := range ss {
-			minDown[s] = int32(s)
-		}
-		// Bottom-up: children precede parents in reverse BFS order.
-		for i := len(order) - 1; i >= 0; i-- {
-			x := order[i]
-			if pa := parent[x]; pa >= 0 && minDown[x] < minDown[pa] {
-				minDown[pa] = minDown[x]
-			}
-		}
-		// Top-down: minUp[c] folds the parent's up value, the parent
-		// itself, and every sibling subtree. With bounded degree the
-		// two-smallest trick beats prefix/suffix arrays: track the two
-		// smallest contributions among {up, parent-local, children};
-		// excluding child c leaves the smallest, or the second
-		// smallest when c held it.
-		for _, x := range order {
-			up := inf
-			if pa := parent[x]; pa >= 0 {
-				up = minUp[x]
+		nbrs := in.topo.Neighbors(ident.NodeID(x))
+		keys = keys[:0]
+		for _, y := range nbrs {
+			if int32(y) == in.parent[x] {
+				keys = append(keys, minUp[x*B:][:B])
 			} else {
-				minUp[x] = inf
-			}
-			best, second := up, inf
-			if selfSub(ss, x) { // x itself is in every child's up-set
-				if int32(x) < best {
-					best, second = int32(x), best
-				} else if int32(x) < second {
-					second = int32(x)
-				}
-			}
-			for _, y := range topo.Neighbors(x) {
-				if int32(y) == parent[x] {
-					continue
-				}
-				if d := minDown[y]; d < best {
-					best, second = d, best
-				} else if d < second {
-					second = d
-				}
-			}
-			for _, y := range topo.Neighbors(x) {
-				if int32(y) == parent[x] {
-					continue
-				}
-				if minDown[y] == best {
-					minUp[y] = second
-				} else {
-					minUp[y] = best
-				}
+				keys = append(keys, minDown[int(y)*B:][:B])
 			}
 		}
-		// Emit rows in ascending-minimum order, matching the reference
-		// subscriber sweep.
-		for _, x := range order {
+		for j, p := range pats {
 			row = row[:0]
-			for _, y := range topo.Neighbors(x) {
-				var k int32
-				if int32(y) == parent[x] {
-					k = minUp[x]
-				} else {
-					k = minDown[y]
-				}
-				if k < inf {
-					row = append(row, keyed{k, y})
+			for i, k := range keys {
+				if k[j] < noSub {
+					row = append(row, keyedDir{k[j], nbrs[i]})
 				}
 			}
 			if len(row) == 0 {
@@ -170,24 +401,28 @@ func InstallStableSubscriptions(topo *topology.Tree, nodes []*Node, subs [][]ide
 			// the interface indirection of sort.Slice shows up at 20M
 			// rows.
 			for i := 1; i < len(row); i++ {
-				for j := i; j > 0 && row[j].key < row[j-1].key; j-- {
-					row[j], row[j-1] = row[j-1], row[j]
+				for k := i; k > 0 && row[k].key < row[k-1].key; k-- {
+					row[k], row[k-1] = row[k-1], row[k]
 				}
 			}
-			nd := nodes[x]
-			for _, e := range row {
-				nd.addDirRow(p, e.dir)
+			r := r0 + j
+			idx[int(p)-lo] = int32(r)
+			if len(row) > dirStride {
+				dirs := make([]ident.NodeID, len(row))
+				for i, e := range row {
+					dirs[i] = e.dir
+				}
+				nd.dirLen[r] = dirOverMark
+				over = append(over, overRow{ident.NodeID(x), p, dirs})
+				continue
 			}
-			pend[x] = append(pend[x], p)
+			out := nd.dirRows[r*dirStride:][:dirStride]
+			for i, e := range row {
+				out[i] = e.dir
+			}
+			nd.dirLen[r] = uint16(len(row))
 		}
 	}
-	for x, nd := range nodes {
-		nd.installRows(pend[x])
-	}
-}
-
-// selfSub reports whether x appears in the ascending subscriber list.
-func selfSub(ss []ident.NodeID, x ident.NodeID) bool {
-	i := sort.Search(len(ss), func(i int) bool { return ss[i] >= x })
-	return i < len(ss) && ss[i] == x
+	s.keys, s.row = keys, row
+	return over
 }

@@ -689,11 +689,12 @@ func runWith(p Params, st *runState) (Result, error) {
 		zipfSubs = matching.NewZipfDist(p.NumPatterns, s)
 	}
 	subs := make([][]ident.PatternID, p.N)
+	var perm []int // shuffle scratch shared by the N draws
 	for i := range subs {
 		if zipfSubs != nil {
 			subs[i] = u.ZipfSubscriptions(p.PatternsPerNode, zipfSubs, subRNG)
 		} else {
-			subs[i] = u.RandomSubscriptions(p.PatternsPerNode, subRNG)
+			subs[i] = u.RandomSubscriptionsScratch(p.PatternsPerNode, subRNG, &perm)
 		}
 	}
 	pubsub.InstallStableSubscriptions(topo, nodes, subs)
