@@ -166,6 +166,14 @@ func (c *Cache) Has(id ident.EventID) bool {
 	return ok
 }
 
+// Range calls fn for every buffered event, in no particular order,
+// without refreshing any access time. fn must not modify the cache.
+func (c *Cache) Range(fn func(*wire.Event)) {
+	for _, s := range c.slots {
+		fn(s.ev)
+	}
+}
+
 // Get returns the buffered event, or nil. Under LRU it refreshes the
 // event's access time: a retransmission request for an event signals
 // that it is still wanted.

@@ -1,9 +1,11 @@
 package core
 
 import (
+	"slices"
 	"testing"
 	"time"
 
+	"repro/internal/cache"
 	"repro/internal/ident"
 	"repro/internal/sim"
 	"repro/internal/topology"
@@ -79,8 +81,43 @@ func TestLostBufferDigestReadAllocsZero(t *testing.T) {
 	}
 }
 
-// TestEventIDSetSortedCachedAllocsZero pins the push digest: Sorted on
-// an unchanged set returns the cached snapshot without allocating.
+// TestServeAllMissAllocsZero pins the common case of pull serving: a
+// negative digest of which this node holds nothing — in canonical order,
+// so the probe cursor walks the rows — is answered without allocating.
+func TestServeAllMissAllocsZero(t *testing.T) {
+	_, e := indexRig(t, 64, cache.FIFOPolicy, 1)
+	for seq := 1; seq <= 40; seq++ {
+		e.index(&wire.Event{
+			ID:      ident.EventID{Source: ident32(seq % 4), Seq: uint32(seq)},
+			Content: content(seq%3, 130),
+			Tags:    []ident.PatternSeq{{Pattern: pat32(seq % 3), Seq: uint32(seq)}, {Pattern: 130, Seq: uint32(seq)}},
+		})
+	}
+	var wanted []wire.LostEntry
+	for _, p := range []int{0, 1, 7, 130, 400} {
+		for s := 0; s < 5; s++ {
+			for q := 100; q < 104; q++ {
+				wanted = append(wanted, le(s, p, q))
+			}
+		}
+	}
+	slices.SortFunc(wanted, compareLost)
+	if rem := e.serve(ident32(1), wanted); len(rem) != len(wanted) {
+		t.Fatalf("served %d entries of an all-miss digest", len(wanted)-len(rem))
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		if len(e.serve(ident32(1), wanted)) != len(wanted) {
+			t.Fatal("all-miss digest partly served")
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("all-miss serve: %v allocs/run, want 0", allocs)
+	}
+}
+
+// TestEventIDSetSortedCachedAllocsZero pins the live node's push digest:
+// Sorted on an unchanged set returns the cached snapshot without
+// allocating.
 func TestEventIDSetSortedCachedAllocsZero(t *testing.T) {
 	set := ident.NewEventIDSet(64)
 	for i := 0; i < 64; i++ {

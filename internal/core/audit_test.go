@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/cache"
 	"repro/internal/ident"
 	"repro/internal/sim"
 	"repro/internal/topology"
@@ -148,6 +149,105 @@ func TestLostBufferAuditDetectsCorruption(t *testing.T) {
 			err := b.AuditInvariants(tc.now)
 			if err == nil {
 				t.Fatalf("audit accepted corrupted state")
+			}
+			if !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("audit error %q does not mention %q", err, tc.want)
+			}
+		})
+	}
+}
+
+// TestEngineAuditDetectsIndexCorruption hand-corrupts the push and pull
+// index rows in each way the audit must notice and checks it names it.
+func TestEngineAuditDetectsIndexCorruption(t *testing.T) {
+	buffered := ident.EventID{Source: 3, Seq: 1} // content {5} only
+	for _, tc := range []struct {
+		name    string
+		corrupt func(e *Engine)
+		want    string
+	}{
+		{
+			name: "push-row-out-of-order",
+			corrupt: func(e *Engine) {
+				ids := e.patRows[5].ids
+				ids[0], ids[1] = ids[1], ids[0]
+			},
+			want: "push index row 5 out of order",
+		},
+		{
+			name:    "push-row-duplicate",
+			corrupt: func(e *Engine) { e.patRows[200].ids[1] = e.patRows[200].ids[0] },
+			want:    "push index row 200 out of order",
+		},
+		{
+			name: "push-row-unbuffered-event",
+			corrupt: func(e *Engine) {
+				e.patRows[5].ids = append(e.patRows[5].ids, ident.EventID{Source: 9, Seq: 9})
+			},
+			want: "not buffered",
+		},
+		{
+			name:    "push-row-missing-event",
+			corrupt: func(e *Engine) { e.patRows[200].ids = e.patRows[200].ids[1:] },
+			want:    "missing from push index row",
+		},
+		{
+			name: "push-row-foreign-event",
+			corrupt: func(e *Engine) {
+				e.patRows[200].ids = append(e.patRows[200].ids, buffered)
+			},
+			want: "push index rows hold 10 entries, the buffered events imply 9",
+		},
+		{
+			name: "pull-row-out-of-order",
+			corrupt: func(e *Engine) {
+				r := e.tagRows[5]
+				r[1], r[2] = r[2], r[1]
+			},
+			want: "pull index row 5 out of order",
+		},
+		{
+			name: "pull-row-unbuffered-event",
+			corrupt: func(e *Engine) {
+				e.tagRows[200] = append(e.tagRows[200], tagEnt{src: 9, pseq: 1, eseq: 9})
+			},
+			want: "not buffered",
+		},
+		{
+			name:    "pull-row-wrong-event",
+			corrupt: func(e *Engine) { e.tagRows[5][0].eseq = 2 },
+			want:    "missing from pull index row",
+		},
+		{
+			name:    "pull-row-missing-entry",
+			corrupt: func(e *Engine) { e.tagRows[200].deleteAt(0) },
+			want:    "missing from pull index row",
+		},
+		{
+			name: "pull-row-foreign-entry",
+			corrupt: func(e *Engine) {
+				e.tagRows[200] = append(e.tagRows[200], tagEnt{src: buffered.Source, pseq: 7, eseq: buffered.Seq})
+			},
+			want: "pull index rows hold 10 entries, the buffered events imply 9",
+		},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			r, e := indexRig(t, 10, cache.FIFOPolicy, 1)
+			for seq := 1; seq <= 4; seq++ {
+				e.index(&wire.Event{
+					ID:      ident.EventID{Source: 2, Seq: uint32(seq)},
+					Content: content(5, 200),
+					Tags:    []ident.PatternSeq{{Pattern: 5, Seq: uint32(seq)}, {Pattern: 200, Seq: uint32(seq)}},
+				})
+			}
+			e.index(&wire.Event{ID: buffered, Content: content(5), Tags: []ident.PatternSeq{{Pattern: 5, Seq: 1}}})
+			if err := e.AuditInvariants(r.k.Now()); err != nil {
+				t.Fatalf("audit failed before corruption: %v", err)
+			}
+			tc.corrupt(e)
+			err := e.AuditInvariants(r.k.Now())
+			if err == nil {
+				t.Fatal("audit accepted corrupted index rows")
 			}
 			if !strings.Contains(err.Error(), tc.want) {
 				t.Fatalf("audit error %q does not mention %q", err, tc.want)

@@ -49,9 +49,11 @@ type Engine struct {
 	cfg  Config
 	rng  *rand.Rand
 
-	buf    *cache.Cache
-	patIdx map[ident.PatternID]*ident.EventIDSet
-	tagIdx map[wire.LostEntry]ident.EventID
+	buf *cache.Cache
+	// patRows (push) and tagRows (pull) index the buffered events by
+	// pattern; see index.go.
+	patRows []patRow
+	tagRows []tagRow
 
 	lost    *LostBuffer
 	high    map[srcPattern]uint32
@@ -171,7 +173,7 @@ func NewEngineIn(node *pubsub.Node, cfg Config, pool *ScratchPool) (*Engine, err
 		e.patScratch, e.srcScratch, e.nbScratch = s.pat, s.src, s.nb
 		e.idScratch, e.evScratch, e.wantScratch = s.id, s.ev, s.want
 		e.buf, e.lost = s.buf, s.lost
-		e.patIdx, e.tagIdx = s.patIdx, s.tagIdx
+		e.patRows, e.tagRows = s.patRows, s.tagRows
 		e.high, e.routes, e.pending = s.high, s.routes, s.pending
 	}
 	if e.buf != nil {
@@ -183,12 +185,6 @@ func NewEngineIn(node *pubsub.Node, cfg Config, pool *ScratchPool) (*Engine, err
 		e.lost.Reset(cfg.LostCapacity, cfg.LostTTL)
 	} else {
 		e.lost = NewLostBuffer(cfg.LostCapacity, cfg.LostTTL)
-	}
-	if e.patIdx == nil {
-		e.patIdx = make(map[ident.PatternID]*ident.EventIDSet)
-	}
-	if e.tagIdx == nil {
-		e.tagIdx = make(map[wire.LostEntry]ident.EventID)
 	}
 	if e.high == nil {
 		e.high = make(map[srcPattern]uint32)
@@ -215,13 +211,13 @@ func (e *Engine) Release() {
 		pat: e.patScratch, src: e.srcScratch, nb: e.nbScratch,
 		id: e.idScratch, ev: e.evScratch, want: e.wantScratch,
 		buf: e.buf, lost: e.lost,
-		patIdx: e.patIdx, tagIdx: e.tagIdx,
+		patRows: e.patRows, tagRows: e.tagRows,
 		high: e.high, routes: e.routes, pending: e.pending,
 	})
 	e.patScratch, e.srcScratch, e.nbScratch = nil, nil, nil
 	e.idScratch, e.evScratch, e.wantScratch = nil, nil, nil
 	e.buf, e.lost = nil, nil
-	e.patIdx, e.tagIdx = nil, nil
+	e.patRows, e.tagRows = nil, nil
 	e.high, e.routes, e.pending = nil, nil, nil
 	e.pool = nil
 }
@@ -318,17 +314,14 @@ func (e *Engine) index(ev *wire.Event) {
 	e.buf.Put(ev)
 	if e.needPatIdx {
 		for _, p := range ev.Content {
-			set, ok := e.patIdx[p]
-			if !ok {
-				set = ident.NewEventIDSet(8)
-				e.patIdx[p] = set
-			}
-			set.Add(ev.ID)
+			e.patRows = growRows(e.patRows, p)
+			e.patRows[p].add(ev.ID)
 		}
 	}
 	if e.needTagIdx {
 		for _, t := range ev.Tags {
-			e.tagIdx[wire.LostEntry{Source: ev.ID.Source, Pattern: t.Pattern, Seq: t.Seq}] = ev.ID
+			e.tagRows = growRows(e.tagRows, t.Pattern)
+			e.tagRows[t.Pattern].put(ev.ID.Source, t.Seq, ev.ID.Seq)
 		}
 	}
 }
@@ -337,14 +330,16 @@ func (e *Engine) index(ev *wire.Event) {
 func (e *Engine) unindex(ev *wire.Event) {
 	if e.needPatIdx {
 		for _, p := range ev.Content {
-			if set, ok := e.patIdx[p]; ok {
-				set.Remove(ev.ID)
+			if int(p) < len(e.patRows) {
+				e.patRows[p].remove(ev.ID)
 			}
 		}
 	}
 	if e.needTagIdx {
 		for _, t := range ev.Tags {
-			delete(e.tagIdx, wire.LostEntry{Source: ev.ID.Source, Pattern: t.Pattern, Seq: t.Seq})
+			if int(t.Pattern) < len(e.tagRows) {
+				e.tagRows[t.Pattern].del(ev.ID.Source, t.Seq)
+			}
 		}
 	}
 }
@@ -519,16 +514,25 @@ func (e *Engine) gossipPush() bool {
 		return false
 	}
 	p := ps[e.rng.Intn(len(ps))]
-	set, ok := e.patIdx[p]
-	if !ok || set.Len() == 0 {
+	digest := e.pushDigest(p)
+	if len(digest) == 0 {
 		return false
 	}
 	msg := &wire.GossipPush{
 		Gossiper: e.node.ID(),
 		Pattern:  p,
-		Digest:   set.Sorted(),
+		Digest:   digest,
 	}
 	return e.forwardPattern(msg, p, ident.None)
+}
+
+// pushDigest returns the positive digest of the buffered events matching
+// p: an immutable view that may be embedded in messages (see patRow).
+func (e *Engine) pushDigest(p ident.PatternID) []ident.EventID {
+	if int(p) >= len(e.patRows) {
+		return nil
+	}
+	return e.patRows[p].digest()
 }
 
 // forwardPattern routes a pattern-labelled gossip message like an event
@@ -753,6 +757,12 @@ func (e *Engine) onGossipRandom(from ident.NodeID, m *wire.GossipRandom) {
 // gossiper out-of-band and returns the entries still missing. The
 // returned slice is engine-owned scratch, valid until the next serve
 // call; callers embedding it in a message must clone it.
+//
+// Entries are probed in the order given. Within a run of equal pattern
+// in canonical digest order — a ForPattern digest is a single run — the
+// keys ascend, so the probe position in the pattern's row only moves
+// forward; it restarts at a new pattern or wherever the order breaks,
+// so any order is served correctly.
 func (e *Engine) serve(gossiper ident.NodeID, wanted []wire.LostEntry) []wire.LostEntry {
 	if gossiper == e.node.ID() {
 		// A stale route or random walk brought our own digest back.
@@ -760,15 +770,34 @@ func (e *Engine) serve(gossiper ident.NodeID, wanted []wire.LostEntry) []wire.Lo
 	}
 	events := e.evScratch[:0]
 	remaining := e.wantScratch[:0]
+	var (
+		row  *tagRow
+		pat  = ident.NoPattern
+		pos  int
+		last uint64
+	)
 	for _, w := range wanted {
-		id, ok := e.tagIdx[w]
-		if !ok {
+		key := tagKey(w.Source, w.Seq)
+		if w.Pattern != pat || key < last {
+			pat, pos, row = w.Pattern, 0, nil
+			if w.Pattern >= 0 && int(w.Pattern) < len(e.tagRows) {
+				row = &e.tagRows[w.Pattern]
+			}
+		}
+		last = key
+		if row == nil {
 			remaining = append(remaining, w)
 			continue
 		}
+		pos = row.seek(pos, key)
+		if pos == len(*row) || (*row)[pos].key() != key {
+			remaining = append(remaining, w)
+			continue
+		}
+		id := ident.EventID{Source: w.Source, Seq: (*row)[pos].eseq}
 		ev := e.buf.Get(id)
 		if ev == nil {
-			delete(e.tagIdx, w) // stale index entry
+			row.deleteAt(pos) // stale index entry
 			remaining = append(remaining, w)
 			continue
 		}

@@ -1,0 +1,177 @@
+package core
+
+import (
+	"slices"
+
+	"repro/internal/ident"
+)
+
+// The engine's two per-event indices are dense rows indexed by
+// PatternID, grown on demand in PatternSetCap steps (the rule of
+// pubsub.Node.patSeq), so neither probes a map on the event path.
+
+// growRows extends rows so that index p is valid. Growth allocates a new
+// array; pooled rows never shrink, so a recycled engine indexes into the
+// rows (and row capacity) earlier runs grew.
+func growRows[R any](rows []R, p ident.PatternID) []R {
+	if int(p) < len(rows) {
+		return rows
+	}
+	grown := make([]R, (int(p)+ident.PatternSetCap)&^(ident.PatternSetCap-1))
+	copy(grown, rows)
+	return grown
+}
+
+// patRow is one pattern's push index: the buffered events whose content
+// matches the pattern, in EventID.Less order — the order of a push
+// digest on the wire.
+//
+// A row is handed out as the push digest itself, copy-on-write: digest
+// marks the row shared and returns a cap-limited view, and the next
+// mutation copies the row before touching it. A digest embedded in a
+// gossip message therefore never changes, however long the message is
+// in flight, and a row that did not change between two rounds costs
+// nothing to gossip again.
+type patRow struct {
+	ids    []ident.EventID
+	shared bool
+}
+
+func compareEventID(a, b ident.EventID) int {
+	switch {
+	case a.Less(b):
+		return -1
+	case b.Less(a):
+		return 1
+	default:
+		return 0
+	}
+}
+
+// add inserts id unless present.
+func (r *patRow) add(id ident.EventID) {
+	n := len(r.ids)
+	if n == 0 || r.ids[n-1].Less(id) {
+		r.own()
+		r.ids = append(r.ids, id)
+		return
+	}
+	i, found := slices.BinarySearchFunc(r.ids, id, compareEventID)
+	if found {
+		return
+	}
+	r.own()
+	r.ids = slices.Insert(r.ids, i, id)
+}
+
+// remove deletes id if present.
+func (r *patRow) remove(id ident.EventID) {
+	i, found := slices.BinarySearchFunc(r.ids, id, compareEventID)
+	if !found {
+		return
+	}
+	r.own()
+	r.ids = slices.Delete(r.ids, i, i+1)
+}
+
+// digest returns the row as an immutable push digest (nil when empty).
+func (r *patRow) digest() []ident.EventID {
+	if len(r.ids) == 0 {
+		return nil
+	}
+	r.shared = true
+	return r.ids[:len(r.ids):len(r.ids)]
+}
+
+// own gives the row a private copy of its entries if a digest still
+// refers to them.
+func (r *patRow) own() {
+	if r.shared {
+		r.ids = append(make([]ident.EventID, 0, len(r.ids)+len(r.ids)/4+4), r.ids...)
+		r.shared = false
+	}
+}
+
+// reset empties the row for a pooled engine. A shared row's array may
+// still sit in an in-flight message, so it is dropped, not reused.
+func (r *patRow) reset() {
+	if r.shared {
+		*r = patRow{}
+		return
+	}
+	r.ids = r.ids[:0]
+}
+
+// tagEnt is one pull-index entry: the buffered event (src, eseq) carries
+// the sequence tag pseq for the row's pattern.
+type tagEnt struct {
+	src  ident.NodeID
+	pseq uint32
+	eseq uint32
+}
+
+// tagKey orders (source, pattern sequence) pairs as the canonical digest
+// order does — source, then sequence — in one integer compare. Flipping
+// the sign bit maps the signed source onto an unsigned order.
+func tagKey(src ident.NodeID, pseq uint32) uint64 {
+	return uint64(uint32(src)^1<<31)<<32 | uint64(pseq)
+}
+
+func (t tagEnt) key() uint64 { return tagKey(t.src, t.pseq) }
+
+// tagRow is one pattern's pull index, sorted by key. It is never handed
+// out, so it is mutated in place.
+type tagRow []tagEnt
+
+// put maps (src, pseq) to the event sequence eseq, overwriting an
+// existing mapping.
+func (r *tagRow) put(src ident.NodeID, pseq, eseq uint32) {
+	key := tagKey(src, pseq)
+	row := *r
+	n := len(row)
+	if n == 0 || row[n-1].key() < key {
+		*r = append(row, tagEnt{src, pseq, eseq})
+		return
+	}
+	i := row.seek(0, key)
+	if row[i].key() == key {
+		row[i].eseq = eseq
+		return
+	}
+	*r = slices.Insert(row, i, tagEnt{src, pseq, eseq})
+}
+
+// del removes the entry for (src, pseq) if present.
+func (r *tagRow) del(src ident.NodeID, pseq uint32) {
+	key := tagKey(src, pseq)
+	if i := r.seek(0, key); i < len(*r) && (*r)[i].key() == key {
+		r.deleteAt(i)
+	}
+}
+
+func (r *tagRow) deleteAt(i int) { *r = slices.Delete(*r, i, i+1) }
+
+// seek returns the first position at or after from whose key is ≥ key
+// (len(r) if none). The two ends are checked first, so a probe that
+// falls before the cursor or past the row's last entry — most of a
+// serve's misses — costs one compare.
+func (r tagRow) seek(from int, key uint64) int {
+	n := len(r)
+	if from >= n || r[n-1].key() < key {
+		return n
+	}
+	if r[from].key() >= key {
+		return from
+	}
+	// Invariant: r[lo].key() < key ≤ r[hi].key().
+	lo, hi := from, n-1
+	for hi-lo > 1 {
+		mid := int(uint(lo+hi) >> 1)
+		if r[mid].key() < key {
+			lo = mid
+		} else {
+			hi = mid
+		}
+	}
+	return hi
+}

@@ -22,7 +22,8 @@ type ScratchPool struct {
 
 // engineScratch is one recyclable bundle of an engine's reusable state
 // (see the corresponding fields on Engine). The cache and Lost buffer
-// are handed back emptied; the maps are cleared but keep their buckets.
+// are handed back emptied; the index rows are truncated and the maps
+// cleared, keeping their capacity.
 type engineScratch struct {
 	pat  []ident.PatternID
 	src  []ident.NodeID
@@ -33,8 +34,8 @@ type engineScratch struct {
 
 	buf     *cache.Cache
 	lost    *LostBuffer
-	patIdx  map[ident.PatternID]*ident.EventIDSet
-	tagIdx  map[wire.LostEntry]ident.EventID
+	patRows []patRow
+	tagRows []tagRow
 	high    map[srcPattern]uint32
 	routes  map[ident.NodeID][]ident.NodeID
 	pending map[ident.EventID]sim.Time
@@ -50,17 +51,22 @@ func (p *ScratchPool) get() engineScratch {
 }
 
 func (p *ScratchPool) put(s engineScratch) {
-	// Drop every event pointer (scratch slice, cache contents, index
-	// maps) so a pooled bundle cannot pin a finished run's events — or
-	// its engine, via the cache's OnEvict closure — in memory.
+	// Drop every event pointer (scratch slice, cache contents) so a
+	// pooled bundle cannot pin a finished run's events — or its engine,
+	// via the cache's OnEvict closure — in memory. The index rows hold
+	// identifiers only.
 	s.ev = s.ev[:cap(s.ev)]
 	clear(s.ev)
 	s.ev = s.ev[:0]
 	if s.buf != nil {
 		s.buf.Reset(s.buf.Capacity(), cache.FIFOPolicy, nil)
 	}
-	clear(s.patIdx)
-	clear(s.tagIdx)
+	for i := range s.patRows {
+		s.patRows[i].reset()
+	}
+	for i := range s.tagRows {
+		s.tagRows[i] = s.tagRows[i][:0]
+	}
 	clear(s.high)
 	clear(s.routes)
 	clear(s.pending)

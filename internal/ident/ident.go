@@ -85,6 +85,12 @@ func (ps PatternSeq) String() string {
 // use with Add via the nil-map-safe methods below only after
 // initialization; use NewEventIDSet.
 //
+// Its remaining users are the live runtime (internal/live: a node's
+// received set and per-pattern push index) and the flooding baseline
+// (internal/flood: per-dispatcher seen sets). The simulated dispatcher
+// keeps its received set in a SeqSet, and the simulated recovery engine
+// keeps its push index in sorted per-pattern rows (internal/core).
+//
 // Sorted caches its result between mutations: the push gossiper reads
 // the same digest every round, so a set that did not change since the
 // last round hands back the cached snapshot without iterating or

@@ -1,0 +1,114 @@
+package ident
+
+import (
+	"math/rand"
+	"testing"
+)
+
+// TestSeqSetMatchesEventIDSet drives SeqSet and the map-based EventIDSet
+// it replaced as a dispatcher's received set with the same random
+// operations and demands identical answers: mostly ascending sequence
+// numbers with reordering, numbers far below a row's base, large gaps,
+// and several rounds of Clear and reuse over changing source sets.
+func TestSeqSetMatchesEventIDSet(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	var s SeqSet
+	for round := 0; round < 4; round++ {
+		ref := NewEventIDSet(0)
+		sources := 1 + rng.Intn(6)
+		srcBase := NodeID(rng.Intn(20))
+		next := make([]uint32, sources)
+		for i := range next {
+			next[i] = uint32(rng.Intn(500))
+		}
+		draw := func() EventID {
+			i := rng.Intn(sources)
+			seq := next[i]
+			switch r := rng.Intn(20); {
+			case r < 12: // the next number
+				next[i]++
+			case r < 16: // a recent one, out of order
+				seq -= uint32(rng.Intn(100))
+			case r < 17: // far below anything seen
+				seq = uint32(rng.Intn(64))
+			case r < 18: // a large gap ahead
+				next[i] += uint32(5000 + rng.Intn(100000))
+				seq = next[i]
+			default: // anywhere up to the current high mark
+				seq = uint32(rng.Int63n(int64(seq) + 1))
+			}
+			return EventID{Source: srcBase + NodeID(i), Seq: seq}
+		}
+		for op := 0; op < 5000; op++ {
+			id := draw()
+			if rng.Intn(3) == 0 {
+				if got, want := s.Has(id), ref.Has(id); got != want {
+					t.Fatalf("round %d op %d: Has(%v) = %v, want %v", round, op, id, got, want)
+				}
+				continue
+			}
+			if got, want := s.Add(id), ref.Add(id); got != want {
+				t.Fatalf("round %d op %d: Add(%v) = %v, want %v", round, op, id, got, want)
+			}
+			if s.Len() != ref.Len() {
+				t.Fatalf("round %d op %d: Len = %d, want %d", round, op, s.Len(), ref.Len())
+			}
+		}
+		for _, id := range ref.Sorted() {
+			if !s.Has(id) {
+				t.Fatalf("round %d: lost %v", round, id)
+			}
+		}
+		// Probe identifiers around every member, including other sources.
+		for _, id := range ref.Sorted() {
+			for _, p := range []EventID{{id.Source, id.Seq + 1}, {id.Source, id.Seq - 1}, {id.Source + 100, id.Seq}} {
+				if s.Has(p) != ref.Has(p) {
+					t.Fatalf("round %d: Has(%v) = %v, want %v", round, p, s.Has(p), ref.Has(p))
+				}
+			}
+		}
+		s.Clear()
+		if s.Len() != 0 {
+			t.Fatalf("Len after Clear = %d", s.Len())
+		}
+		for _, id := range ref.Sorted() {
+			if s.Has(id) {
+				t.Fatalf("round %d: %v survived Clear", round, id)
+			}
+		}
+	}
+}
+
+// TestSeqSetEdges covers the row boundaries directly: the zero value,
+// word edges, growing below the base, and the top of the sequence space.
+func TestSeqSetEdges(t *testing.T) {
+	var s SeqSet
+	if s.Has(EventID{Source: 1, Seq: 1}) || s.Len() != 0 {
+		t.Fatal("zero SeqSet not empty")
+	}
+	ids := []EventID{
+		{Source: 3, Seq: 1000}, {Source: 3, Seq: 63}, {Source: 3, Seq: 64}, {Source: 3, Seq: 0},
+		{Source: -1, Seq: 7}, {Source: 5, Seq: 1<<32 - 1}, {Source: 5, Seq: 1<<32 - 64},
+	}
+	for i, id := range ids {
+		if !s.Add(id) {
+			t.Fatalf("Add(%v) reported present", id)
+		}
+		if s.Add(id) {
+			t.Fatalf("second Add(%v) reported absent", id)
+		}
+		for _, prev := range ids[:i+1] {
+			if !s.Has(prev) {
+				t.Fatalf("after Add(%v): lost %v", id, prev)
+			}
+		}
+	}
+	if s.Len() != len(ids) {
+		t.Fatalf("Len = %d, want %d", s.Len(), len(ids))
+	}
+	for _, id := range []EventID{{3, 62}, {3, 65}, {3, 999}, {3, 1 << 31}, {-1, 6}, {4, 7}, {5, 1<<32 - 2}, {5, 0}} {
+		if s.Has(id) {
+			t.Fatalf("Has(%v) for an absent id", id)
+		}
+	}
+}

@@ -96,7 +96,10 @@ func TestZipfSubscriptionsDistinct(t *testing.T) {
 }
 
 func TestZipfDistRejectsBadParams(t *testing.T) {
-	for _, tc := range []struct{ n int; s float64 }{{0, 1}, {10, 0}, {10, -1}} {
+	for _, tc := range []struct {
+		n int
+		s float64
+	}{{0, 1}, {10, 0}, {10, -1}} {
 		func() {
 			defer func() {
 				if recover() == nil {

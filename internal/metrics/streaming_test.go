@@ -187,9 +187,9 @@ func TestStreamingMatchesExactSynthetic(t *testing.T) {
 
 	windows := [][2]sim.Time{
 		{0, 20 * time.Second},
-		{time.Second, 18 * time.Second},    // bucket-aligned
-		{0, 0},                             // empty
-		{30 * time.Second, time.Minute},    // after everything
+		{time.Second, 18 * time.Second}, // bucket-aligned
+		{0, 0},                          // empty
+		{30 * time.Second, time.Minute}, // after everything
 		{500 * time.Millisecond, 4 * time.Second},
 	}
 	for _, w := range windows {

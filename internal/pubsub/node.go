@@ -125,7 +125,7 @@ type Node struct {
 	// patSeq is the per-pattern sequence counter, a dense slab indexed
 	// by pattern (grown on demand) instead of a map.
 	patSeq   []uint32
-	received *ident.EventIDSet
+	received ident.SeqSet
 
 	recovery Recovery
 
@@ -144,7 +144,6 @@ func NewNode(id ident.NodeID, k *sim.Kernel, net *network.Network, neighbors []i
 		net:       net,
 		cfg:       cfg,
 		neighbors: append([]ident.NodeID(nil), neighbors...),
-		received:  ident.NewEventIDSet(256),
 		recovery:  NopRecovery{},
 	}
 	net.Register(id, n)

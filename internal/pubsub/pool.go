@@ -9,8 +9,8 @@ import (
 // NodePool recycles dispatcher state across node lifetimes. A sweep
 // worker builds N dispatchers per run and discards them all at the end;
 // with a pool, the per-node structures that are grown on demand — the
-// received-event set, the per-pattern sequence slab, the local pattern
-// list — are grown once and then reused run after run. The direction
+// received-event bitmaps, the per-pattern sequence slab, the local
+// pattern list — are grown once and then reused run after run. The direction
 // table is not among them: it belongs to the stable install's arena
 // and is dropped on Release. A pool must not be shared between
 // goroutines; each sweep worker owns its own.

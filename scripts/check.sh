@@ -1,6 +1,6 @@
 #!/bin/sh
-# Pre-PR verification: vet, build, then the full test suite under the
-# race detector, which exercises the parallel sweep runner
+# Pre-PR verification: formatting, vet, build, then the full test suite
+# under the race detector, which exercises the parallel sweep runner
 # (scenario.RunAll) and the live UDP runtime over real goroutines.
 #
 #   ./scripts/check.sh          # full suite
@@ -8,6 +8,12 @@
 set -eu
 cd "$(dirname "$0")/.."
 set -x
+unformatted=$(gofmt -l .)
+if [ -n "$unformatted" ]; then
+	echo "gofmt -l lists files that need formatting:" >&2
+	echo "$unformatted" >&2
+	exit 1
+fi
 go vet ./...
 go build ./...
 go test -race "$@" ./...
