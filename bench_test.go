@@ -76,15 +76,6 @@ func BenchmarkHeavy10k(b *testing.B) { bench.Heavy10k(b) }
 // scenario.MetricsStreaming.
 func BenchmarkHeavy10kStreaming(b *testing.B) { bench.Heavy10kStreaming(b) }
 
-// BenchmarkShardedRun2000 sweeps the conservative parallel executor's
-// shard count on one mid-size run; cmd/bench -shards records the same
-// curve into the trajectory file.
-func BenchmarkShardedRun2000(b *testing.B) {
-	for _, shards := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("shards=%d", shards), bench.ShardedRun(shards))
-	}
-}
-
 // benchFigure regenerates one figure identifier in Quick mode, b.N
 // times with distinct seeds, and reports the headline series of the
 // last run as custom metrics.

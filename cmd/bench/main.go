@@ -26,7 +26,6 @@ import (
 	"os/exec"
 	"runtime"
 	"runtime/pprof"
-	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -46,7 +45,6 @@ func main() {
 	gate := flag.Bool("gate", false, "regression gate: compare a fresh EndToEnd run against the latest trajectory entry and exit 1 on regression; appends nothing")
 	gateTrajectory := flag.Bool("gate-trajectory", false, "regression gate: compare the two latest recorded entries (no benchmark run, hardware-independent); exit 1 on regression")
 	gateTolerance := flag.Float64("gate-tolerance", 0.10, "allowed fractional EndToEnd ns/op regression in gate modes")
-	shards := flag.String("shards", "", "comma-separated shard counts (e.g. 1,2,4,8): additionally run the ShardedRun benchmark per count, recording the sharded-DES wall-clock curve")
 	flag.Parse()
 	if *label == "" {
 		if c := gitCommit(); c != "" {
@@ -91,12 +89,6 @@ func main() {
 		{"MetricsPipelineStreaming", bench.MetricsPipelineStreaming},
 		{"Heavy10k", bench.Heavy10k},
 		{"Heavy10kStreaming", bench.Heavy10kStreaming},
-	}
-	for _, s := range parseShards(*shards) {
-		suite = append(suite, struct {
-			name string
-			fn   func(*testing.B)
-		}{fmt.Sprintf("ShardedRun/%d", s), bench.ShardedRun(s)})
 	}
 
 	if *cpuProfile != "" {
@@ -221,24 +213,6 @@ func toMeasurement(r testing.BenchmarkResult) bench.Measurement {
 		m.SimEventsPerSec = v
 	}
 	return m
-}
-
-// parseShards parses the -shards list; invalid or non-positive counts
-// abort rather than silently benchmark the wrong sweep.
-func parseShards(s string) []int {
-	if s == "" {
-		return nil
-	}
-	var out []int
-	for _, part := range strings.Split(s, ",") {
-		n, err := strconv.Atoi(strings.TrimSpace(part))
-		if err != nil || n < 1 {
-			fmt.Fprintf(os.Stderr, "bench: -shards: bad shard count %q\n", part)
-			os.Exit(2)
-		}
-		out = append(out, n)
-	}
-	return out
 }
 
 // gitCommit returns the short HEAD hash, or "" outside a git checkout.

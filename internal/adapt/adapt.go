@@ -9,9 +9,8 @@
 //
 // Everything here is deliberately randomness-free: the controller is a
 // pure function of the signals the engine feeds it, so adaptive runs
-// stay seed-replayable and bit-identical under the sharded executor
-// (every signal is node-local state read at that node's own round
-// events). See DESIGN.md Sec. 14.
+// stay seed-replayable (every signal is node-local state read at that
+// node's own round events). See DESIGN.md Sec. 14.
 package adapt
 
 import (

@@ -192,45 +192,3 @@ func heavy10k(b *testing.B, mode scenario.MetricsMode) {
 		b.ReportMetric(float64(events)/b.Elapsed().Seconds(), "simevents/s")
 	}
 }
-
-// ShardedRun returns a benchmark running one mid-size subscriber-pull
-// simulation on the conservative parallel executor with the given
-// shard count (1 = the sequential executor). Results are bit-identical
-// across shard counts by construction, so the ns/op curve across
-// shards is a pure wall-clock speedup measurement of the sharded DES —
-// the cmd/bench -shards sweep records it.
-func ShardedRun(shards int) func(*testing.B) {
-	return func(b *testing.B) {
-		var events uint64
-		var runner scenario.Runner
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			p := scenario.DefaultParams()
-			p.Seed = int64(i + 1)
-			p.N = 2000
-			p.NumPatterns = 200
-			p.PatternsPerNode = 1
-			p.Publishers = 8
-			p.PublishPatterns = 30
-			p.PublishRate = 12.5
-			p.Duration = 2 * time.Second
-			p.MeasureFrom = 200 * time.Millisecond
-			p.MeasureTo = 1800 * time.Millisecond
-			p.Network.LossRate = 0.05
-			p.Algorithm = core.SubscriberPull
-			p.Gossip = core.DefaultConfig(core.SubscriberPull)
-			p.Gossip.GossipInterval = 200 * time.Millisecond
-			p.Shards = shards
-			res, err := runner.Run(p)
-			if err != nil {
-				b.Fatal(err)
-			}
-			events += res.KernelEvents
-		}
-		b.StopTimer()
-		if b.Elapsed() > 0 {
-			b.ReportMetric(float64(events)/b.Elapsed().Seconds(), "simevents/s")
-		}
-	}
-}

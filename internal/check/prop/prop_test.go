@@ -2,7 +2,6 @@ package prop
 
 import (
 	"math/rand"
-	"reflect"
 	"testing"
 
 	"repro/internal/core"
@@ -91,47 +90,6 @@ func TestAdaptiveCalmMetamorphicProperty(t *testing.T) {
 			}
 			if a.MeanLoss != 0 {
 				t.Errorf("case [%s] %s: nonzero loss estimate %v on lossless links", c, alg, a.MeanLoss)
-			}
-		}
-	}
-}
-
-// TestShardedRunsBitIdentical is the parallel-executor property: over
-// generated cases (loss, reconfiguration, churn) and every algorithm,
-// a sharded run must produce a Result bit-identical to the sequential
-// one. Invariant checking is off — Shards > 1 rejects it — so the
-// property complements TestRandomScenariosHoldInvariants rather than
-// repeating it. The same Runner serves both runs, so kernel/pool reuse
-// across the mode switch is exercised too.
-func TestShardedRunsBitIdentical(t *testing.T) {
-	cases := 6
-	if testing.Short() {
-		cases = 2
-	}
-	rng := rand.New(rand.NewSource(777))
-	var r scenario.Runner
-	for i := 0; i < cases; i++ {
-		c := Generate(rng)
-		shards := 2 + rng.Intn(4)
-		t.Logf("case %d: %s shards=%d", i, c, shards)
-		for _, alg := range c.Algorithms() {
-			p := c.Params(alg)
-			p.Check = nil
-			// Self-stabilizing repair rejects Shards > 1; the sharded
-			// property runs the case under the oracle instead.
-			p.Repair = scenario.RepairOracle
-			seq, err := r.Run(p)
-			if err != nil {
-				t.Fatalf("case [%s] %s sequential: %v", c, alg, err)
-			}
-			p.Shards = shards
-			par, err := r.Run(p)
-			if err != nil {
-				t.Fatalf("case [%s] %s shards=%d: %v", c, alg, shards, err)
-			}
-			seq.Params, par.Params = scenario.Params{}, scenario.Params{}
-			if !reflect.DeepEqual(seq, par) {
-				t.Fatalf("case [%s] %s: sharded result differs\nseq: %+v\npar: %+v", c, alg, seq, par)
 			}
 		}
 	}

@@ -45,7 +45,7 @@ type Stats struct {
 // implements pubsub.Recovery.
 type Engine struct {
 	node *pubsub.Node
-	p    *sim.Proc
+	k    *sim.Kernel
 	cfg  Config
 	rng  *rand.Rand
 
@@ -137,11 +137,11 @@ func NewEngineIn(node *pubsub.Node, cfg Config, pool *ScratchPool) (*Engine, err
 	if cfg.Algorithm == NoRecovery {
 		return nil, fmt.Errorf("core: %v installs no engine; use pubsub.NopRecovery", cfg.Algorithm)
 	}
-	p := node.Proc()
-	rng := p.NewStream(0x636f7265 + int64(node.ID())) // "core" + node
+	k := node.Kernel()
+	rng := k.NewStream(0x636f7265 + int64(node.ID())) // "core" + node
 	e := &Engine{
 		node: node,
-		p:    p,
+		k:    k,
 		cfg:  cfg,
 		rng:  rng,
 
@@ -161,7 +161,7 @@ func NewEngineIn(node *pubsub.Node, cfg Config, pool *ScratchPool) (*Engine, err
 		e.ctrl = adapt.New(cfg.Adapt.Normalized(cfg.GossipInterval), e.knobs, cfg.Algorithm == Hybrid)
 		e.knobs = e.ctrl.Knobs()
 		e.lastLinkEpoch = node.LinkEpoch()
-		e.lastObserveAt = p.Now()
+		e.lastObserveAt = k.Now()
 	}
 	if pool != nil {
 		// Recycle the previous engine's structures: the cache and Lost
@@ -231,7 +231,7 @@ func (e *Engine) Start() {
 	// An adaptive engine restarts at its current adapted period (the
 	// controller's state survives a Stop/Start cycle — the knobs are
 	// this engine's tuning, not the crashed process's volatile state).
-	e.ticker = sim.NewJitteredTicker(e.p, e.knobs.Interval, e.rng, e.round)
+	e.ticker = sim.NewJitteredTicker(e.k, e.knobs.Interval, e.rng, e.round)
 }
 
 // Stop cancels future gossip rounds. A stopped engine can be started
@@ -348,7 +348,7 @@ func (e *Engine) unindex(ev *wire.Event) {
 // an event whose per-(source, pattern) sequence number exceeds the
 // expected one reveals the loss of every event in between.
 func (e *Engine) detect(ev *wire.Event) {
-	now := e.p.Now()
+	now := e.k.Now()
 	for _, tag := range ev.Tags {
 		if !e.node.IsLocal(tag.Pattern) {
 			continue
@@ -446,7 +446,7 @@ func (e *Engine) dispatchOnce(alg Algorithm) bool {
 // signal deltas since the previous boundary, fold them into the
 // estimator, and install the controller's next knob snapshot.
 func (e *Engine) observe() {
-	now := e.p.Now()
+	now := e.k.Now()
 	lostCum := e.stats.LossesDetected
 	if !e.cfg.Algorithm.NeedsSeqTags() {
 		// Pure push never sees seqno gaps; missing events in received
@@ -563,7 +563,7 @@ func (e *Engine) forwardPattern(msg wire.Message, p ident.PatternID, from ident.
 // so the rng draw picks identically and fixed-seed traces are
 // unchanged.
 func (e *Engine) gossipSubPull() bool {
-	now := e.p.Now()
+	now := e.k.Now()
 	cand := e.lost.PatternSet(now).Intersect(e.node.LocalPatternSet())
 	n := cand.Len()
 	if n == 0 {
@@ -582,7 +582,7 @@ func (e *Engine) gossipSubPull() bool {
 // outstanding losses and a known route, and send a negative digest back
 // along that route toward the publisher.
 func (e *Engine) gossipPubPull() bool {
-	now := e.p.Now()
+	now := e.k.Now()
 	candidates := e.srcScratch[:0]
 	for _, s := range e.lost.Sources(now) {
 		if len(e.routes[s]) > 0 {
@@ -609,7 +609,7 @@ func (e *Engine) gossipPubPull() bool {
 // gossipRandom starts a random-pull round: the full negative digest
 // walks the tree at random.
 func (e *Engine) gossipRandom() bool {
-	now := e.p.Now()
+	now := e.k.Now()
 	wanted := e.lost.All(now)
 	if len(wanted) == 0 {
 		return false
@@ -648,7 +648,7 @@ func (e *Engine) HandleRecovery(from ident.NodeID, msg wire.Message, oob bool) {
 // digest moving toward the pattern's other subscribers.
 func (e *Engine) onGossipPush(from ident.NodeID, m *wire.GossipPush) {
 	if e.node.IsLocal(m.Pattern) {
-		now := e.p.Now()
+		now := e.k.Now()
 		missing := e.idScratch[:0]
 		for _, id := range m.Digest {
 			if e.node.HasReceived(id) {
@@ -867,7 +867,7 @@ func (e *Engine) sweepPending() {
 	if len(e.pending) < 1024 {
 		return
 	}
-	now := e.p.Now()
+	now := e.k.Now()
 	for id, at := range e.pending {
 		if now-at > e.cfg.PendingTTL {
 			delete(e.pending, id)

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"runtime"
 	"time"
 
 	"repro/internal/core"
@@ -17,12 +16,8 @@ import (
 // and a pattern universe that grows with N (so the spill tier of the
 // tiered PatternSet is on the hot path throughout).
 //
-// Runs execute on the kernel's conservative parallel executor
-// (scenario.Params.Shards) when the host has the cores for it; results
-// are bit-identical to sequential execution by construction, so the
-// figure is reproducible on any machine. Throughput is measured per
-// run with a sequential loop — RunAll's run-level parallelism would
-// make wall-clock attribution meaningless.
+// Throughput is measured per run with a sequential loop — RunAll's
+// run-level parallelism would make wall-clock attribution meaningless.
 func xScale(opt Options) ([]Figure, error) {
 	ns := []int{1_000, 10_000, 100_000}
 	algos := []core.Algorithm{core.NoRecovery, core.SubscriberPull}
@@ -81,7 +76,6 @@ func xScale(opt Options) ([]Figure, error) {
 			Series: mk("throughput"),
 			Notes: []string{
 				"wall-clock measured per run, sequentially — machine-dependent, unlike every other metric",
-				"runs use the conservative parallel executor when cores allow; results are bit-identical either way",
 			},
 		},
 	}, nil
@@ -139,12 +133,6 @@ func scaleParams(opt Options, n int, alg core.Algorithm) scenario.Params {
 	// rate is identical), at O(1) memory.
 	if n >= 10_000 {
 		p.MetricsMode = scenario.MetricsStreaming
-	}
-	if s := runtime.NumCPU(); s > 1 {
-		if s > 8 {
-			s = 8
-		}
-		p.Shards = s
 	}
 	return p
 }

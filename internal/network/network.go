@@ -153,15 +153,6 @@ type Network struct {
 	rng      *rand.Rand
 	loss     LossModel
 
-	// procs holds one scheduling handle per node. Sends are attributed
-	// to the sender's Proc and arrivals are scheduled under the
-	// receiver's affinity, which is what lets the parallel executor
-	// shard node events: inside a window the whole send body — shared
-	// loss stream, FIFO queue state, counters, observers — is deferred
-	// to the single-threaded commit, where it runs in exact sequential
-	// order.
-	procs []*sim.Proc
-
 	// down marks crashed dispatchers: the network blackholes every
 	// transmission from or to a down node, including messages already in
 	// flight when the node went down (a dead process receives nothing).
@@ -194,9 +185,7 @@ type inflight struct {
 	sentAt   sim.Time // virtual time of the Send/SendOOB call
 	dropped  bool     // loss trial outcome, drawn at send time
 	oob      bool
-	ok       bool   // arrival outcome; set by arrive for finish
 	run      func() // bound to this record; allocated once
-	finish   func() // bound to this record; deferred half of arrive
 }
 
 // getDelivery pops a pooled record or builds a fresh one.
@@ -208,17 +197,11 @@ func (nw *Network) getDelivery() *inflight {
 	}
 	d := &inflight{nw: nw}
 	d.run = d.arrive
-	d.finish = d.commit
 	return d
 }
 
 // arrive completes one transmission at its virtual arrival time and
-// recycles the record. It runs under the receiver's affinity: inside a
-// parallel window the handler call (node-local state) executes
-// in-shard, while everything shared — counters, observers, the record
-// pool — is deferred to the commit via d.finish. The outcome check
-// only reads state (down flags, link incarnations) that is mutated
-// exclusively by solo global events, so the concurrent reads are safe.
+// recycles the record.
 func (d *inflight) arrive() {
 	nw := d.nw
 	// A message completes iff the receiver is still up and — for tree
@@ -229,18 +212,6 @@ func (d *inflight) arrive() {
 	ok := !nw.down[d.to] && (d.oob ||
 		(!d.dropped && nw.topo.HasLink(d.from, d.to) &&
 			nw.topo.LinkIncarnation(d.from, d.to) == d.inc))
-	if p := nw.procs[d.to]; p.Deferring() {
-		d.ok = ok
-		if ok {
-			h := nw.handlers[d.to]
-			if h == nil {
-				panic(fmt.Sprintf("network: no handler registered for %v", d.to))
-			}
-			h.HandleMessage(d.from, d.msg, d.oob)
-		}
-		p.Defer(d.finish)
-		return
-	}
 	if nw.arr != nil {
 		nw.arr.OnArrive(d.from, d.to, d.msg, d.oob, d.inc, d.sentAt, ok)
 	}
@@ -251,26 +222,6 @@ func (d *inflight) arrive() {
 		nw.obs.OnLoss(d.from, d.to, d.msg, d.oob)
 	}
 	d.msg = nil // release the message; the record outlives it
-	nw.freeDeliv = append(nw.freeDeliv, d)
-}
-
-// commit is the shared-state half of a parallel-window arrival,
-// executed single-threaded at the window barrier in exact sequential
-// order. The delivery and loss counters commute with the handler's own
-// deferred sends, so running the handler in-shard first is
-// unobservable.
-func (d *inflight) commit() {
-	nw := d.nw
-	if nw.arr != nil {
-		nw.arr.OnArrive(d.from, d.to, d.msg, d.oob, d.inc, d.sentAt, d.ok)
-	}
-	if d.ok {
-		nw.delivered++
-	} else {
-		nw.lost++
-		nw.obs.OnLoss(d.from, d.to, d.msg, d.oob)
-	}
-	d.msg = nil
 	nw.freeDeliv = append(nw.freeDeliv, d)
 }
 
@@ -291,10 +242,6 @@ func New(k *sim.Kernel, topo *topology.Tree, cfg Config, obs Observer) *Network 
 	for i := range busy {
 		busy[i] = slots[i*deg : (i+1)*deg : (i+1)*deg]
 	}
-	procs := make([]*sim.Proc, n)
-	for i := range procs {
-		procs[i] = k.Proc(int32(i))
-	}
 	nw := &Network{
 		k:        k,
 		topo:     topo,
@@ -302,7 +249,6 @@ func New(k *sim.Kernel, topo *topology.Tree, cfg Config, obs Observer) *Network 
 		handlers: make([]Handler, n),
 		obs:      obs,
 		rng:      k.NewStream(0x6e657477), // "netw"
-		procs:    procs,
 		busy:     busy,
 		down:     make([]bool, n),
 	}
@@ -363,18 +309,6 @@ func (nw *Network) txTime(msg wire.Message) sim.Time {
 // link may also break while the message is in flight, which likewise
 // loses it.
 func (nw *Network) Send(from, to ident.NodeID, msg wire.Message) {
-	if p := nw.procs[from]; p.Deferring() {
-		// Everything in the send path is shared across nodes — the loss
-		// stream, the FIFO queue state, counters, observers. Defer the
-		// whole body to the commit barrier, where it runs with the
-		// kernel clock at this event's time, in sequential order.
-		p.Defer(func() { nw.send(from, to, msg) })
-		return
-	}
-	nw.send(from, to, msg)
-}
-
-func (nw *Network) send(from, to ident.NodeID, msg wire.Message) {
 	nw.sent++
 	nw.obs.OnSend(from, to, msg, false)
 	slot := nw.topo.NeighborSlot(from, to)
@@ -399,7 +333,7 @@ func (nw *Network) send(from, to ident.NodeID, msg wire.Message) {
 	d.from, d.to, d.msg = from, to, msg
 	d.inc, d.dropped, d.oob = incarnation, dropped, false
 	d.sentAt = nw.k.Now()
-	nw.k.AtAff(int32(to), arrival, d.run)
+	nw.k.At(arrival, d.run)
 }
 
 // queueState returns the FIFO state of the directed link (from, to)
@@ -435,14 +369,6 @@ func (nw *Network) SendOOB(from, to ident.NodeID, msg wire.Message) {
 	if from == to {
 		panic(fmt.Sprintf("network: OOB self-send at %v", from))
 	}
-	if p := nw.procs[from]; p.Deferring() {
-		p.Defer(func() { nw.sendOOB(from, to, msg) })
-		return
-	}
-	nw.sendOOB(from, to, msg)
-}
-
-func (nw *Network) sendOOB(from, to ident.NodeID, msg wire.Message) {
 	nw.sent++
 	nw.obs.OnSend(from, to, msg, true)
 	if nw.down[from] || nw.down[to] || nw.loss.DropOOB(from, to) {
@@ -459,7 +385,7 @@ func (nw *Network) sendOOB(from, to ident.NodeID, msg wire.Message) {
 	d.from, d.to, d.msg = from, to, msg
 	d.inc, d.dropped, d.oob = 0, false, true
 	d.sentAt = nw.k.Now()
-	nw.k.AtAff(int32(to), nw.k.Now()+delay, d.run)
+	nw.k.At(nw.k.Now()+delay, d.run)
 }
 
 func (nw *Network) deliver(from, to ident.NodeID, msg wire.Message, oob bool) {

@@ -84,7 +84,7 @@ type Config struct {
 // into dirOver.
 type Node struct {
 	id  ident.NodeID
-	p   *sim.Proc
+	k   *sim.Kernel
 	net *network.Network
 	cfg Config
 
@@ -116,9 +116,7 @@ type Node struct {
 
 	// linkEpoch counts this node's adjacency mutations (OnLinkUp /
 	// OnLinkDown). It is the node-local churn signal of the adaptive
-	// controller: link mutations run as solo global events under the
-	// sharded executor, and the counter is only read from this node's
-	// own round events, so sampling it is shard-safe.
+	// controller, sampled by this node's own engine at round boundaries.
 	linkEpoch uint64
 
 	nextSeq uint32
@@ -140,7 +138,7 @@ var _ network.Handler = (*Node)(nil)
 func NewNode(id ident.NodeID, k *sim.Kernel, net *network.Network, neighbors []ident.NodeID, cfg Config) *Node {
 	n := &Node{
 		id:        id,
-		p:         k.Proc(int32(id)),
+		k:         k,
 		net:       net,
 		cfg:       cfg,
 		neighbors: append([]ident.NodeID(nil), neighbors...),
@@ -158,13 +156,10 @@ func (n *Node) ID() ident.NodeID { return n.id }
 // recovery controller.
 func (n *Node) LinkEpoch() uint64 { return n.linkEpoch }
 
-// Kernel returns the simulation kernel the node runs on.
-func (n *Node) Kernel() *sim.Kernel { return n.p.Kernel() }
-
-// Proc returns the node's scheduling handle. All per-node components
-// (the recovery engine, its gossip ticker) schedule through it so
-// their events carry the node's affinity for the parallel executor.
-func (n *Node) Proc() *sim.Proc { return n.p }
+// Kernel returns the simulation kernel the node runs on. Per-node
+// components (the recovery engine, its gossip ticker) read the clock
+// and schedule through it.
+func (n *Node) Kernel() *sim.Kernel { return n.k }
 
 // SetRecovery installs the epidemic recovery engine. Passing nil
 // restores the no-recovery baseline.
@@ -386,7 +381,7 @@ func (n *Node) Publish(content matching.Content, payload uint16) *wire.Event {
 	ev := &wire.Event{
 		ID:          ident.EventID{Source: n.id, Seq: n.nextSeq},
 		Content:     content,
-		PublishedAt: int64(n.p.Now()),
+		PublishedAt: int64(n.k.Now()),
 		PayloadLen:  payload,
 	}
 	for _, p := range content {

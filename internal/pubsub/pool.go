@@ -44,7 +44,7 @@ func NewNodeIn(id ident.NodeID, k *sim.Kernel, net *network.Network, neighbors [
 // subscription, routing, and delivery state while keeping the grown
 // capacity of its maps and scratch slices.
 func (n *Node) reset(id ident.NodeID, k *sim.Kernel, net *network.Network, neighbors []ident.NodeID, cfg Config) {
-	n.id, n.p, n.net, n.cfg = id, k.Proc(int32(id)), net, cfg
+	n.id, n.k, n.net, n.cfg = id, k, net, cfg
 	n.neighbors = append(n.neighbors[:0], neighbors...)
 	n.localSet = ident.PatternSet{}
 	n.localList = n.localList[:0]
@@ -71,7 +71,7 @@ func (n *Node) Release() {
 	}
 	p := n.pool
 	n.pool = nil
-	n.p, n.net = nil, nil
+	n.k, n.net = nil, nil
 	n.cfg = Config{}
 	n.recovery = NopRecovery{}
 	// The direction table is a region of the run-wide install arena:

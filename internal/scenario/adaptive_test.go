@@ -72,37 +72,6 @@ func TestAdaptiveFixedSeedMetrics(t *testing.T) {
 	}
 }
 
-// TestAdaptiveShardedBitIdentical: the controller's signals are all
-// node-local and read at node-affine round events, so the conservative
-// sharded executor must reproduce the sequential adaptive run bit for
-// bit — including the knob trajectories.
-func TestAdaptiveShardedBitIdentical(t *testing.T) {
-	for _, alg := range []core.Algorithm{core.CombinedPull, core.Hybrid} {
-		alg := alg
-		t.Run(alg.String(), func(t *testing.T) {
-			t.Parallel()
-			seq, err := Run(adaptiveParams(alg))
-			if err != nil {
-				t.Fatal(err)
-			}
-			p := adaptiveParams(alg)
-			p.Shards = 4
-			par, err := Run(p)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if par.DeliveryRate != seq.DeliveryRate || par.KernelEvents != seq.KernelEvents ||
-				par.Deliveries != seq.Deliveries || par.Recoveries != seq.Recoveries ||
-				par.EventsPublished != seq.EventsPublished {
-				t.Fatalf("Shards=4 adaptive run diverged:\nseq: %+v\npar: %+v", seq, par)
-			}
-			if par.Adapt != seq.Adapt {
-				t.Fatalf("Shards=4 adaptive trajectories diverged:\nseq: %+v\npar: %+v", seq.Adapt, par.Adapt)
-			}
-		})
-	}
-}
-
 // TestAdaptiveCalmConvergesToMinimumOverhead is the scenario-level ε=0
 // metamorphic pin: on lossless links with no churn the controller
 // relaxes to minimum-overhead knobs (round period at its maximum,

@@ -58,7 +58,8 @@ func pinOf(r Result) evictionPin {
 // TestEvictionScaleFixedSeed pins exact outcomes of full buffers: the
 // five recovery algorithms and Hybrid under each replacement policy,
 // one small-world leg (dedup forwarding over a cyclic overlay) and one
-// two-shard leg. Any change to eviction order, index maintenance under
+// Shards=2 leg, which pins that the field is accepted and changes
+// nothing. Any change to eviction order, index maintenance under
 // eviction, or serving from a churning buffer shows up here as a
 // bit-level diff. Values recorded from the implementation whose push,
 // pull and received-set indices were Go maps.

@@ -166,7 +166,7 @@ func TestOverlayChurnFixedSeed(t *testing.T) {
 }
 
 // TestOverlayParamValidation pins normalize's compatibility rules for
-// the new knobs.
+// the new knobs. A case with an empty want must be accepted.
 func TestOverlayParamValidation(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -181,8 +181,8 @@ func TestOverlayParamValidation(t *testing.T) {
 		}, "ReconfigInterval needs the tree overlay"},
 		{"self-stab-with-shards", func(p *Params) {
 			p.Repair = RepairSelfStabilizing
-			p.Shards = 2
-		}, "incompatible with Shards"},
+			p.Shards = 2 // accepted and ignored
+		}, ""},
 		{"self-stab-with-reconfig", func(p *Params) {
 			p.Repair = RepairSelfStabilizing
 			p.ReconfigInterval = time.Second
@@ -191,6 +191,12 @@ func TestOverlayParamValidation(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			p := DefaultParams()
 			tc.mut(&p)
+			if tc.want == "" {
+				if _, err := p.normalize(); err != nil {
+					t.Fatalf("rejected: %v", err)
+				}
+				return
+			}
 			if _, err := Run(p); err == nil || !strings.Contains(err.Error(), tc.want) {
 				t.Fatalf("err = %v, want substring %q", err, tc.want)
 			}

@@ -121,13 +121,10 @@ type Params struct {
 	// with checking on or off — and a detected violation aborts the run
 	// with a *check.Error carrying a minimal reproducer.
 	Check *check.Options
-	// Shards, when > 1, executes the run on that many OS threads using
-	// the kernel's conservative parallel executor (sim.RunParallel):
-	// node events within one network-latency lookahead window run
-	// concurrently, and all shared-state effects are committed in exact
-	// sequential order, so the Result is bit-identical to Shards <= 1.
-	// Incompatible with Check and Trace, whose observers interleave
-	// with node handlers too finely to defer.
+	// Shards is accepted and ignored: every run executes on the
+	// sequential kernel. It is kept only because benchmark/sim.go sets
+	// it (its sim-sharded workload compares Shards=2 against a Shards=1
+	// twin), and goes with the benchmark revision of ROADMAP item 1b.
 	Shards int
 	// MetricsMode selects the delivery-accounting implementation.
 	// MetricsExact (the default) keeps the per-event tracker that
@@ -286,14 +283,6 @@ func (p Params) normalize() (Params, error) {
 	if p.BucketWidth <= 0 {
 		p.BucketWidth = 100 * time.Millisecond
 	}
-	if p.Shards > 1 {
-		if p.Check != nil {
-			return p, fmt.Errorf("scenario: Shards=%d is incompatible with Check (run checks with Shards <= 1)", p.Shards)
-		}
-		if p.Trace != nil {
-			return p, fmt.Errorf("scenario: Shards=%d is incompatible with Trace (trace with Shards <= 1)", p.Shards)
-		}
-	}
 	if p.MetricsMode != MetricsExact && p.MetricsMode != MetricsStreaming {
 		return p, fmt.Errorf("scenario: unknown MetricsMode %d", p.MetricsMode)
 	}
@@ -308,9 +297,6 @@ func (p Params) normalize() (Params, error) {
 	switch p.Repair {
 	case RepairOracle:
 	case RepairSelfStabilizing:
-		if p.Shards > 1 {
-			return p, fmt.Errorf("scenario: Repair=self-stabilizing is incompatible with Shards=%d (protocol rounds mutate the shared overlay)", p.Shards)
-		}
 		if p.ReconfigInterval > 0 {
 			return p, fmt.Errorf("scenario: Repair=self-stabilizing is incompatible with ReconfigInterval (the reconfiguration driver repairs with the oracle)")
 		}
@@ -650,22 +636,6 @@ func runWith(p Params, st *runState) (Result, error) {
 			prev(node, ev, recovered)
 		}
 	}
-	if p.Shards > 1 {
-		// Deliveries update shared tracker state; inside a parallel
-		// window they are deferred through the delivering node's Proc
-		// and replayed at the commit barrier in exact sequential order.
-		// (The downtime filter reads injector state there; solo global
-		// events are the only mutators, so the commit sees the same
-		// state the in-window delivery did.)
-		base := onDeliver
-		onDeliver = func(node ident.NodeID, ev *wire.Event, recovered bool) {
-			if pr := k.Proc(int32(node)); pr.Deferring() {
-				pr.Defer(func() { base(node, ev, recovered) })
-				return
-			}
-			base(node, ev, recovered)
-		}
-	}
 	pcfg := pubsub.Config{
 		RecordRoutes: p.Algorithm.NeedsRoutes(),
 		// Cyclic overlays flood events over redundant links; only
@@ -821,34 +791,11 @@ func runWith(p Params, st *runState) (Result, error) {
 			}
 			meanGap := float64(time.Second) / rate
 			node := nodes[i]
-			pr := node.Proc()
 			wlRNG := k.NewStream(0x776f726b + int64(i)) // "work" + node
 			var publish func()
 			schedule := func() {
 				gap := sim.Time(wlRNG.ExpFloat64() * meanGap)
-				pr.After(gap, publish)
-			}
-			// The post-publish accounting touches state shared across
-			// nodes (the receiver-count stamp array, the tracker, the
-			// publish counter), so it is deferred through the node's
-			// Proc: immediate under sequential execution, replayed at
-			// the commit barrier inside a parallel window. Moving
-			// countReceivers after node.Publish is unobservable — the
-			// two touch disjoint state and draw no randomness.
-			finish := func(content matching.Content, ev *wire.Event) {
-				var down func(ident.NodeID) bool
-				if inj != nil {
-					down = inj.IsDown
-				}
-				expected := st.countReceivers(subIndex, content, node.ID(), p.N, down)
-				tracker.OnPublish(ev.ID, expected, k.Now())
-				if chk != nil {
-					chk.OnPublish(node.ID(), ev, expected)
-				}
-				if p.Trace != nil {
-					p.Trace.Add(trace.Record{At: k.Now(), Kind: trace.Publish, Node: node.ID(), Peer: ident.None, Event: ev.ID})
-				}
-				published++
+				k.After(gap, publish)
 			}
 			publish = func() {
 				if inj != nil && inj.IsDown(node.ID()) {
@@ -865,11 +812,19 @@ func runWith(p Params, st *runState) (Result, error) {
 					content = wu.RandomContent(wlRNG)
 				}
 				ev := node.Publish(content, p.PayloadBytes)
-				if pr.Deferring() {
-					pr.Defer(func() { finish(content, ev) })
-				} else {
-					finish(content, ev) // no closure on the sequential path
+				var down func(ident.NodeID) bool
+				if inj != nil {
+					down = inj.IsDown
 				}
+				expected := st.countReceivers(subIndex, content, node.ID(), p.N, down)
+				tracker.OnPublish(ev.ID, expected, k.Now())
+				if chk != nil {
+					chk.OnPublish(node.ID(), ev, expected)
+				}
+				if p.Trace != nil {
+					p.Trace.Add(trace.Record{At: k.Now(), Kind: trace.Publish, Node: node.ID(), Peer: ident.None, Event: ev.ID})
+				}
+				published++
 				schedule()
 			}
 			schedule()
@@ -881,8 +836,7 @@ func runWith(p Params, st *runState) (Result, error) {
 	// change propagates through the real (un)subscription protocol —
 	// routing tables converge at message speed — while the expected-
 	// audience index updates instantly, so the measured delivery rate
-	// pays the true propagation cost of churn. Runs as global kernel
-	// events (solo under the parallel executor, like reconfigurations).
+	// pays the true propagation cost of churn.
 	var subChurns uint64
 	if rate := p.Workload.SubChurnRate; rate > 0 {
 		churnRNG := k.NewStream(0x63687572) // "chur"
@@ -955,20 +909,7 @@ func runWith(p Params, st *runState) (Result, error) {
 		k.After(p.ReconfigInterval, reconfigure)
 	}
 
-	if p.Shards > 1 {
-		// The lookahead is the minimum virtual-time latency of any
-		// cross-node interaction: tree arrivals add at least PropDelay,
-		// out-of-band messages at least OOBBaseDelay (plus a hop). A
-		// zero lookahead degenerates to the sequential executor inside
-		// RunParallel.
-		la := p.Network.PropDelay
-		if p.Network.OOBBaseDelay < la {
-			la = p.Network.OOBBaseDelay
-		}
-		k.RunParallel(p.Duration, p.Shards, la)
-	} else {
-		k.Run(p.Duration)
-	}
+	k.Run(p.Duration)
 	for _, e := range engines {
 		e.Stop()
 	}

@@ -5,15 +5,16 @@
 //
 // The kernel is single-threaded and fully deterministic: two runs with
 // the same seed and the same schedule of callbacks produce identical
-// traces. Parallelism belongs one level up, where independent
-// simulations of a parameter sweep each run on their own kernel in
-// their own goroutine.
+// traces. Events are ordered by (time, insertion sequence) and nothing
+// else; every component schedules on the one *Kernel of its run.
+// Parallelism belongs one level up, where independent simulations of a
+// parameter sweep each run on their own kernel in their own goroutine
+// (scenario.RunAll, scenario.RunSeeds).
 package sim
 
 import (
 	"fmt"
 	"math/rand"
-	"sync"
 	"time"
 )
 
@@ -39,23 +40,13 @@ type entry struct {
 	dead  bool   // cancelled
 }
 
-// GlobalAff marks an event that may interact with any simulation
-// state: topology mutations, fault injection, teardown. The parallel
-// window driver executes global events solo, between windows; events
-// tagged with a node affinity (≥ 0) touch only that node's state plus
-// deferred externals, and may run concurrently with other affinities.
-// The sequential executor ignores affinity entirely.
-const GlobalAff int32 = -1
-
 // heapNode is one element of the future-event set, ordered by
 // (at, seq). The keys are stored inline so the 4-ary sift loops
-// compare adjacent memory instead of dereferencing slab entries. aff
-// rides in what was struct padding — the node stays 24 bytes.
+// compare adjacent memory instead of dereferencing slab entries.
 type heapNode struct {
 	at   Time
 	seq  uint64 // insertion order; breaks ties deterministically
 	slot int32  // index into Kernel.slab
-	aff  int32  // event affinity (GlobalAff or a node id)
 }
 
 // before reports the strict (at, seq) order. seq is unique per
@@ -84,13 +75,6 @@ func (c Canceler) Cancel() {
 	if c.k == nil {
 		return
 	}
-	if c.k.inWindow {
-		// No component cancels from inside node-affinity handlers
-		// (only Ticker.Stop cancels, and it runs from teardown or
-		// global fault events). Allowing it would require in-window
-		// cross-shard cancellation semantics; fail loudly instead.
-		panic("sim: Cancel during a parallel window")
-	}
 	e := &c.k.slab[c.slot]
 	if e.gen != c.gen || e.dead {
 		return
@@ -117,23 +101,6 @@ type Kernel struct {
 	seed      int64
 	processed uint64
 	stopped   bool
-
-	// Parallel-window state (see parallel.go). inWindow is true only
-	// while shard workers execute a window; it is written before the
-	// workers start and after they join, so reads from worker
-	// goroutines are race-free. procs caches one Proc per affinity.
-	// slabMu guards slab growth and free-list pops from shard workers
-	// reserving intent slots; outside windows the kernel stays
-	// single-threaded and never takes it.
-	inWindow  bool
-	windowEnd Time
-	parUntil  Time
-	parShards int
-	shards    []shardState
-	procs     []*Proc
-	slabMu    sync.Mutex
-	winInit   []*winEv // current window's events in pop order
-	winPool   []*winEv
 }
 
 // New returns a kernel whose random streams derive from seed.
@@ -168,13 +135,6 @@ func (k *Kernel) Reset(seed int64) {
 	k.stopped = false
 	k.seed = seed
 	k.rng = rand.New(rand.NewSource(seed))
-	k.inWindow = false
-	k.windowEnd = 0
-	k.parUntil = 0
-	k.parShards = 0
-	k.shards = nil
-	k.procs = nil
-	k.winInit = k.winInit[:0]
 }
 
 // Now returns the current virtual time.
@@ -208,22 +168,8 @@ func (k *Kernel) Processed() uint64 { return k.processed }
 func (k *Kernel) Pending() int { return len(k.heap) }
 
 // At schedules fn to run at virtual time at. Scheduling in the past
-// panics: it is always a bug in the caller. Events scheduled directly
-// on the kernel carry the global affinity — the conservative default;
-// per-node components schedule through their Proc, which tags events
-// with the node's affinity so the parallel driver can shard them.
+// panics: it is always a bug in the caller.
 func (k *Kernel) At(at Time, fn Handler) Canceler {
-	return k.atAff(GlobalAff, at, fn)
-}
-
-// AtAff schedules fn with an explicit affinity: the event touches only
-// that node's state (plus deferred externals). The network uses this
-// to tag arrivals with their receiver.
-func (k *Kernel) AtAff(aff int32, at Time, fn Handler) Canceler {
-	return k.atAff(aff, at, fn)
-}
-
-func (k *Kernel) atAff(aff int32, at Time, fn Handler) Canceler {
 	if at < k.now {
 		panic(fmt.Sprintf("sim: schedule at %v before now %v", at, k.now))
 	}
@@ -237,7 +183,7 @@ func (k *Kernel) atAff(aff int32, at Time, fn Handler) Canceler {
 	}
 	e := &k.slab[slot]
 	e.fn, e.sched, e.dead = fn, true, false
-	nd := heapNode{at: at, seq: k.seq, slot: slot, aff: aff}
+	nd := heapNode{at: at, seq: k.seq, slot: slot}
 	k.seq++
 	k.heap = append(k.heap, nd)
 	k.siftUp(len(k.heap)-1, nd)

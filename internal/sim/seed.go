@@ -5,7 +5,7 @@ package sim
 // OOPSLA 2014): a bijective avalanche mix of one 64-bit word. It is
 // the building block for collision-free seed derivation — two inputs
 // differing in a single bit produce statistically independent outputs,
-// so structured identifier spaces (node IDs, link pairs, shard
+// so structured identifier spaces (node IDs, link pairs, sweep leg
 // indexes) cannot alias each other the way additive `seed+i` schemes
 // do. Kernel.NewStream uses the same mix for its one-tag case.
 func SplitMix64(x uint64) uint64 {
@@ -22,7 +22,7 @@ func SplitMix64(x uint64) uint64 {
 // never coincide with ("work", i) for any identifier values, because
 // every absorption step is a full-avalanche bijection of the running
 // state. New code paths that need per-entity streams — per-link loss
-// chains, per-node live schedulers, per-shard kernels — derive their
+// chains, per-node live schedulers, per-leg sweep seeds — derive their
 // seeds here; the pre-existing Kernel.NewStream call sites keep their
 // original single-tag derivation so fixed-seed golden traces stay
 // bit-identical.

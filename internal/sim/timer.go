@@ -8,36 +8,29 @@ import "math/rand"
 // naturally desynchronized; Ticker supports a random initial phase for
 // that purpose.
 type Ticker struct {
-	s       Scheduler
+	k       *Kernel
 	period  Time
 	fn      Handler
 	stopped bool
 	pending Canceler
 }
 
-// Scheduler is the scheduling surface a Ticker needs: both *Kernel
-// (global affinity) and *Proc (node affinity) satisfy it, so gossip
-// tickers ride on their node's Proc and shard with it.
-type Scheduler interface {
-	After(d Time, fn Handler) Canceler
-}
-
 // NewTicker schedules fn every period, with the first firing after
 // phase. It panics when period is not positive.
-func NewTicker(s Scheduler, period, phase Time, fn Handler) *Ticker {
+func NewTicker(k *Kernel, period, phase Time, fn Handler) *Ticker {
 	if period <= 0 {
 		panic("sim: ticker period must be positive")
 	}
-	t := &Ticker{s: s, period: period, fn: fn}
-	t.pending = s.After(phase, t.tick)
+	t := &Ticker{k: k, period: period, fn: fn}
+	t.pending = k.After(phase, t.tick)
 	return t
 }
 
 // NewJitteredTicker schedules fn every period with the initial phase
 // drawn uniformly from [0, period), using rng.
-func NewJitteredTicker(s Scheduler, period Time, rng *rand.Rand, fn Handler) *Ticker {
+func NewJitteredTicker(k *Kernel, period Time, rng *rand.Rand, fn Handler) *Ticker {
 	phase := Time(rng.Int63n(int64(period)))
-	return NewTicker(s, period, phase, fn)
+	return NewTicker(k, period, phase, fn)
 }
 
 func (t *Ticker) tick() {
@@ -46,7 +39,7 @@ func (t *Ticker) tick() {
 	}
 	t.fn()
 	if !t.stopped {
-		t.pending = t.s.After(t.period, t.tick)
+		t.pending = t.k.After(t.period, t.tick)
 	}
 }
 
