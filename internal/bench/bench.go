@@ -225,8 +225,8 @@ func DigestBuild(b *testing.B) {
 }
 
 // LostBuffer measures the mutation path of the Lost buffer: one
-// detection (sorted insert into three indexes), one digest read of the
-// mutated pattern (snapshot re-clone), and one recovery removal per op,
+// detection (sorted insert into its pattern row), one digest read of the
+// mutated pattern (snapshot rebuild), and one recovery removal per op,
 // over a standing population of entries.
 func LostBuffer(b *testing.B) {
 	const standing = 512

@@ -4,6 +4,12 @@
 // strategy; RandomPolicy and LRUPolicy exist for the buffering ablation
 // motivated by the paper's discussion of [13] (Ozkasap et al.,
 // "Efficient Buffering in Reliable Multicast Protocols").
+//
+// Buffered events live in a slab of slots; an ident.EventTable maps
+// each buffered event to its slot, so no operation hashes through a Go
+// map. The slab and the table grow with the content, never past what β
+// needs: a 10k-node run builds thousands of caches that stay far below
+// β, and a Reset-recycled cache keeps the storage it grew.
 package cache
 
 import (
@@ -38,19 +44,19 @@ func (p Policy) String() string {
 	}
 }
 
-// slot is one buffered event plus its latest access tick. Slots are
-// stored by value in the cache map, so inserting an event allocates
-// nothing beyond the map's own growth.
+// slot is one buffered event plus its latest access tick. A free slot
+// has a nil event and tick 0, which no order entry carries.
 type slot struct {
 	ev   *wire.Event
 	tick uint64
 }
 
 // orderEntry is one position in the eviction queue. An entry is live
-// only when its tick still matches the slot's tick; refreshing an event
-// (LRU) appends a fresh entry and leaves the old one stale.
+// only when its tick still matches its slot's tick; refreshing an event
+// (LRU) appends a fresh entry and leaves the old one stale. Ticks are
+// unique, so an entry never revives when its slot is reused.
 type orderEntry struct {
-	id   ident.EventID
+	slot int32
 	tick uint64
 }
 
@@ -62,7 +68,9 @@ type Cache struct {
 	capacity int
 	policy   Policy
 	rng      *rand.Rand
-	slots    map[ident.EventID]slot
+	index    ident.EventTable[int32] // buffered event -> slot
+	slots    []slot
+	free     []int32 // slots freed by eviction, reused first
 	tick     uint64
 	evicted  uint64
 	inserted uint64
@@ -72,44 +80,21 @@ type Cache struct {
 	order []orderEntry
 	head  int
 
-	// RandomPolicy index: live keys with positions for O(1) swap-remove,
-	// keeping eviction deterministic under a seeded rng (map iteration
-	// order would not be).
-	keys []ident.EventID
-	pos  map[ident.EventID]int
+	// RandomPolicy index: the occupied slots, swap-removed in O(1), so
+	// a victim is one uniform draw from a deterministic order.
+	keys []int32
 }
 
 // New returns a cache holding at most capacity events under the given
 // policy. rng is required by RandomPolicy and may be nil otherwise.
-// The maps start empty and grow with the content: a 10k-node run builds
-// thousands of caches that stay far below β, and a Reset-recycled cache
-// keeps the buckets it grew.
 func New(capacity int, policy Policy, rng *rand.Rand) *Cache {
-	if capacity < 1 {
-		panic(fmt.Sprintf("cache: capacity %d < 1", capacity))
-	}
-	c := &Cache{
-		capacity: capacity,
-		policy:   policy,
-		rng:      rng,
-		slots:    make(map[ident.EventID]slot),
-	}
-	switch policy {
-	case RandomPolicy:
-		if rng == nil {
-			panic("cache: RandomPolicy requires an rng")
-		}
-		c.keys = make([]ident.EventID, 0, capacity)
-		c.pos = make(map[ident.EventID]int)
-	case FIFOPolicy, LRUPolicy:
-	default:
-		panic(fmt.Sprintf("cache: unknown policy %d", int(policy)))
-	}
+	c := &Cache{}
+	c.Reset(capacity, policy, rng)
 	return c
 }
 
 // Reset empties the cache and re-targets it at a new capacity, policy,
-// and rng, reusing the maps and slices the previous configuration grew.
+// and rng, reusing the storage the previous configuration grew.
 // Counters restart from zero and any OnEvict callback is dropped. The
 // validation rules match New. Sweep workers use this to recycle one
 // cache across many engine lifetimes instead of reallocating β-sized
@@ -123,22 +108,18 @@ func (c *Cache) Reset(capacity int, policy Policy, rng *rand.Rand) {
 		if rng == nil {
 			panic("cache: RandomPolicy requires an rng")
 		}
-		if c.pos == nil {
-			c.keys = make([]ident.EventID, 0, capacity)
-			c.pos = make(map[ident.EventID]int)
-		}
 	case FIFOPolicy, LRUPolicy:
 	default:
 		panic(fmt.Sprintf("cache: unknown policy %d", int(policy)))
 	}
 	c.capacity, c.policy, c.rng = capacity, policy, rng
-	clear(c.slots)
+	c.index.Clear()
+	clear(c.slots) // drop the event pointers
+	c.slots = c.slots[:0]
+	c.free = c.free[:0]
 	c.order = c.order[:0]
 	c.head = 0
 	c.keys = c.keys[:0]
-	if c.pos != nil {
-		clear(c.pos)
-	}
 	c.tick, c.evicted, c.inserted = 0, 0, 0
 	c.onEvict = nil
 }
@@ -152,7 +133,7 @@ func (c *Cache) SetOnEvict(fn func(*wire.Event)) { c.onEvict = fn }
 func (c *Cache) Capacity() int { return c.capacity }
 
 // Len returns the number of buffered events.
-func (c *Cache) Len() int { return len(c.slots) }
+func (c *Cache) Len() int { return c.index.Len() }
 
 // Evicted returns how many events have been evicted so far.
 func (c *Cache) Evicted() uint64 { return c.evicted }
@@ -162,7 +143,7 @@ func (c *Cache) Inserted() uint64 { return c.inserted }
 
 // Has reports whether the event is buffered.
 func (c *Cache) Has(id ident.EventID) bool {
-	_, ok := c.slots[id]
+	_, ok := c.index.Get(id)
 	return ok
 }
 
@@ -170,7 +151,9 @@ func (c *Cache) Has(id ident.EventID) bool {
 // without refreshing any access time. fn must not modify the cache.
 func (c *Cache) Range(fn func(*wire.Event)) {
 	for _, s := range c.slots {
-		fn(s.ev)
+		if s.ev != nil {
+			fn(s.ev)
+		}
 	}
 }
 
@@ -178,48 +161,54 @@ func (c *Cache) Range(fn func(*wire.Event)) {
 // event's access time: a retransmission request for an event signals
 // that it is still wanted.
 func (c *Cache) Get(id ident.EventID) *wire.Event {
-	s, ok := c.slots[id]
+	s, ok := c.index.Get(id)
 	if !ok {
 		return nil
 	}
 	if c.policy == LRUPolicy {
-		c.touch(id)
+		c.touch(s)
 	}
-	return s.ev
+	return c.slots[s].ev
 }
 
 // Put buffers ev, evicting one event when full. Re-inserting an already
 // buffered event refreshes its position under LRU and is otherwise a
 // no-op.
 func (c *Cache) Put(ev *wire.Event) {
-	if _, ok := c.slots[ev.ID]; ok {
+	if s, ok := c.index.Get(ev.ID); ok {
 		if c.policy == LRUPolicy {
-			c.touch(ev.ID)
+			c.touch(s)
 		}
 		return
 	}
-	if len(c.slots) >= c.capacity {
+	if c.index.Len() >= c.capacity {
 		c.evictOne()
 	}
+	var s int32
+	if n := len(c.free); n > 0 {
+		s = c.free[n-1]
+		c.free = c.free[:n-1]
+	} else {
+		s = int32(len(c.slots))
+		c.slots = append(c.slots, slot{})
+	}
 	c.tick++
-	c.slots[ev.ID] = slot{ev: ev, tick: c.tick}
+	c.slots[s] = slot{ev: ev, tick: c.tick}
+	c.index.Put(ev.ID, s)
 	c.inserted++
 	switch c.policy {
 	case RandomPolicy:
-		c.pos[ev.ID] = len(c.keys)
-		c.keys = append(c.keys, ev.ID)
+		c.keys = append(c.keys, s)
 	default:
-		c.order = append(c.order, orderEntry{id: ev.ID, tick: c.tick})
+		c.order = append(c.order, orderEntry{slot: s, tick: c.tick})
 		c.maybeCompact()
 	}
 }
 
-func (c *Cache) touch(id ident.EventID) {
+func (c *Cache) touch(s int32) {
 	c.tick++
-	s := c.slots[id]
-	s.tick = c.tick
-	c.slots[id] = s
-	c.order = append(c.order, orderEntry{id: id, tick: c.tick})
+	c.slots[s].tick = c.tick
+	c.order = append(c.order, orderEntry{slot: s, tick: c.tick})
 	// A cache that never fills (large β, light load) never runs
 	// evictOne, so the stale entries every touch leaves behind must be
 	// reclaimed here too, or order grows without bound for the whole
@@ -227,34 +216,37 @@ func (c *Cache) touch(id ident.EventID) {
 	c.maybeCompact()
 }
 
+func (c *Cache) live(e orderEntry) bool { return c.slots[e.slot].tick == e.tick }
+
 func (c *Cache) evictOne() {
-	var victim ident.EventID
+	var victim int32
 	if c.policy == RandomPolicy {
 		i := c.rng.Intn(len(c.keys))
 		victim = c.keys[i]
 		last := len(c.keys) - 1
 		c.keys[i] = c.keys[last]
-		c.pos[c.keys[i]] = i
 		c.keys = c.keys[:last]
-		delete(c.pos, victim)
 	} else {
-		// Pop queue entries until one is live: present in slots and,
-		// under LRU, not superseded by a fresher access.
+		// Pop queue entries until one is live: its slot still holds the
+		// event it was queued for and, under LRU, no fresher access
+		// superseded it.
 		for {
 			e := c.order[c.head]
 			c.head++
-			if s, ok := c.slots[e.id]; ok && s.tick == e.tick {
-				victim = e.id
+			if c.live(e) {
+				victim = e.slot
 				break
 			}
 		}
 		c.maybeCompact()
 	}
-	s := c.slots[victim]
-	delete(c.slots, victim)
+	ev := c.slots[victim].ev
+	c.index.Delete(ev.ID)
+	c.slots[victim] = slot{}
+	c.free = append(c.free, victim)
 	c.evicted++
 	if c.onEvict != nil {
-		c.onEvict(s.ev)
+		c.onEvict(ev)
 	}
 }
 
@@ -266,12 +258,12 @@ func (c *Cache) evictOne() {
 // caches from compacting constantly). This bounds memory even when the
 // cache never fills and evictOne never runs (large β, light load).
 func (c *Cache) maybeCompact() {
-	if len(c.order) <= 2*len(c.slots)+64 {
+	if len(c.order) <= 2*c.index.Len()+64 {
 		return
 	}
 	live := c.order[:0]
 	for _, e := range c.order[c.head:] {
-		if s, ok := c.slots[e.id]; ok && s.tick == e.tick {
+		if c.live(e) {
 			live = append(live, e)
 		}
 	}

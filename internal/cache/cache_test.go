@@ -227,6 +227,35 @@ func TestOnEvictCallback(t *testing.T) {
 	}
 }
 
+// TestPutAtCapacityAllocsZero pins the steady state of every buffer in
+// a long run: a Put into a full cache evicts one event and reuses its
+// slot, under every policy, without allocating.
+func TestPutAtCapacityAllocsZero(t *testing.T) {
+	const beta, warm, runs = 1500, 3 * 1500, 1000
+	evs := make([]*wire.Event, beta+warm+runs+1)
+	for i := range evs {
+		evs[i] = ev(i%100, i)
+	}
+	for _, policy := range []Policy{FIFOPolicy, RandomPolicy, LRUPolicy} {
+		c := New(beta, policy, rand.New(rand.NewSource(1)))
+		for _, e := range evs[:beta+warm] {
+			c.Put(e)
+		}
+		next := beta + warm
+		before := c.Evicted()
+		allocs := testing.AllocsPerRun(runs, func() {
+			c.Put(evs[next])
+			next++
+		})
+		if allocs != 0 {
+			t.Errorf("%v: Put at capacity: %v allocs/op, want 0", policy, allocs)
+		}
+		if got := c.Evicted() - before; got != runs+1 {
+			t.Errorf("%v: %d evictions over %d Puts, want one each", policy, got, runs+1)
+		}
+	}
+}
+
 func BenchmarkCachePutFIFO(b *testing.B) {
 	c := New(1500, FIFOPolicy, nil)
 	b.ReportAllocs()

@@ -115,6 +115,82 @@ func TestServeAllMissAllocsZero(t *testing.T) {
 	}
 }
 
+// TestIndexAtCapacityAllocsZero pins the per-event cost of a full
+// buffer: indexing a new event into both index rows evicts the oldest
+// buffered event and unindexes it, reusing every slot and row, without
+// allocating.
+func TestIndexAtCapacityAllocsZero(t *testing.T) {
+	const capacity, warm, runs = 64, 6 * 64, 500
+	_, e := indexRig(t, capacity, cache.FIFOPolicy, 1)
+	evs := make([]*wire.Event, capacity+warm+runs+1)
+	for i := range evs {
+		p := i % 3
+		evs[i] = &wire.Event{
+			ID:      ident.EventID{Source: ident32(i % 4), Seq: uint32(i + 1)},
+			Content: content(p, 130),
+			Tags:    []ident.PatternSeq{{Pattern: pat32(p), Seq: uint32(i + 1)}, {Pattern: 130, Seq: uint32(i + 1)}},
+		}
+	}
+	for _, ev := range evs[:capacity+warm] {
+		e.index(ev)
+	}
+	next := capacity + warm
+	before := e.buf.Evicted()
+	allocs := testing.AllocsPerRun(runs, func() {
+		e.index(evs[next])
+		next++
+	})
+	if allocs != 0 {
+		t.Fatalf("index at capacity: %v allocs/op, want 0", allocs)
+	}
+	if got := e.buf.Evicted() - before; got != runs+1 {
+		t.Fatalf("%d evictions over %d indexed events, want one each", got, runs+1)
+	}
+	if err := e.AuditInvariants(0); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestLostBufferAddRemoveAllocsZero pins the mutation path of the Lost
+// buffer: a detection and its recovery against a standing set of
+// outstanding entries allocate nothing once the rows and the detection
+// queue have reached their size — recovered entries leave only stale
+// queue positions, which compaction reclaims in place.
+func TestLostBufferAddRemoveAllocsZero(t *testing.T) {
+	const standing, runs = 256, 1000
+	lb := NewLostBuffer(4096, 10*time.Second)
+	entry := func(i int) wire.LostEntry {
+		return wire.LostEntry{Source: ident32(i % 16), Pattern: pat32(i % 8), Seq: uint32(i)}
+	}
+	for i := 0; i < standing; i++ {
+		lb.Add(entry(i), 0)
+	}
+	next := standing
+	op := func() {
+		e := entry(next)
+		next++
+		lb.Add(e, 0)
+		if !lb.Remove(e) {
+			t.Fatal("Remove missed a fresh entry")
+		}
+	}
+	for i := 0; i < 4*standing; i++ {
+		op()
+	}
+	if allocs := testing.AllocsPerRun(runs, op); allocs != 0 {
+		t.Fatalf("Add+Remove on a standing set: %v allocs/op, want 0", allocs)
+	}
+	if lb.Len() != standing {
+		t.Fatalf("Len = %d, want %d", lb.Len(), standing)
+	}
+	if len(lb.queue) > 2*standing+64 {
+		t.Fatalf("detection queue grew to %d positions for %d entries", len(lb.queue), standing)
+	}
+	if err := lb.AuditInvariants(0); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestEventIDSetSortedCachedAllocsZero pins the live node's push digest:
 // Sorted on an unchanged set returns the cached snapshot without
 // allocating.

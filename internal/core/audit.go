@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"slices"
 
 	"repro/internal/ident"
 	"repro/internal/sim"
@@ -67,11 +66,7 @@ func (e *Engine) auditIndex() error {
 		if e.needPatIdx {
 			for _, p := range ev.Content {
 				wantPats++
-				ok := int(p) < len(e.patRows)
-				if ok {
-					_, ok = slices.BinarySearchFunc(e.patRows[p].ids, ev.ID, compareEventID)
-				}
-				if !ok {
+				if !e.pushIndexed(p, ev.ID) {
 					err = fmt.Errorf("buffered %v is missing from push index row %v", ev.ID, p)
 					return
 				}
@@ -99,6 +94,16 @@ func (e *Engine) auditIndex() error {
 	return nil
 }
 
+// pushIndexed reports whether pattern p's push row holds id.
+func (e *Engine) pushIndexed(p ident.PatternID, id ident.EventID) bool {
+	if int(p) >= len(e.patRows) {
+		return false
+	}
+	ids := e.patRows[p].ids
+	i := e.patRows[p].search(idKey(id))
+	return i < len(ids) && ids[i] == id
+}
+
 // tagIndexed reports whether pattern p's pull row maps (src, pseq) to the
 // event sequence eseq.
 func (e *Engine) tagIndexed(p ident.PatternID, src ident.NodeID, pseq, eseq uint32) bool {
@@ -111,79 +116,62 @@ func (e *Engine) tagIndexed(p ident.PatternID, src ident.NodeID, pseq, eseq uint
 }
 
 // AuditInvariants verifies the buffer's structural invariants: the
-// entry count respects the capacity bound, every digest index is
-// sorted, duplicate-free, and consistent with the entry map, the
-// detection queue is time-ordered with its cursors in bounds, and no
-// entry outlived its TTL beyond what the lazy sweep is allowed to
-// defer (an expired entry may linger in the internal state, but must
-// sit at a queue position the next sweep will visit, so it can never
-// be served). The method is pure: unlike the read path it never
-// sweeps, so it is safe at any point of a deterministic run.
+// entry count respects the capacity bound; every pattern row is sorted,
+// duplicate-free, reached through the pattern index and mirrored by the
+// pattern set; the rows' total and per-source counts match the
+// buffer's counters; the detection queue is time-ordered with its
+// cursors in bounds; and no entry outlived its TTL beyond what the lazy
+// sweep is allowed to defer (an expired entry may linger in the
+// internal state, but must sit at a queue position the next sweep will
+// visit, so it can never be served). The method is pure: unlike the
+// read path it never sweeps, so it is safe at any point of a
+// deterministic run.
 func (b *LostBuffer) AuditInvariants(now sim.Time) error {
-	if b.capacity > 0 && len(b.entries) > b.capacity {
-		return fmt.Errorf("lost buffer holds %d entries over capacity %d", len(b.entries), b.capacity)
+	if b.capacity > 0 && b.n > b.capacity {
+		return fmt.Errorf("lost buffer holds %d entries over capacity %d", b.n, b.capacity)
 	}
-	if err := b.auditView("all", &b.all, len(b.entries)); err != nil {
-		return err
-	}
-	perPat := 0
-	for p, v := range b.byPat {
-		if err := b.auditView(fmt.Sprintf("pattern %v", p), v, -1); err != nil {
-			return err
+	total := 0
+	perSrc := make([]int, len(b.bySrc))
+	for r := range b.byPat {
+		row := &b.byPat[r]
+		if got, ok := b.patIdx.Row(int32(row.pat)); !ok || got != r {
+			return fmt.Errorf("lost buffer pattern index does not lead to row %d: it holds foreign pattern %v", r, row.pat)
 		}
-		for _, e := range v.items {
-			if e.Pattern != p {
-				return fmt.Errorf("lost buffer pattern index %v holds foreign entry %+v", p, e)
+		if b.patSet.Has(row.pat) != (len(row.items) > 0) {
+			return fmt.Errorf("lost buffer pattern set disagrees with the %d entries of pattern %v", len(row.items), row.pat)
+		}
+		for i, it := range row.items {
+			if i > 0 && row.items[i-1].key() >= it.key() {
+				return fmt.Errorf("lost buffer pattern %v row out of order at %d: %+v !< %+v", row.pat, i, row.items[i-1], it)
 			}
-		}
-		perPat += len(v.items)
-	}
-	if perPat != len(b.entries) {
-		return fmt.Errorf("lost buffer pattern indexes hold %d entries, map holds %d", perPat, len(b.entries))
-	}
-	perSrc := 0
-	for s, v := range b.bySrc {
-		if err := b.auditView(fmt.Sprintf("source %v", s), v, -1); err != nil {
-			return err
-		}
-		for _, e := range v.items {
-			if e.Source != s {
-				return fmt.Errorf("lost buffer source index %v holds foreign entry %+v", s, e)
+			s, ok := b.srcIdx.Row(int32(it.src))
+			if !ok {
+				return fmt.Errorf("lost buffer pattern %v row holds %+v, absent from the source index", row.pat, it)
 			}
+			perSrc[s]++
 		}
-		perSrc += len(v.items)
+		total += len(row.items)
 	}
-	if perSrc != len(b.entries) {
-		return fmt.Errorf("lost buffer source indexes hold %d entries, map holds %d", perSrc, len(b.entries))
+	if total != b.n {
+		return fmt.Errorf("lost buffer pattern rows hold %d entries, the buffer counts %d", total, b.n)
+	}
+	for r, sc := range b.bySrc {
+		if got, ok := b.srcIdx.Row(int32(sc.src)); !ok || got != r {
+			return fmt.Errorf("lost buffer source index does not lead to row %d: it holds foreign source %v", r, sc.src)
+		}
+		if sc.n != perSrc[r] {
+			return fmt.Errorf("lost buffer source %v counts %d entries, the pattern rows hold %d", sc.src, sc.n, perSrc[r])
+		}
 	}
 	return b.auditQueue(now)
 }
 
-// auditView checks one digest index: strictly ascending canonical
-// order (which implies no duplicates), every item present in the entry
-// map, and — when wantLen ≥ 0 — the expected cardinality.
-func (b *LostBuffer) auditView(name string, v *digestView, wantLen int) error {
-	if wantLen >= 0 && len(v.items) != wantLen {
-		return fmt.Errorf("lost buffer %s index holds %d entries, want %d", name, len(v.items), wantLen)
-	}
-	var prev wire.LostEntry
-	for i, e := range v.items {
-		if i > 0 && compareLost(prev, e) >= 0 {
-			return fmt.Errorf("lost buffer %s index out of order at %d: %+v !< %+v", name, i, prev, e)
-		}
-		if _, ok := b.entries[e]; !ok {
-			return fmt.Errorf("lost buffer %s index holds %+v, absent from entry map", name, e)
-		}
-		prev = e
-	}
-	return nil
-}
-
 // auditQueue checks the detection queue: cursors in bounds, detection
 // times non-decreasing (the property the lazy expiry sweep relies on),
-// every live entry's current detection time present at some queue
-// position at or past the eviction cursor, and every expired entry
-// still reachable by a future sweep (position ≥ the expiry cursor).
+// every outstanding entry's current detection time present at some
+// queue position at or past the eviction cursor, and every expired
+// entry still reachable by a future sweep (position ≥ the expiry
+// cursor).
 func (b *LostBuffer) auditQueue(now sim.Time) error {
 	if b.head < 0 || b.head > len(b.queue) {
 		return fmt.Errorf("lost buffer eviction cursor %d outside queue [0,%d]", b.head, len(b.queue))
@@ -201,22 +189,25 @@ func (b *LostBuffer) auditQueue(now sim.Time) error {
 	if sweepFrom < b.head {
 		sweepFrom = b.head
 	}
-	current := make(map[wire.LostEntry]int, len(b.entries))
+	current := make(map[wire.LostEntry]int, b.n)
 	for i := b.head; i < len(b.queue); i++ {
 		d := b.queue[i]
-		if at, ok := b.entries[d.e]; ok && at == d.at {
+		if _, _, ok := b.live(d); ok {
 			current[d.e] = i
 		}
 	}
-	for e, at := range b.entries {
-		i, ok := current[e]
-		if !ok {
-			return fmt.Errorf("lost buffer entry %+v (detected %v) has no live queue position past cursor %d",
-				e, at, b.head)
-		}
-		if b.expired(at, now) && i < sweepFrom {
-			return fmt.Errorf("lost buffer entry %+v expired at %v but sits at swept position %d (< %d): unreachable by sweep",
-				e, at+b.ttl, i, sweepFrom)
+	for _, row := range b.byPat {
+		for _, it := range row.items {
+			e := wire.LostEntry{Source: it.src, Pattern: row.pat, Seq: it.seq}
+			i, ok := current[e]
+			if !ok {
+				return fmt.Errorf("lost buffer entry %+v (detected %v) has no live queue position past cursor %d",
+					e, it.at, b.head)
+			}
+			if b.expired(it.at, now) && i < sweepFrom {
+				return fmt.Errorf("lost buffer entry %+v expired at %v but sits at swept position %d (< %d): unreachable by sweep",
+					e, it.at+b.ttl, i, sweepFrom)
+			}
 		}
 	}
 	return nil

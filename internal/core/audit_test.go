@@ -59,51 +59,54 @@ func TestLostBufferAuditDetectsCorruption(t *testing.T) {
 		{
 			name: "index-out-of-order",
 			corrupt: func(b *LostBuffer) {
-				b.all.items[0], b.all.items[1] = b.all.items[1], b.all.items[0]
+				b.Add(le(1, 1, 5), sim32(3))
+				items := patRowOf(b, 1).items
+				items[0], items[1] = items[1], items[0]
 			},
 			want: "out of order",
 		},
 		{
 			name: "index-holds-unknown-entry",
 			corrupt: func(b *LostBuffer) {
-				b.all.items[len(b.all.items)-1] = le(9, 9, 9)
+				// Source 9 has no outstanding entry, hence no count.
+				patRowOf(b, 1).items[0].src = 9
 			},
-			want: "absent from entry map",
+			want: "absent from the source index",
 		},
 		{
 			name: "foreign-pattern-entry",
 			corrupt: func(b *LostBuffer) {
-				// le(1,2,2) is a real map entry — but of pattern 2.
-				v := b.byPat[ident.PatternID(1)]
-				v.items = append(v.items, le(1, 2, 2))
+				// Pattern 1's index now leads to a row claiming pattern 2.
+				patRowOf(b, 1).pat = 2
 			},
-			want: "foreign entry",
+			want: "foreign pattern",
 		},
 		{
 			name: "pattern-cardinality-mismatch",
 			corrupt: func(b *LostBuffer) {
-				v := b.byPat[ident.PatternID(1)]
-				v.items = v.items[:len(v.items)-1]
+				b.Add(le(1, 1, 5), sim32(3))
+				row := patRowOf(b, 1)
+				row.items = row.items[:len(row.items)-1]
 			},
-			want: "pattern indexes hold",
+			want: "pattern rows hold",
 		},
 		{
 			name: "foreign-source-entry",
 			corrupt: func(b *LostBuffer) {
-				// le(2,3,3) is a real map entry — but of source 2.
+				// Source 1's index now leads to a count claiming source 2.
 				b.Add(le(2, 3, 3), sim32(3))
-				v := b.bySrc[ident.NodeID(1)]
-				v.items = append(v.items, le(2, 3, 3))
+				r, _ := b.srcIdx.Row(1)
+				b.bySrc[r].src = 2
 			},
-			want: "foreign entry",
+			want: "foreign source",
 		},
 		{
 			name: "source-cardinality-mismatch",
 			corrupt: func(b *LostBuffer) {
-				v := b.bySrc[ident.NodeID(1)]
-				v.items = v.items[:len(v.items)-1]
+				r, _ := b.srcIdx.Row(1)
+				b.bySrc[r].n--
 			},
-			want: "source indexes hold",
+			want: "source node(1) counts",
 		},
 		{
 			name:    "eviction-cursor-out-of-bounds",
@@ -125,7 +128,7 @@ func TestLostBufferAuditDetectsCorruption(t *testing.T) {
 		{
 			name: "entry-without-live-queue-position",
 			corrupt: func(b *LostBuffer) {
-				b.entries[le(1, 1, 1)] = sim32(999)
+				patRowOf(b, 1).items[0].at = sim32(999)
 			},
 			want: "no live queue position",
 		},
@@ -155,6 +158,15 @@ func TestLostBufferAuditDetectsCorruption(t *testing.T) {
 			}
 		})
 	}
+}
+
+// patRowOf returns pattern p's row of b.
+func patRowOf(b *LostBuffer, p ident.PatternID) *lostRow {
+	r, ok := b.patIdx.Row(int32(p))
+	if !ok {
+		panic("no row for the pattern")
+	}
+	return &b.byPat[r]
 }
 
 // TestEngineAuditDetectsIndexCorruption hand-corrupts the push and pull
@@ -272,7 +284,7 @@ func TestEngineAuditInvariants(t *testing.T) {
 	}
 	e := r.engines[2]
 	e.lost.Add(wire.LostEntry{Source: 0, Pattern: 1, Seq: 99}, r.k.Now())
-	e.lost.all.items = nil // index no longer mirrors the entry map
+	e.lost.n++ // the counter no longer mirrors the rows
 	err := e.AuditInvariants(r.k.Now())
 	if err == nil {
 		t.Fatal("audit accepted a corrupted engine")

@@ -13,13 +13,6 @@ import (
 	"repro/internal/wire"
 )
 
-// srcPattern keys the per-(source, pattern) loss-detection high-water
-// marks.
-type srcPattern struct {
-	src ident.NodeID
-	pat ident.PatternID
-}
-
 // Stats counts what one engine did. All counters are cumulative.
 type Stats struct {
 	// RoundsStarted counts gossip rounds that sent at least one digest.
@@ -55,10 +48,13 @@ type Engine struct {
 	patRows []patRow
 	tagRows []tagRow
 
-	lost    *LostBuffer
-	high    map[srcPattern]uint32
-	routes  map[ident.NodeID][]ident.NodeID
-	pending map[ident.EventID]sim.Time
+	lost *LostBuffer
+	// high holds the loss-detection high-water marks; routes the latest
+	// recorded route per source; pending the time of the last push
+	// request per event.
+	high    highMarks
+	routes  [][]ident.NodeID
+	pending ident.EventTable[sim.Time]
 
 	ticker *sim.Ticker
 	stats  Stats
@@ -165,10 +161,10 @@ func NewEngineIn(node *pubsub.Node, cfg Config, pool *ScratchPool) (*Engine, err
 	}
 	if pool != nil {
 		// Recycle the previous engine's structures: the cache and Lost
-		// buffer are emptied and re-targeted at this config, the maps
-		// come back cleared but with their buckets intact. Behavior is
-		// identical to freshly built state — nothing observable survives
-		// a Reset/clear.
+		// buffer are emptied and re-targeted at this config, the rows and
+		// the pending table come back cleared but with their storage
+		// intact. Behavior is identical to freshly built state — nothing
+		// observable survives a Reset/clear.
 		s := pool.get()
 		e.patScratch, e.srcScratch, e.nbScratch = s.pat, s.src, s.nb
 		e.idScratch, e.evScratch, e.wantScratch = s.id, s.ev, s.want
@@ -185,15 +181,6 @@ func NewEngineIn(node *pubsub.Node, cfg Config, pool *ScratchPool) (*Engine, err
 		e.lost.Reset(cfg.LostCapacity, cfg.LostTTL)
 	} else {
 		e.lost = NewLostBuffer(cfg.LostCapacity, cfg.LostTTL)
-	}
-	if e.high == nil {
-		e.high = make(map[srcPattern]uint32)
-	}
-	if e.routes == nil {
-		e.routes = make(map[ident.NodeID][]ident.NodeID)
-	}
-	if e.pending == nil {
-		e.pending = make(map[ident.EventID]sim.Time)
 	}
 	e.buf.SetOnEvict(e.unindex)
 	node.SetRecovery(e)
@@ -218,7 +205,7 @@ func (e *Engine) Release() {
 	e.idScratch, e.evScratch, e.wantScratch = nil, nil, nil
 	e.buf, e.lost = nil, nil
 	e.patRows, e.tagRows = nil, nil
-	e.high, e.routes, e.pending = nil, nil, nil
+	e.high, e.routes, e.pending = highMarks{}, nil, ident.EventTable[sim.Time]{}
 	e.pool = nil
 }
 
@@ -302,6 +289,7 @@ func (e *Engine) OnDeliver(ev *wire.Event, _ ident.NodeID) {
 		e.detect(ev)
 	}
 	if e.cfg.Algorithm.NeedsRoutes() && len(ev.Route) > 0 {
+		e.routes = growRows(e.routes, ev.ID.Source)
 		e.routes[ev.ID.Source] = ev.Route
 	}
 }
@@ -353,15 +341,14 @@ func (e *Engine) detect(ev *wire.Event) {
 		if !e.node.IsLocal(tag.Pattern) {
 			continue
 		}
-		key := srcPattern{src: ev.ID.Source, pat: tag.Pattern}
-		high := e.high[key]
+		high := e.high.get(tag.Pattern, ev.ID.Source)
 		switch {
 		case tag.Seq > high:
 			for q := high + 1; q < tag.Seq; q++ {
 				e.lost.Add(wire.LostEntry{Source: ev.ID.Source, Pattern: tag.Pattern, Seq: q}, now)
 				e.stats.LossesDetected++
 			}
-			e.high[key] = tag.Seq
+			e.high.set(tag.Pattern, ev.ID.Source, tag.Seq)
 		default:
 			// A late or recovered event fills its gap; the time since
 			// its detection is a recovery-latency sample.
@@ -585,7 +572,7 @@ func (e *Engine) gossipPubPull() bool {
 	now := e.k.Now()
 	candidates := e.srcScratch[:0]
 	for _, s := range e.lost.Sources(now) {
-		if len(e.routes[s]) > 0 {
+		if int(s) < len(e.routes) && len(e.routes[s]) > 0 {
 			candidates = append(candidates, s)
 		}
 	}
@@ -654,10 +641,10 @@ func (e *Engine) onGossipPush(from ident.NodeID, m *wire.GossipPush) {
 			if e.node.HasReceived(id) {
 				continue
 			}
-			if at, ok := e.pending[id]; ok && now-at <= e.cfg.PendingTTL {
+			if at, ok := e.pending.Get(id); ok && now-at <= e.cfg.PendingTTL {
 				continue
 			}
-			e.pending[id] = now
+			e.pending.Put(id, now)
 			missing = append(missing, id)
 		}
 		e.idScratch = missing
@@ -847,7 +834,7 @@ func (e *Engine) onRequest(m *wire.Request) {
 // gaps).
 func (e *Engine) onRetransmit(m *wire.Retransmit) {
 	for _, ev := range m.Events {
-		delete(e.pending, ev.ID)
+		e.pending.Delete(ev.ID)
 		if !e.node.DeliverRecovered(ev) {
 			e.stats.DuplicateRecoveries++
 			continue
@@ -864,13 +851,9 @@ func (e *Engine) onRetransmit(m *wire.Retransmit) {
 // sweepPending drops expired entries from the pending-request table so
 // it cannot grow without bound.
 func (e *Engine) sweepPending() {
-	if len(e.pending) < 1024 {
+	if e.pending.Len() < 1024 {
 		return
 	}
-	now := e.k.Now()
-	for id, at := range e.pending {
-		if now-at > e.cfg.PendingTTL {
-			delete(e.pending, id)
-		}
-	}
+	now, ttl := e.k.Now(), e.cfg.PendingTTL
+	e.pending.DeleteFunc(func(_ ident.EventID, at sim.Time) bool { return now-at > ttl })
 }

@@ -8,16 +8,18 @@ import (
 
 // The engine's two per-event indices are dense rows indexed by
 // PatternID, grown on demand in PatternSetCap steps (the rule of
-// pubsub.Node.patSeq), so neither probes a map on the event path.
+// pubsub.Node.patSeq), so neither probes a map on the event path. Both
+// order and search their entries by one packed integer key (tagKey).
 
-// growRows extends rows so that index p is valid. Growth allocates a new
-// array; pooled rows never shrink, so a recycled engine indexes into the
-// rows (and row capacity) earlier runs grew.
-func growRows[R any](rows []R, p ident.PatternID) []R {
-	if int(p) < len(rows) {
+// growRows extends rows so that index i — a PatternID or NodeID — is
+// valid. Growth allocates a new array; pooled rows never shrink, so a
+// recycled engine indexes into the rows (and row capacity) earlier runs
+// grew.
+func growRows[R any, I ident.PatternID | ident.NodeID](rows []R, i I) []R {
+	if int(i) < len(rows) {
 		return rows
 	}
-	grown := make([]R, (int(p)+ident.PatternSetCap)&^(ident.PatternSetCap-1))
+	grown := make([]R, (int(i)+ident.PatternSetCap)&^(ident.PatternSetCap-1))
 	copy(grown, rows)
 	return grown
 }
@@ -37,27 +39,34 @@ type patRow struct {
 	shared bool
 }
 
-func compareEventID(a, b ident.EventID) int {
-	switch {
-	case a.Less(b):
-		return -1
-	case b.Less(a):
-		return 1
-	default:
-		return 0
+// idKey is id's position in EventID.Less order as one integer.
+func idKey(id ident.EventID) uint64 { return tagKey(id.Source, id.Seq) }
+
+// search returns the first position whose id's key is ≥ key.
+func (r *patRow) search(key uint64) int {
+	lo, hi := 0, len(r.ids)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if idKey(r.ids[mid]) < key {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
 	}
+	return lo
 }
 
 // add inserts id unless present.
 func (r *patRow) add(id ident.EventID) {
+	key := idKey(id)
 	n := len(r.ids)
-	if n == 0 || r.ids[n-1].Less(id) {
+	if n == 0 || idKey(r.ids[n-1]) < key {
 		r.own()
 		r.ids = append(r.ids, id)
 		return
 	}
-	i, found := slices.BinarySearchFunc(r.ids, id, compareEventID)
-	if found {
+	i := r.search(key)
+	if r.ids[i] == id {
 		return
 	}
 	r.own()
@@ -66,8 +75,8 @@ func (r *patRow) add(id ident.EventID) {
 
 // remove deletes id if present.
 func (r *patRow) remove(id ident.EventID) {
-	i, found := slices.BinarySearchFunc(r.ids, id, compareEventID)
-	if !found {
+	i := r.search(idKey(id))
+	if i == len(r.ids) || r.ids[i] != id {
 		return
 	}
 	r.own()
@@ -110,9 +119,9 @@ type tagEnt struct {
 	eseq uint32
 }
 
-// tagKey orders (source, pattern sequence) pairs as the canonical digest
-// order does — source, then sequence — in one integer compare. Flipping
-// the sign bit maps the signed source onto an unsigned order.
+// tagKey orders (source, sequence) pairs as the canonical digest order
+// and EventID.Less do — source, then sequence — in one integer compare.
+// Flipping the sign bit maps the signed source onto an unsigned order.
 func tagKey(src ident.NodeID, pseq uint32) uint64 {
 	return uint64(uint32(src)^1<<31)<<32 | uint64(pseq)
 }
@@ -174,4 +183,42 @@ func (r tagRow) seek(from int, key uint64) int {
 		}
 	}
 	return hi
+}
+
+// highMarks holds the loss-detection high-water marks, one per
+// (pattern, source): a row for each pattern the node has seen tagged
+// events of — its local patterns, a handful — reached through a
+// RowIndex, each row indexed by source.
+type highMarks struct {
+	pats ident.RowIndex
+	rows [][]uint32
+}
+
+// get returns the highest sequence number of pattern p seen from src,
+// 0 before the first.
+func (h *highMarks) get(p ident.PatternID, src ident.NodeID) uint32 {
+	r, ok := h.pats.Row(int32(p))
+	if !ok || int(src) >= len(h.rows[r]) {
+		return 0
+	}
+	return h.rows[r][src]
+}
+
+func (h *highMarks) set(p ident.PatternID, src ident.NodeID, seq uint32) {
+	r, added := h.pats.Add(int32(p))
+	if added {
+		h.rows = grown(h.rows)
+	}
+	h.rows[r] = growRows(h.rows[r], src)
+	h.rows[r][src] = seq
+}
+
+// reset forgets every mark, keeping the rows for reuse by a pooled
+// engine.
+func (h *highMarks) reset() {
+	h.pats.Clear()
+	for _, row := range h.rows {
+		clear(row)
+	}
+	h.rows = h.rows[:0]
 }

@@ -92,6 +92,12 @@ func (m *mapIndex) serve(wanted []wire.LostEntry) (events []*wire.Event, remaini
 // row-growth steps, so rows are grown, reused and left empty.
 var indexPatterns = []ident.PatternID{0, 1, 5, 63, 126, 127, 128, 129, 200, 255, 256, 300}
 
+// srcPattern keys a per-(source, pattern) sequence counter.
+type srcPattern struct {
+	src ident.NodeID
+	pat ident.PatternID
+}
+
 // eventStream publishes events the way dispatchers stamp them: per-source
 // event sequence numbers and per-(source, pattern) tag numbers, tags for
 // a subset of the content patterns.

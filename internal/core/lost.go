@@ -32,51 +32,70 @@ func compareLost(a, b wire.LostEntry) int {
 	}
 }
 
-// digestView is one incrementally maintained digest index: a slab of
-// entries kept in canonical digest order, plus a lazily materialized
-// snapshot that is handed to callers.
-//
-// The slab is mutated in place (binary-search insert/delete, no
-// re-sort); the snapshot is immutable once handed out. Gossip messages
-// embed the snapshot and may outlive the current buffer state (the
-// simulator delivers them at a later virtual time), so a mutation never
-// touches a previously returned snapshot — it only marks the cached one
-// stale, and the next read clones the slab afresh.
-type digestView struct {
-	items []wire.LostEntry // authoritative, sorted
-	snap  []wire.LostEntry // cached immutable snapshot; nil when stale
+// lostItem is one outstanding entry of a pattern row: the lost event's
+// source and per-pattern sequence number, and the entry's current
+// detection time.
+type lostItem struct {
+	src ident.NodeID
+	seq uint32
+	at  sim.Time
 }
 
-func (v *digestView) insert(e wire.LostEntry) {
-	i, _ := slices.BinarySearchFunc(v.items, e, compareLost)
-	v.items = slices.Insert(v.items, i, e)
-	v.snap = nil
+func (it lostItem) key() uint64 { return tagKey(it.src, it.seq) }
+
+// lostRow is one pattern's outstanding entries, sorted by key — the
+// canonical digest order within a pattern — plus the cached ForPattern
+// snapshot.
+type lostRow struct {
+	pat   ident.PatternID
+	items []lostItem
+	snap  []wire.LostEntry // nil when stale
 }
 
-func (v *digestView) remove(e wire.LostEntry) {
-	i, ok := slices.BinarySearchFunc(v.items, e, compareLost)
-	if !ok {
-		return
+// search returns the first position whose key is ≥ key.
+func (r *lostRow) search(key uint64) int {
+	lo, hi := 0, len(r.items)
+	if hi > 0 && r.items[hi-1].key() < key {
+		return hi
 	}
-	v.items = slices.Delete(v.items, i, i+1)
-	v.snap = nil
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if r.items[mid].key() < key {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo
 }
 
-// view returns the current entries as an immutable snapshot. Callers
-// must not mutate it; it may be embedded directly in gossip messages.
-func (v *digestView) view() []wire.LostEntry {
-	if len(v.items) == 0 {
+// view returns the row as an immutable snapshot (nil when empty).
+func (r *lostRow) view() []wire.LostEntry {
+	if len(r.items) == 0 {
 		return nil
 	}
-	if v.snap == nil {
-		v.snap = slices.Clone(v.items)
+	if r.snap == nil {
+		r.snap = make([]wire.LostEntry, len(r.items))
+		for i, it := range r.items {
+			r.snap[i] = wire.LostEntry{Source: it.src, Pattern: r.pat, Seq: it.seq}
+		}
 	}
-	return v.snap
+	return r.snap
 }
 
-// detection is one Add recorded in FIFO order. A detection becomes
-// stale when its entry is removed or re-added later (the map carries
-// the current detection time); stale positions are skipped lazily.
+// srcCount is one source's number of outstanding entries plus its cached
+// ForSource snapshot. The entries themselves live in the pattern rows.
+type srcCount struct {
+	src  ident.NodeID
+	n    int
+	snap []wire.LostEntry // nil when stale
+}
+
+// detection is one Add recorded in FIFO order. A detection is live
+// while its entry is outstanding with that detection time (the pattern
+// row carries the current one); it becomes stale when the entry is
+// removed, expires or is evicted. Eviction and the expiry sweep skip
+// stale positions, and maybeCompact discards them.
 type detection struct {
 	e  wire.LostEntry
 	at sim.Time
@@ -90,21 +109,25 @@ type detection struct {
 // losses do not pin memory; the paper specifies neither bound (see
 // DESIGN.md).
 //
-// Digest reads (All, ForPattern, ForSource, Patterns, Sources) are
-// served from incrementally maintained sorted indexes and return cached
-// snapshots: a gossip round that finds the buffer unchanged since the
-// last round performs no allocation and no sorting.
+// Entries live in one sorted row per pattern, next to their detection
+// times; patterns and sources reach their rows through ident.RowIndex,
+// so no operation probes a Go map and any identifier is accepted.
+// Digest reads (All, ForPattern, ForSource, Patterns, Sources) return
+// cached snapshots: a gossip round that finds the buffer unchanged
+// since the last round performs no allocation and no sorting.
 type LostBuffer struct {
 	capacity int
 	ttl      sim.Time
-	entries  map[wire.LostEntry]sim.Time // current detection time
-	queue    []detection                 // Add order; may hold stale positions
-	head     int                         // eviction cursor (FIFO)
-	exp      int                         // expiry cursor; queue[:exp] is fully expired
+	n        int         // outstanding entries
+	queue    []detection // Add order; may hold stale positions
+	head     int         // eviction cursor (FIFO)
+	exp      int         // expiry cursor; queue[:exp] is fully expired
 
-	all   digestView
-	byPat map[ident.PatternID]*digestView
-	bySrc map[ident.NodeID]*digestView
+	patIdx ident.RowIndex // pattern -> position in byPat
+	byPat  []lostRow
+	srcIdx ident.RowIndex // source -> position in bySrc
+	bySrc  []srcCount
+	all    []wire.LostEntry // cached All snapshot; nil when stale
 
 	pats      []ident.PatternID // cached sorted patterns with entries
 	srcs      []ident.NodeID    // cached sorted sources with entries
@@ -119,47 +142,52 @@ type LostBuffer struct {
 }
 
 // NewLostBuffer returns an empty buffer holding at most capacity
-// entries for ttl each. The entry map starts empty and grows with the
-// losses actually detected; most buffers of a large run stay near-empty.
+// entries for ttl each. Its rows grow with the losses actually
+// detected; most buffers of a large run stay near-empty.
 func NewLostBuffer(capacity int, ttl sim.Time) *LostBuffer {
-	return &LostBuffer{
-		capacity: capacity,
-		ttl:      ttl,
-		entries:  make(map[wire.LostEntry]sim.Time),
-		byPat:    make(map[ident.PatternID]*digestView),
-		bySrc:    make(map[ident.NodeID]*digestView),
-	}
+	return &LostBuffer{capacity: capacity, ttl: ttl}
 }
 
 // Len returns the number of outstanding entries (including any that
 // have expired but were not yet swept).
-func (b *LostBuffer) Len() int { return len(b.entries) }
+func (b *LostBuffer) Len() int { return b.n }
 
 // Reset empties the buffer and re-targets it at a new capacity and TTL,
-// keeping the entry map, detection queue, and digest-view slabs the
-// previous run grew. The per-pattern and per-source views are truncated
-// in place, never freed, so a recycled buffer reaches its steady-state
-// footprint once and stays there across a whole parameter sweep.
-// Previously returned snapshots are unaffected (they are separate
-// clones).
+// keeping the detection queue and row storage the previous run grew, so
+// a recycled buffer reaches its steady-state footprint once and stays
+// there across a whole parameter sweep. Previously returned snapshots
+// are unaffected (they are separate copies).
 func (b *LostBuffer) Reset(capacity int, ttl sim.Time) {
 	b.capacity, b.ttl = capacity, ttl
-	clear(b.entries)
+	b.n = 0
 	b.queue = b.queue[:0]
 	b.head, b.exp = 0, 0
-	b.all.items = b.all.items[:0]
-	b.all.snap = nil
-	for _, v := range b.byPat {
-		v.items = v.items[:0]
-		v.snap = nil
+	b.patIdx.Clear()
+	for i := range b.byPat {
+		b.byPat[i].items = b.byPat[i].items[:0]
+		b.byPat[i].snap = nil
 	}
-	for _, v := range b.bySrc {
-		v.items = v.items[:0]
-		v.snap = nil
-	}
+	b.byPat = b.byPat[:0]
+	b.srcIdx.Clear()
+	clear(b.bySrc)
+	b.bySrc = b.bySrc[:0]
+	b.all = nil
 	b.pats, b.srcs = nil, nil
 	b.patsStale, b.srcsStale = false, false
 	b.patSet = ident.PatternSet{}
+}
+
+// find returns e's pattern row (nil when the pattern has none) and the
+// position of e, or where e belongs, in it.
+func (b *LostBuffer) find(e wire.LostEntry) (*lostRow, int, bool) {
+	r, ok := b.patIdx.Row(int32(e.Pattern))
+	if !ok {
+		return nil, 0, false
+	}
+	row := &b.byPat[r]
+	key := tagKey(e.Source, e.Seq)
+	i := row.search(key)
+	return row, i, i < len(row.items) && row.items[i].key() == key
 }
 
 // Add records a newly detected loss. Re-detecting an outstanding entry
@@ -167,116 +195,147 @@ func (b *LostBuffer) Reset(capacity int, ttl sim.Time) {
 // the kernel clock and the live node's monotonic clock guarantee this);
 // the lazy expiry sweep relies on it.
 func (b *LostBuffer) Add(e wire.LostEntry, now sim.Time) {
-	if _, ok := b.entries[e]; ok {
+	if _, _, ok := b.find(e); ok {
 		return
 	}
-	for len(b.entries) >= b.capacity {
+	for b.n >= b.capacity {
 		b.evictOldest()
 	}
-	b.entries[e] = now
 	b.queue = append(b.queue, detection{e: e, at: now})
-	b.indexEntry(e)
+
+	r, added := b.patIdx.Add(int32(e.Pattern))
+	if added {
+		b.byPat = grown(b.byPat)
+		b.byPat[r].pat = e.Pattern
+	}
+	row := &b.byPat[r]
+	if len(row.items) == 0 {
+		b.patsStale = true
+		b.patSet.Add(e.Pattern)
+	}
+	it := lostItem{src: e.Source, seq: e.Seq, at: now}
+	if i := row.search(it.key()); i == len(row.items) {
+		row.items = append(row.items, it)
+	} else {
+		row.items = slices.Insert(row.items, i, it)
+	}
+	row.snap = nil
+
+	s, added := b.srcIdx.Add(int32(e.Source))
+	if added {
+		b.bySrc = grown(b.bySrc)
+		b.bySrc[s].src = e.Source
+	}
+	sc := &b.bySrc[s]
+	if sc.n == 0 {
+		b.srcsStale = true
+	}
+	sc.n++
+	sc.snap = nil
+	b.all = nil
+	b.n++
+	b.maybeCompact()
 }
 
+// grown extends rows by one element, recycling the element a Reset left
+// behind in the spare capacity (its storage emptied, not freed).
+func grown[R any](rows []R) []R {
+	if n := len(rows); n < cap(rows) {
+		return rows[:n+1]
+	}
+	var zero R
+	return append(rows, zero)
+}
+
+// dropAt removes entry i of row from the row and the source counts.
+func (b *LostBuffer) dropAt(row *lostRow, i int) {
+	src := row.items[i].src
+	row.items = slices.Delete(row.items, i, i+1)
+	row.snap = nil
+	if len(row.items) == 0 {
+		b.patsStale = true
+		b.patSet.Remove(row.pat)
+	}
+	s, _ := b.srcIdx.Row(int32(src))
+	sc := &b.bySrc[s]
+	sc.n--
+	sc.snap = nil
+	if sc.n == 0 {
+		b.srcsStale = true
+	}
+	b.all = nil
+	b.n--
+}
+
+// live returns d's entry and its row position when d is live.
+func (b *LostBuffer) live(d detection) (*lostRow, int, bool) {
+	row, i, ok := b.find(d.e)
+	return row, i, ok && row.items[i].at == d.at
+}
+
+// evictOldest drops the entry of the oldest live queue position.
 func (b *LostBuffer) evictOldest() {
 	for {
 		d := b.queue[b.head]
 		b.head++
-		b.maybeCompact()
-		if _, ok := b.entries[d.e]; ok {
-			b.dropEntry(d.e)
+		if row, i, ok := b.live(d); ok {
+			b.dropAt(row, i)
 			return
 		}
 	}
 }
 
-// maybeCompact reclaims the consumed queue prefix in place once it
-// dominates the slice, keeping both cursors consistent.
+// maybeCompact rewrites the detection queue once it holds more than
+// twice as many positions as there are outstanding entries (plus a
+// floor that keeps small buffers from compacting constantly): the
+// consumed and swept prefix and every stale position go, the live
+// positions keep their order. Each outstanding entry has one live
+// position, so the queue stays bounded however long the buffer runs
+// between evictions — recovered losses leave only stale positions
+// behind.
 func (b *LostBuffer) maybeCompact() {
-	if b.head <= 4096 || b.head*2 <= len(b.queue) {
+	if len(b.queue) <= 2*b.n+64 {
 		return
 	}
-	n := copy(b.queue, b.queue[b.head:])
-	b.queue = b.queue[:n]
-	if b.exp < b.head {
-		b.exp = b.head
-	}
-	b.exp -= b.head
-	b.head = 0
-}
-
-// indexEntry inserts e into the global, per-pattern, and per-source
-// digest indexes.
-func (b *LostBuffer) indexEntry(e wire.LostEntry) {
-	b.all.insert(e)
-	pv := b.byPat[e.Pattern]
-	if pv == nil {
-		pv = &digestView{}
-		b.byPat[e.Pattern] = pv
-	}
-	if len(pv.items) == 0 {
-		b.patsStale = true
-		b.patSet.Add(e.Pattern)
-	}
-	pv.insert(e)
-	sv := b.bySrc[e.Source]
-	if sv == nil {
-		sv = &digestView{}
-		b.bySrc[e.Source] = sv
-	}
-	if len(sv.items) == 0 {
-		b.srcsStale = true
-	}
-	sv.insert(e)
-}
-
-// dropEntry removes e from the entry map and every digest index. The
-// per-pattern and per-source views are kept (empty) for reuse; only the
-// distinct-pattern/source lists are invalidated when a view empties.
-func (b *LostBuffer) dropEntry(e wire.LostEntry) {
-	delete(b.entries, e)
-	b.all.remove(e)
-	if pv := b.byPat[e.Pattern]; pv != nil {
-		pv.remove(e)
-		if len(pv.items) == 0 {
-			b.patsStale = true
-			b.patSet.Remove(e.Pattern)
+	live := b.queue[:0]
+	for _, d := range b.queue[max(b.head, b.exp):] {
+		if _, _, ok := b.live(d); ok {
+			live = append(live, d)
 		}
 	}
-	if sv := b.bySrc[e.Source]; sv != nil {
-		sv.remove(e)
-		if len(sv.items) == 0 {
-			b.srcsStale = true
-		}
-	}
+	b.queue = live
+	b.head, b.exp = 0, 0
 }
 
 // Remove deletes an entry (the event was recovered) and reports whether
 // it was outstanding.
 func (b *LostBuffer) Remove(e wire.LostEntry) bool {
-	if _, ok := b.entries[e]; !ok {
-		return false
+	row, i, ok := b.find(e)
+	if ok {
+		b.dropAt(row, i)
 	}
-	b.dropEntry(e)
-	return true
+	return ok
 }
 
 // DetectedAt returns the detection time of an outstanding entry. It
 // feeds the adaptive controller's recovery-latency estimate: the gap
 // between detection and the arrival of the recovered event.
 func (b *LostBuffer) DetectedAt(e wire.LostEntry) (sim.Time, bool) {
-	at, ok := b.entries[e]
-	return at, ok
+	row, i, ok := b.find(e)
+	if !ok {
+		return 0, false
+	}
+	return row.items[i].at, true
 }
 
 // Has reports whether the entry is outstanding and fresh.
 func (b *LostBuffer) Has(e wire.LostEntry, now sim.Time) bool {
-	at, ok := b.entries[e]
+	row, i, ok := b.find(e)
 	if !ok {
 		return false
 	}
-	if b.expired(at, now) {
-		b.dropEntry(e)
+	if b.expired(row.items[i].at, now) {
+		b.dropAt(row, i)
 		return false
 	}
 	return true
@@ -304,8 +363,8 @@ func (b *LostBuffer) sweep(now sim.Time) {
 		if !b.expired(d.at, now) {
 			return
 		}
-		if at, ok := b.entries[d.e]; ok && at == d.at {
-			b.dropEntry(d.e)
+		if row, i, ok := b.live(d); ok {
+			b.dropAt(row, i)
 		}
 		b.exp++
 	}
@@ -316,11 +375,11 @@ func (b *LostBuffer) sweep(now sim.Time) {
 // immutable snapshot shared across calls; callers must not mutate it.
 func (b *LostBuffer) ForPattern(p ident.PatternID, now sim.Time) []wire.LostEntry {
 	b.sweep(now)
-	v := b.byPat[p]
-	if v == nil {
+	r, ok := b.patIdx.Row(int32(p))
+	if !ok {
 		return nil
 	}
-	return v.view()
+	return b.byPat[r].view()
 }
 
 // ForSource returns the fresh entries whose source is s, in canonical
@@ -328,11 +387,25 @@ func (b *LostBuffer) ForPattern(p ident.PatternID, now sim.Time) []wire.LostEntr
 // immutable snapshot shared across calls; callers must not mutate it.
 func (b *LostBuffer) ForSource(s ident.NodeID, now sim.Time) []wire.LostEntry {
 	b.sweep(now)
-	v := b.bySrc[s]
-	if v == nil {
+	r, ok := b.srcIdx.Row(int32(s))
+	if !ok || b.bySrc[r].n == 0 {
 		return nil
 	}
-	return v.view()
+	sc := &b.bySrc[r]
+	if sc.snap == nil {
+		// Gathered pattern by ascending pattern: each row holds the
+		// source's entries as one run in sequence order.
+		snap := make([]wire.LostEntry, 0, sc.n)
+		for _, p := range b.sortedPatterns() {
+			pr, _ := b.patIdx.Row(int32(p))
+			row := &b.byPat[pr]
+			for i := row.search(tagKey(s, 0)); i < len(row.items) && row.items[i].src == s; i++ {
+				snap = append(snap, wire.LostEntry{Source: s, Pattern: p, Seq: row.items[i].seq})
+			}
+		}
+		sc.snap = snap
+	}
+	return sc.snap
 }
 
 // All returns every fresh entry in canonical digest order. The returned
@@ -340,7 +413,20 @@ func (b *LostBuffer) ForSource(s ident.NodeID, now sim.Time) []wire.LostEntry {
 // mutate it.
 func (b *LostBuffer) All(now sim.Time) []wire.LostEntry {
 	b.sweep(now)
-	return b.all.view()
+	if b.n == 0 {
+		return nil
+	}
+	if b.all == nil {
+		all := make([]wire.LostEntry, 0, b.n)
+		for _, row := range b.byPat {
+			for _, it := range row.items {
+				all = append(all, wire.LostEntry{Source: it.src, Pattern: row.pat, Seq: it.seq})
+			}
+		}
+		slices.SortFunc(all, compareLost)
+		b.all = all
+	}
+	return b.all
 }
 
 // PatternSet returns the distinct patterns with fresh entries as a
@@ -355,6 +441,10 @@ func (b *LostBuffer) PatternSet(now sim.Time) ident.PatternSet {
 // The returned slice is a cached snapshot; callers must not mutate it.
 func (b *LostBuffer) Patterns(now sim.Time) []ident.PatternID {
 	b.sweep(now)
+	return b.sortedPatterns()
+}
+
+func (b *LostBuffer) sortedPatterns() []ident.PatternID {
 	if b.patsStale || b.pats == nil {
 		// Ascending bitset iteration is already sorted order.
 		b.pats = b.patSet.AppendTo(make([]ident.PatternID, 0, b.patSet.Len()))
@@ -369,9 +459,9 @@ func (b *LostBuffer) Sources(now sim.Time) []ident.NodeID {
 	b.sweep(now)
 	if b.srcsStale || b.srcs == nil {
 		srcs := make([]ident.NodeID, 0, len(b.bySrc))
-		for s, v := range b.bySrc {
-			if len(v.items) > 0 {
-				srcs = append(srcs, s)
+		for _, sc := range b.bySrc {
+			if sc.n > 0 {
+				srcs = append(srcs, sc.src)
 			}
 		}
 		slices.Sort(srcs)

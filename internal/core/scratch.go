@@ -1,6 +1,8 @@
 package core
 
 import (
+	"slices"
+
 	"repro/internal/cache"
 	"repro/internal/ident"
 	"repro/internal/sim"
@@ -10,20 +12,20 @@ import (
 // ScratchPool recycles engine state across engine lifetimes. A
 // parameter-sweep worker builds one engine per dispatcher per run and
 // discards them all at the end; with a pool, the expensive per-engine
-// structures — the β-sized event cache, the Lost buffer with its digest
-// indexes, the recovery maps, and the per-round scratch slices — are
-// grown to their steady-state size during the first runs and then
-// survive into later runs instead of being reallocated and re-grown
-// from nil every time. A pool must not be shared between goroutines;
-// each sweep worker owns its own.
+// structures — the β-sized event cache, the Lost buffer with its
+// pattern rows, the high-water, route and pending-request tables, and
+// the per-round scratch slices — are grown to their steady-state size
+// during the first runs and then survive into later runs instead of
+// being reallocated and re-grown from nil every time. A pool must not
+// be shared between goroutines; each sweep worker owns its own.
 type ScratchPool struct {
 	free []engineScratch
 }
 
 // engineScratch is one recyclable bundle of an engine's reusable state
 // (see the corresponding fields on Engine). The cache and Lost buffer
-// are handed back emptied; the index rows are truncated and the maps
-// cleared, keeping their capacity.
+// are handed back emptied; the index rows are truncated and the other
+// rows and the pending table cleared, keeping their capacity.
 type engineScratch struct {
 	pat  []ident.PatternID
 	src  []ident.NodeID
@@ -36,9 +38,9 @@ type engineScratch struct {
 	lost    *LostBuffer
 	patRows []patRow
 	tagRows []tagRow
-	high    map[srcPattern]uint32
-	routes  map[ident.NodeID][]ident.NodeID
-	pending map[ident.EventID]sim.Time
+	high    highMarks
+	routes  [][]ident.NodeID
+	pending ident.EventTable[sim.Time]
 }
 
 func (p *ScratchPool) get() engineScratch {
@@ -67,8 +69,14 @@ func (p *ScratchPool) put(s engineScratch) {
 	for i := range s.tagRows {
 		s.tagRows[i] = s.tagRows[i][:0]
 	}
-	clear(s.high)
+	s.high.reset()
 	clear(s.routes)
-	clear(s.pending)
+	s.pending.Clear()
+	if len(p.free) == cap(p.free) {
+		// Double: a 10k-node run releases 10k bundles of a few hundred
+		// bytes at once, and append's 1.25× growth for large slices
+		// would copy them four times over.
+		p.free = slices.Grow(p.free, max(len(p.free), 8))
+	}
 	p.free = append(p.free, s)
 }

@@ -86,10 +86,13 @@ func (ps PatternSeq) String() string {
 // initialization; use NewEventIDSet.
 //
 // Its remaining users are the live runtime (internal/live: a node's
-// received set and per-pattern push index) and the flooding baseline
-// (internal/flood: per-dispatcher seen sets). The simulated dispatcher
-// keeps its received set in a SeqSet, and the simulated recovery engine
-// keeps its push index in sorted per-pattern rows (internal/core).
+// received set and per-pattern push index), the flooding baseline
+// (internal/flood: per-dispatcher seen sets), the push-digest benchmark
+// (internal/bench) and the map-based oracles of the simulator's tests.
+// The simulator keeps no event identifier in a Go map: a dispatcher's
+// received set is a SeqSet, the recovery engine's push index sorted
+// per-pattern rows (internal/core), and the event cache and pending
+// requests an EventTable.
 //
 // Sorted caches its result between mutations: the push gossiper reads
 // the same digest every round, so a set that did not change since the

@@ -9,10 +9,11 @@ package ident
 //
 // Memory per source is proportional to the span between the lowest and
 // highest sequence number added; a set fed sparse, far-apart numbers
-// from one source pays for the whole span.
+// from one source pays for the whole span. Sources find their bitmap
+// through a RowIndex, so any NodeID is accepted.
 type SeqSet struct {
 	rows []seqRow
-	idx  map[NodeID]int32 // source -> position in rows
+	idx  RowIndex // source -> position in rows
 	n    int
 }
 
@@ -38,7 +39,7 @@ func (s *SeqSet) Add(id EventID) bool {
 
 // Has reports whether id is in the set.
 func (s *SeqSet) Has(id EventID) bool {
-	i, ok := s.idx[id.Source]
+	i, ok := s.idx.Row(int32(id.Source))
 	if !ok {
 		return false
 	}
@@ -56,7 +57,7 @@ func (s *SeqSet) Len() int { return s.n }
 // Clear empties the set in place, keeping the rows' backing arrays for
 // reuse by the sources a later run adds.
 func (s *SeqSet) Clear() {
-	clear(s.idx)
+	s.idx.Clear()
 	for i := range s.rows {
 		s.rows[i].words = s.rows[i].words[:0]
 	}
@@ -67,19 +68,14 @@ func (s *SeqSet) Clear() {
 // row returns src's bitmap, adding an empty one (recycling a cleared
 // row's backing array) on first use.
 func (s *SeqSet) row(src NodeID) *seqRow {
-	if i, ok := s.idx[src]; ok {
-		return &s.rows[i]
+	i, added := s.idx.Add(int32(src))
+	if added {
+		if i < cap(s.rows) {
+			s.rows = s.rows[:i+1]
+		} else {
+			s.rows = append(s.rows, seqRow{})
+		}
 	}
-	if s.idx == nil {
-		s.idx = make(map[NodeID]int32)
-	}
-	i := len(s.rows)
-	if i < cap(s.rows) {
-		s.rows = s.rows[:i+1]
-	} else {
-		s.rows = append(s.rows, seqRow{})
-	}
-	s.idx[src] = int32(i)
 	return &s.rows[i]
 }
 

@@ -1,7 +1,9 @@
 package ident
 
 import (
+	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 )
 
@@ -110,5 +112,45 @@ func TestSeqSetEdges(t *testing.T) {
 		if s.Has(id) {
 			t.Fatalf("Has(%v) for an absent id", id)
 		}
+	}
+}
+
+// TestSeqSetFarSources: the source index is total over NodeID. Sources
+// far outside the dense range — ident.None, 1<<30, the largest NodeID —
+// are held on the slow path, and none of them costs memory in
+// proportion to its value.
+func TestSeqSetFarSources(t *testing.T) {
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	var s SeqSet
+	far := []NodeID{1 << 30, None, math.MaxInt32, math.MinInt32, 1<<30 + 1}
+	for _, src := range far {
+		for seq := uint32(1); seq <= 64; seq++ {
+			if !s.Add(EventID{Source: src, Seq: seq}) {
+				t.Fatalf("Add(%v:%d) reported present", src, seq)
+			}
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<16 {
+		t.Fatalf("five far sources allocated %d bytes", grew)
+	}
+	// Dense sources added afterwards share the set with the far ones.
+	for src := NodeID(0); src < 3000; src += 7 {
+		s.Add(EventID{Source: src, Seq: 9})
+	}
+	for _, src := range far {
+		if !s.Has(EventID{Source: src, Seq: 64}) || s.Has(EventID{Source: src, Seq: 65}) {
+			t.Fatalf("source %v lost or gained members", src)
+		}
+	}
+	for src := NodeID(0); src < 3000; src++ {
+		if got, want := s.Has(EventID{Source: src, Seq: 9}), src%7 == 0; got != want {
+			t.Fatalf("Has(%v:9) = %v, want %v", src, got, want)
+		}
+	}
+	if want := len(far)*64 + (3000+6)/7; s.Len() != want {
+		t.Fatalf("Len = %d, want %d", s.Len(), want)
 	}
 }

@@ -32,13 +32,16 @@ type eventRecord struct {
 // are excluded on both sides.
 type DeliveryTracker struct {
 	// records is a slab of per-event accounting, appended in publish
-	// order (so publishedAt is nondecreasing along the slice); index
-	// maps an event to its slab position. Storing values in the slab
-	// instead of a map of pointers keeps the per-publish cost to one
-	// append plus one map insert and makes every aggregation below a
-	// cache-friendly linear scan in deterministic order.
+	// order (so publishedAt is nondecreasing along the slice); srcs and
+	// seqs map an event to its slab position through one row per
+	// source, indexed by sequence number — sources number their events
+	// 1, 2, 3, … (paper Sec. III-B), so a row is dense. A publish costs
+	// one append to the slab and one to the source's row, a delivery
+	// two slice loads, and every aggregation below is a cache-friendly
+	// linear scan in deterministic order.
 	records []eventRecord
-	index   map[ident.EventID]int32
+	srcs    ident.RowIndex // source -> position in seqs
+	seqs    []seqRow
 	now     func() sim.Time
 
 	totalExpected  uint64
@@ -49,12 +52,20 @@ type DeliveryTracker struct {
 	recoveryLatency *LatencyHistogram
 }
 
+// seqRow maps one source's sequence numbers to slab positions: pos[i]
+// is one more than the position of sequence number base+i, 0 when that
+// number was never published. Like ident.SeqSet, a row costs the span
+// between its lowest and highest sequence number.
+type seqRow struct {
+	base uint32
+	pos  []int32
+}
+
 // NewDeliveryTracker returns an empty tracker. now supplies the current
 // virtual time for latency measurement; pass nil to disable latency
 // histograms.
 func NewDeliveryTracker(now func() sim.Time) *DeliveryTracker {
 	return &DeliveryTracker{
-		index:           make(map[ident.EventID]int32, 1024),
 		now:             now,
 		routedLatency:   NewLatencyHistogram(),
 		recoveryLatency: NewLatencyHistogram(),
@@ -62,12 +73,16 @@ func NewDeliveryTracker(now func() sim.Time) *DeliveryTracker {
 }
 
 // Reset empties the tracker for a new run, keeping the record slab,
-// index buckets, and histogram slabs the previous run grew. now
+// sequence rows, and histogram slabs the previous run grew. now
 // replaces the virtual-time source (pass nil to disable latency
 // histograms).
 func (t *DeliveryTracker) Reset(now func() sim.Time) {
 	t.records = t.records[:0]
-	clear(t.index)
+	t.srcs.Clear()
+	for i := range t.seqs {
+		t.seqs[i].pos = t.seqs[i].pos[:0]
+	}
+	t.seqs = t.seqs[:0]
 	t.now = now
 	t.totalExpected, t.totalDelivered, t.totalRecovered = 0, 0, 0
 	t.routedLatency.Reset()
@@ -86,13 +101,58 @@ func (t *DeliveryTracker) RecoveryLatency() LatencyStats { return t.recoveryLate
 // (matching subscribers other than the publisher).
 func (t *DeliveryTracker) OnPublish(id ident.EventID, expected int, at sim.Time) {
 	rec := eventRecord{publishedAt: at, expected: uint32(expected)}
-	if i, ok := t.index[id]; ok {
-		t.records[i] = rec // re-published ID: reset its accounting
+	if p := t.position(id); *p != 0 {
+		t.records[*p-1] = rec // re-published ID: reset its accounting
 	} else {
-		t.index[id] = int32(len(t.records))
+		*p = int32(len(t.records)) + 1
 		t.records = append(t.records, rec)
 	}
 	t.totalExpected += uint64(expected)
+}
+
+// lookup returns id's slab position.
+func (t *DeliveryTracker) lookup(id ident.EventID) (int, bool) {
+	r, ok := t.srcs.Row(int32(id.Source))
+	if !ok {
+		return 0, false
+	}
+	row := &t.seqs[r]
+	i := id.Seq - row.base
+	if id.Seq < row.base || i >= uint32(len(row.pos)) || row.pos[i] == 0 {
+		return 0, false
+	}
+	return int(row.pos[i]) - 1, true
+}
+
+// position returns the cell holding id's slab position plus one,
+// growing id's row to cover it.
+func (t *DeliveryTracker) position(id ident.EventID) *int32 {
+	r, added := t.srcs.Add(int32(id.Source))
+	if added {
+		if r < cap(t.seqs) {
+			t.seqs = t.seqs[:r+1]
+		} else {
+			t.seqs = append(t.seqs, seqRow{})
+		}
+	}
+	row := &t.seqs[r]
+	switch {
+	case len(row.pos) == 0:
+		row.base = id.Seq
+	case id.Seq < row.base:
+		// Extend downward: shift the existing cells up.
+		k := int(row.base - id.Seq)
+		n := len(row.pos)
+		row.pos = append(row.pos, make([]int32, k)...)
+		copy(row.pos[k:], row.pos[:n])
+		clear(row.pos[:k])
+		row.base = id.Seq
+	}
+	i := int(id.Seq - row.base)
+	if i >= len(row.pos) {
+		row.pos = append(row.pos, make([]int32, i+1-len(row.pos))...)
+	}
+	return &row.pos[i]
 }
 
 // OnDeliver records a local delivery. Self-deliveries at the publisher
@@ -102,7 +162,7 @@ func (t *DeliveryTracker) OnDeliver(node ident.NodeID, ev *wire.Event, recovered
 	if node == ev.ID.Source {
 		return
 	}
-	i, ok := t.index[ev.ID]
+	i, ok := t.lookup(ev.ID)
 	if !ok {
 		return
 	}
@@ -264,7 +324,7 @@ type Traffic struct {
 	gossipByNode []uint64
 	eventByNode  []uint64
 	controlSent  uint64
-	lossByKind   map[wire.Kind]uint64
+	lossByKind   [256]uint64 // indexed by wire.Kind
 }
 
 var _ network.Observer = (*Traffic)(nil)
@@ -274,7 +334,6 @@ func NewTraffic(n int) *Traffic {
 	return &Traffic{
 		gossipByNode: make([]uint64, n),
 		eventByNode:  make([]uint64, n),
-		lossByKind:   make(map[wire.Kind]uint64),
 	}
 }
 

@@ -2,6 +2,7 @@ package metrics
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"time"
 
@@ -189,5 +190,63 @@ func TestTimeSeriesUnsortedPublishes(t *testing.T) {
 		if pts[i] != want[i] {
 			t.Fatalf("bucket %d = %+v, want %+v", i, pts[i], want[i])
 		}
+	}
+}
+
+// TestDeliveryTrackerRowsMatchMap checks the per-source sequence rows
+// that map an event to its record against a map-based model: random
+// publishes — ascending, out of order and below a row's base, from
+// dense, negative and huge sources, re-publishing known IDs — and
+// deliveries of published and unknown events, over two Reset rounds.
+// Per-event accounting is compared through windows of width one
+// publish-time unit, which isolate each record.
+func TestDeliveryTrackerRowsMatchMap(t *testing.T) {
+	type rec struct {
+		at             sim.Time
+		exp, del, recv uint64
+	}
+	rng := rand.New(rand.NewSource(1))
+	d := NewDeliveryTracker(nil)
+	srcs := []ident.NodeID{ident.None, 0, 1, 9, 1 << 30}
+	for round := 0; round < 2; round++ {
+		ref := make(map[ident.EventID]*rec)
+		var order []ident.EventID
+		for op := 0; op < 3000; op++ {
+			id := ident.EventID{Source: srcs[rng.Intn(len(srcs))], Seq: uint32(50 + rng.Intn(200))}
+			if rng.Intn(3) == 0 {
+				at := sim.Time(len(order))
+				exp := 1 + rng.Intn(5)
+				d.OnPublish(id, exp, at)
+				if r, ok := ref[id]; ok {
+					*r = rec{at: at, exp: uint64(exp)} // re-published: accounting restarts
+				} else {
+					ref[id] = &rec{at: at, exp: uint64(exp)}
+				}
+				order = append(order, id)
+				continue
+			}
+			recovered, node := rng.Intn(2) == 0, ident.NodeID(rng.Intn(5))
+			d.OnDeliver(node, &wire.Event{ID: id}, recovered)
+			if r, ok := ref[id]; ok && node != id.Source {
+				r.del++
+				if recovered {
+					r.recv++
+				}
+			}
+		}
+		var del, recv uint64
+		for id, r := range ref {
+			if got, want := d.ReceiversPerEvent(r.at, r.at+1), float64(r.exp); got != want {
+				t.Fatalf("round %d: %v expected %v receivers, want %v", round, id, got, want)
+			}
+			if got, want := d.Rate(r.at, r.at+1), float64(r.del)/float64(r.exp); !approx(got, want) {
+				t.Fatalf("round %d: %v rate %v, want %v", round, id, got, want)
+			}
+			del, recv = del+r.del, recv+r.recv
+		}
+		if _, gotDel, gotRecv := d.Totals(); gotDel < del || gotRecv < recv {
+			t.Fatalf("round %d: totals %d/%d below the live records' %d/%d", round, gotDel, gotRecv, del, recv)
+		}
+		d.Reset(nil)
 	}
 }

@@ -209,9 +209,7 @@ func (d *inflight) arrive() {
 	// link that disappeared mid-flight loses the message even if the
 	// loss trial passed, and so does a link that was re-created in the
 	// meantime (a new incarnation is a new connection).
-	ok := !nw.down[d.to] && (d.oob ||
-		(!d.dropped && nw.topo.HasLink(d.from, d.to) &&
-			nw.topo.LinkIncarnation(d.from, d.to) == d.inc))
+	ok := !nw.down[d.to] && (d.oob || (!d.dropped && nw.linkIs(d.from, d.to, d.inc)))
 	if nw.arr != nil {
 		nw.arr.OnArrive(d.from, d.to, d.msg, d.oob, d.inc, d.sentAt, ok)
 	}
@@ -223,6 +221,13 @@ func (d *inflight) arrive() {
 	}
 	d.msg = nil // release the message; the record outlives it
 	nw.freeDeliv = append(nw.freeDeliv, d)
+}
+
+// linkIs reports whether from and to are connected by incarnation inc
+// of their link.
+func (nw *Network) linkIs(from, to ident.NodeID, inc uint64) bool {
+	slot, cur := nw.topo.LinkSlot(from, to)
+	return slot >= 0 && cur == inc
 }
 
 // New builds a network over topo. Handlers are registered later with
@@ -311,13 +316,12 @@ func (nw *Network) txTime(msg wire.Message) sim.Time {
 func (nw *Network) Send(from, to ident.NodeID, msg wire.Message) {
 	nw.sent++
 	nw.obs.OnSend(from, to, msg, false)
-	slot := nw.topo.NeighborSlot(from, to)
+	slot, incarnation := nw.topo.LinkSlot(from, to)
 	if slot < 0 || nw.down[from] || nw.down[to] {
 		nw.lost++
 		nw.obs.OnLoss(from, to, msg, false)
 		return
 	}
-	incarnation := nw.topo.LinkIncarnation(from, to)
 	start := nw.k.Now()
 	tx := nw.txTime(msg)
 	if nw.cfg.ModelQueueing {

@@ -68,8 +68,11 @@ type Tree struct {
 	// incarnation counts how many times each (canonical) link has been
 	// created. A re-created link is a new connection: messages in
 	// flight on the previous incarnation must not be delivered on the
-	// new one.
+	// new one. It is touched only on mutation; inc[a][i] copies the
+	// count of the link to adj[a][i], so a present link's incarnation
+	// is read from its adjacency slot.
 	incarnation map[Link]uint64
+	inc         [][]uint64
 
 	// routing cache, rebuilt lazily per version: a rooted-forest view
 	// (BFS parent, depth, component id) from which hop distances are
@@ -222,14 +225,19 @@ func NewStar(n int) *Tree {
 }
 
 func (t *Tree) addEdge(a, b ident.NodeID) {
-	t.adj[a] = append(t.adj[a], b)
-	t.adj[b] = append(t.adj[b], a)
-	t.links++
-	t.version++
 	if t.incarnation == nil {
 		t.incarnation = make(map[Link]uint64)
+		t.inc = make([][]uint64, t.n)
 	}
-	t.incarnation[Link{A: a, B: b}.Canon()]++
+	l := Link{A: a, B: b}.Canon()
+	t.incarnation[l]++
+	inc := t.incarnation[l]
+	t.adj[a] = append(t.adj[a], b)
+	t.adj[b] = append(t.adj[b], a)
+	t.inc[a] = append(t.inc[a], inc)
+	t.inc[b] = append(t.inc[b], inc)
+	t.links++
+	t.version++
 	if t.onMutate != nil {
 		t.onMutate()
 	}
@@ -248,6 +256,20 @@ func (t *Tree) SetMutationHook(fn func()) { t.onMutate = fn }
 // re-created link.
 func (t *Tree) LinkIncarnation(a, b ident.NodeID) uint64 {
 	return t.incarnation[Link{A: a, B: b}.Canon()]
+}
+
+// LinkSlot returns NeighborSlot(a, b) together with the link's
+// incarnation, in one scan of a's adjacency list; slot is -1 (and inc
+// 0) when a and b are not directly connected. It answers the
+// transport's per-message question — is this link still the one the
+// message was sent on? — without hashing.
+func (t *Tree) LinkSlot(a, b ident.NodeID) (slot int, inc uint64) {
+	for i, x := range t.adj[a] {
+		if x == b {
+			return i, t.inc[a][i]
+		}
+	}
+	return -1, 0
 }
 
 // N returns the number of dispatchers.
@@ -319,8 +341,8 @@ func (t *Tree) RemoveLink(a, b ident.NodeID) error {
 	if !t.HasLink(a, b) {
 		return fmt.Errorf("%w: %v-%v", ErrNoSuchLink, a, b)
 	}
-	t.adj[a] = removeNode(t.adj[a], b)
-	t.adj[b] = removeNode(t.adj[b], a)
+	t.adj[a], t.inc[a] = removeNode(t.adj[a], t.inc[a], b)
+	t.adj[b], t.inc[b] = removeNode(t.adj[b], t.inc[b], a)
 	t.links--
 	t.version++
 	if t.onMutate != nil {
@@ -329,13 +351,15 @@ func (t *Tree) RemoveLink(a, b ident.NodeID) error {
 	return nil
 }
 
-func removeNode(s []ident.NodeID, n ident.NodeID) []ident.NodeID {
+// removeNode deletes n from an adjacency list and the same slot from
+// its incarnation list, shifting later slots down by one.
+func removeNode(s []ident.NodeID, inc []uint64, n ident.NodeID) ([]ident.NodeID, []uint64) {
 	for i, x := range s {
 		if x == n {
-			return append(s[:i], s[i+1:]...)
+			return append(s[:i], s[i+1:]...), append(inc[:i], inc[i+1:]...)
 		}
 	}
-	return s
+	return s, inc
 }
 
 // AddLink connects a and b. It fails when the link exists or an

@@ -204,6 +204,100 @@ func TestLinkIncarnation(t *testing.T) {
 	}
 }
 
+// TestLinkSlotIncarnations pins the per-slot copies of the incarnation
+// counts through every kind of mutation: removing a middle neighbour
+// (later slots, with different counts, shift down), re-adding a removed
+// link, RemoveNode and ReconnectAround. After each step LinkSlot must
+// agree with NeighborSlot and LinkIncarnation on every present link,
+// from both ends; a removed link keeps reporting its last count and a
+// never-created one 0.
+func TestLinkSlotIncarnations(t *testing.T) {
+	tr := NewStar(6) // 0's slots: 1, 2, 3, 4, 5
+	consistent := func(step string) {
+		t.Helper()
+		for a := 0; a < tr.N(); a++ {
+			for b := 0; b < tr.N(); b++ {
+				x, y := ident.NodeID(a), ident.NodeID(b)
+				slot, inc := tr.LinkSlot(x, y)
+				if slot != tr.NeighborSlot(x, y) {
+					t.Fatalf("%s: LinkSlot(%v, %v) slot %d, NeighborSlot %d", step, x, y, slot, tr.NeighborSlot(x, y))
+				}
+				want := uint64(0)
+				if slot >= 0 {
+					want = tr.LinkIncarnation(x, y)
+				}
+				if inc != want {
+					t.Fatalf("%s: LinkSlot(%v, %v) incarnation %d, want %d", step, x, y, inc, want)
+				}
+			}
+		}
+	}
+	expect := func(step string, a, b ident.NodeID, slot int, inc, last uint64) {
+		t.Helper()
+		if s, i := tr.LinkSlot(a, b); s != slot || i != inc {
+			t.Fatalf("%s: LinkSlot(%v, %v) = %d, %d, want %d, %d", step, a, b, s, i, slot, inc)
+		}
+		if got := tr.LinkIncarnation(a, b); got != last {
+			t.Fatalf("%s: LinkIncarnation(%v, %v) = %d, want %d", step, a, b, got, last)
+		}
+	}
+	consistent("star")
+	expect("star", 0, 4, 3, 1, 1)
+	expect("star", 1, 2, -1, 0, 0) // never created
+
+	// Re-create 0-3: 0's slots become 1, 2, 4, 5, 3 with counts 1, 1, 1, 1, 2.
+	if err := tr.RemoveLink(0, 3); err != nil {
+		t.Fatal(err)
+	}
+	if err := tr.AddLink(0, 3); err != nil {
+		t.Fatal(err)
+	}
+	consistent("re-create")
+	expect("re-create", 0, 3, 4, 2, 2)
+	expect("re-create", 3, 0, 0, 2, 2)
+
+	if err := tr.RemoveLink(0, 2); err != nil {
+		t.Fatal(err)
+	}
+	consistent("remove middle")
+	expect("remove middle", 0, 2, -1, 0, 1)
+	expect("remove middle", 0, 4, 1, 1, 1) // shifted down from slot 2
+	expect("remove middle", 0, 3, 3, 2, 2) // shifted down from slot 4
+
+	if err := tr.AddLink(2, 0); err != nil {
+		t.Fatal(err)
+	}
+	consistent("re-add")
+	expect("re-add", 0, 2, 4, 2, 2)
+	expect("re-add", 2, 0, 0, 2, 2)
+	expect("re-add", 0, 3, 3, 2, 2)
+
+	removed := tr.RemoveNode(0)
+	if len(removed) != 5 {
+		t.Fatalf("RemoveNode removed %v", removed)
+	}
+	consistent("remove node")
+	expect("remove node", 0, 2, -1, 0, 2)
+	expect("remove node", 0, 3, -1, 0, 2)
+	expect("remove node", 5, 0, -1, 0, 1)
+
+	added, err := tr.ReconnectAround([]ident.NodeID{1, 2, 3, 4, 5}, func(v ident.NodeID) bool { return v == 0 }, rand.New(rand.NewSource(1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	consistent("reconnect")
+	for _, l := range added {
+		if s, inc := tr.LinkSlot(l.A, l.B); s < 0 || inc != 1 {
+			t.Fatalf("reconnect: new link %v has slot %d, incarnation %d", l, s, inc)
+		}
+	}
+	if err := tr.AddLink(0, 2); err != nil {
+		t.Fatal(err)
+	}
+	consistent("third incarnation")
+	expect("third incarnation", 0, 2, 0, 3, 3)
+}
+
 func TestLinkOtherAndCanon(t *testing.T) {
 	l := Link{A: 5, B: 2}.Canon()
 	if l.A != 2 || l.B != 5 {
