@@ -14,67 +14,8 @@ import (
 	"fmt"
 	"testing"
 
-	"repro/internal/bench"
 	"repro/internal/experiments"
 )
-
-// Hot-path micro-benchmarks (shared with cmd/bench, which records them
-// into BENCH_hotpath.json): the kernel schedule/dispatch path, the
-// network send path, the metrics tracker, and a small end-to-end run.
-
-func BenchmarkHotPathKernelScheduleDispatch(b *testing.B) { bench.KernelScheduleDispatch(b) }
-
-func BenchmarkHotPathKernelScheduleCancel(b *testing.B) { bench.KernelScheduleCancel(b) }
-
-func BenchmarkHotPathNetworkSend(b *testing.B) { bench.NetworkSend(b) }
-
-func BenchmarkHotPathMetricsTracker(b *testing.B) { bench.MetricsTracker(b) }
-
-func BenchmarkHotPathGossipRound(b *testing.B) { bench.GossipRound(b) }
-
-func BenchmarkHotPathDigestBuild(b *testing.B) { bench.DigestBuild(b) }
-
-func BenchmarkHotPathLostBuffer(b *testing.B) { bench.LostBuffer(b) }
-
-func BenchmarkHotPathEndToEnd(b *testing.B) { bench.EndToEnd(b) }
-
-// BenchmarkHotPathEndToEndChecked is the same run with every runtime
-// invariant monitor armed (internal/check) — the verification price.
-func BenchmarkHotPathEndToEndChecked(b *testing.B) { bench.EndToEndChecked(b) }
-
-// BenchmarkHotPathScale10k is one 10,000-dispatcher run — the large-N
-// regime unlocked by the tiered pattern sets and slab-backed state.
-func BenchmarkHotPathScale10k(b *testing.B) { bench.Scale10k(b) }
-
-// BenchmarkHotPathInstall10k is the stable subscription install of a
-// Scale10k-shaped system on its own: 20M routing rows per op.
-func BenchmarkHotPathInstall10k(b *testing.B) { bench.Install10k(b) }
-
-// BenchmarkHotPathAdaptiveChurn is an end-to-end hybrid run with the
-// closed-loop controller active under churn and loss — the adaptation
-// machinery's price on top of plain gossip rounds.
-func BenchmarkHotPathAdaptiveChurn(b *testing.B) { bench.AdaptiveChurn(b) }
-
-// The heavy measurement benchmarks below are deliberately outside the
-// BenchmarkHotPath prefix: CI's bench smoke runs -bench=BenchmarkHotPath
-// and each of these takes seconds per iteration.
-
-// BenchmarkMetricsPipelineExact replays a 10k-node-scale synthetic
-// measurement stream (200k events) through a fresh exact tracker per
-// op — the measurement layer in isolation.
-func BenchmarkMetricsPipelineExact(b *testing.B) { bench.MetricsPipelineExact(b) }
-
-// BenchmarkMetricsPipelineStreaming is the same stream on the
-// streaming engine (O(1) memory).
-func BenchmarkMetricsPipelineStreaming(b *testing.B) { bench.MetricsPipelineStreaming(b) }
-
-// BenchmarkHeavy10k runs 10,000 dispatchers under 100× the Scale10k
-// traffic with the exact tracker.
-func BenchmarkHeavy10k(b *testing.B) { bench.Heavy10k(b) }
-
-// BenchmarkHeavy10kStreaming is the same run under
-// scenario.MetricsStreaming.
-func BenchmarkHeavy10kStreaming(b *testing.B) { bench.Heavy10kStreaming(b) }
 
 // benchFigure regenerates one figure identifier in Quick mode, b.N
 // times with distinct seeds, and reports the headline series of the

@@ -10,13 +10,16 @@ import (
 )
 
 // TestCIRunPatternsMatchTests guards the workflow against stale -run
-// patterns. `go test -run X` exits 0 with "no tests to run" when X
-// matches nothing, so a CI step naming a deleted or renamed test keeps
-// passing while testing nothing. For every `go test … -run '<re>'
-// <pkgs>` line in .github/workflows/ci.yml, each top-level
-// |-alternative of the pattern's first slash-separated level must match
-// at least one Test/Benchmark/Fuzz/Example function declared in the
-// _test.go files of the listed packages.
+// and -bench patterns. `go test -run X` exits 0 with "no tests to run"
+// when X matches nothing, and `go test -bench X` exits 0 having run no
+// benchmark, so a CI step naming a deleted or renamed function keeps
+// passing while testing nothing. For every `go test … <pkgs>` line in
+// .github/workflows/ci.yml, each top-level |-alternative of the first
+// slash-separated level of its -run pattern must match at least one
+// Test/Benchmark/Fuzz/Example function declared in the _test.go files of
+// the listed packages, and each alternative of its -bench pattern at
+// least one Benchmark function there. "^$" and "." select deliberately
+// and are not checked.
 func TestCIRunPatternsMatchTests(t *testing.T) {
 	const workflow = ".github/workflows/ci.yml"
 	data, err := os.ReadFile(workflow)
@@ -30,34 +33,36 @@ func TestCIRunPatternsMatchTests(t *testing.T) {
 		if at < 0 {
 			continue
 		}
-		args = args[at+2:]
-		pattern, pkgs := ciRunPattern(args)
-		if pattern == "" || pattern == "^$" { // ^$ deliberately runs no tests
-			continue
-		}
-		names, err := testFuncNames(pkgs)
-		if err != nil {
-			t.Fatalf("%s:%d: %v", workflow, i+1, err)
-		}
-		if len(names) == 0 {
-			t.Errorf("%s:%d: packages %v declare no tests", workflow, i+1, pkgs)
-			continue
-		}
-		top := splitUnbracketed(pattern, '/')[0]
-		for _, alt := range splitUnbracketed(top, '|') {
-			re, err := regexp.Compile(alt)
-			if err != nil {
-				t.Errorf("%s:%d: -run alternative %q: %v", workflow, i+1, alt, err)
+		run, bench, pkgs := ciTestPatterns(args[at+2:])
+		var names map[string]bool
+		for _, sel := range []struct{ flag, pattern, prefix, what string }{
+			{"-run", run, "", "test"},
+			{"-bench", bench, "Benchmark", "benchmark"},
+		} {
+			if sel.pattern == "" || sel.pattern == "^$" || sel.pattern == "." {
 				continue
 			}
-			if !matchesAny(re, names) {
-				t.Errorf("%s:%d: -run alternative %q matches no test in %v", workflow, i+1, alt, pkgs)
+			if names == nil {
+				if names, err = testFuncNames(pkgs); err != nil {
+					t.Fatalf("%s:%d: %v", workflow, i+1, err)
+				}
 			}
-			checked++
+			top := splitUnbracketed(sel.pattern, '/')[0]
+			for _, alt := range splitUnbracketed(top, '|') {
+				re, err := regexp.Compile(alt)
+				if err != nil {
+					t.Errorf("%s:%d: %s alternative %q: %v", workflow, i+1, sel.flag, alt, err)
+					continue
+				}
+				if !matchesAny(re, names, sel.prefix) {
+					t.Errorf("%s:%d: %s alternative %q matches no %s function in %v", workflow, i+1, sel.flag, alt, sel.what, pkgs)
+				}
+				checked++
+			}
 		}
 	}
 	if checked == 0 {
-		t.Fatalf("no -run patterns found in %s; the parser is out of date", workflow)
+		t.Fatalf("no -run or -bench patterns found in %s; the parser is out of date", workflow)
 	}
 }
 
@@ -106,22 +111,28 @@ func indexPair(args []string, a, b string) int {
 	return -1
 }
 
-// ciRunPattern extracts the -run value and the package arguments (the
-// ones that are paths: ".", "./…") from the arguments after `go test`.
-func ciRunPattern(args []string) (pattern string, pkgs []string) {
+// ciTestPatterns extracts the -run and -bench values and the package
+// arguments (the ones that are paths: ".", "./…") from the arguments
+// after `go test`.
+func ciTestPatterns(args []string) (run, bench string, pkgs []string) {
 	for i := 0; i < len(args); i++ {
 		a := args[i]
 		switch {
 		case a == "-run" && i+1 < len(args):
-			pattern = args[i+1]
+			run = args[i+1]
 			i++
 		case strings.HasPrefix(a, "-run="):
-			pattern = strings.TrimPrefix(a, "-run=")
+			run = strings.TrimPrefix(a, "-run=")
+		case a == "-bench" && i+1 < len(args):
+			bench = args[i+1]
+			i++
+		case strings.HasPrefix(a, "-bench="):
+			bench = strings.TrimPrefix(a, "-bench=")
 		case a == "." || strings.HasPrefix(a, "./"):
 			pkgs = append(pkgs, a)
 		}
 	}
-	return pattern, pkgs
+	return run, bench, pkgs
 }
 
 // splitUnbracketed splits s on sep outside (), [] and {} groups, the way
@@ -203,9 +214,10 @@ func testFuncNames(pkgs []string) (map[string]bool, error) {
 	return seen, nil
 }
 
-func matchesAny(re *regexp.Regexp, names map[string]bool) bool {
+// matchesAny reports whether re matches a name starting with prefix.
+func matchesAny(re *regexp.Regexp, names map[string]bool, prefix string) bool {
 	for n := range names {
-		if re.MatchString(n) {
+		if strings.HasPrefix(n, prefix) && re.MatchString(n) {
 			return true
 		}
 	}

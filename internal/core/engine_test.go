@@ -27,7 +27,7 @@ func content(ps ...int) matching.Content {
 
 // rig is a miniature dispatching network with recovery engines.
 type rig struct {
-	t       *testing.T
+	t       testing.TB
 	k       *sim.Kernel
 	topo    *topology.Tree
 	net     *network.Network
@@ -41,7 +41,7 @@ type rig struct {
 // newRig builds a reliable-link network over topo with one engine per
 // node (unless cfg.Algorithm is NoRecovery). subs[i] lists node i's
 // local patterns.
-func newRig(t *testing.T, topo *topology.Tree, subs [][]ident.PatternID, cfg Config) *rig {
+func newRig(t testing.TB, topo *topology.Tree, subs [][]ident.PatternID, cfg Config) *rig {
 	t.Helper()
 	r := &rig{
 		t:         t,

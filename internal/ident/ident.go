@@ -87,8 +87,8 @@ func (ps PatternSeq) String() string {
 //
 // Its remaining users are the live runtime (internal/live: a node's
 // received set and per-pattern push index), the flooding baseline
-// (internal/flood: per-dispatcher seen sets), the push-digest benchmark
-// (internal/bench) and the map-based oracles of the simulator's tests.
+// (internal/flood: per-dispatcher seen sets) and the map-based oracles
+// of the simulator's tests.
 // The simulator keeps no event identifier in a Go map: a dispatcher's
 // received set is a SeqSet, the recovery engine's push index sorted
 // per-pattern rows (internal/core), and the event cache and pending

@@ -21,7 +21,7 @@ import (
 // destination) into batch envelopes flushed with batched writes
 // (sendmmsg). Hosting a thousand nodes costs a handful of file
 // descriptors and goroutines, and the per-message syscall cost drops by
-// roughly the batch factor — cmd/livebench measures the difference.
+// roughly the batch factor.
 
 // maxDatagram is the coalescing budget: a batch envelope is flushed
 // before it would exceed this size, chosen to clear typical MTUs.
@@ -45,10 +45,11 @@ type DispatcherConfig struct {
 	// applies backpressure: senders block until the writer drains.
 	// Zero means 4096.
 	Ring int
-	// DisableBatchIO forces the portable stdlib transport even where
-	// recvmmsg/sendmmsg are available — the baseline for differential
-	// tests and benchmarks.
-	DisableBatchIO bool
+
+	// disableBatchIO forces the portable stdlib transport even where
+	// recvmmsg/sendmmsg are available, so the tests cover both paths on
+	// Linux.
+	disableBatchIO bool
 }
 
 func (c DispatcherConfig) withDefaults() DispatcherConfig {
@@ -122,7 +123,7 @@ func NewDispatcher(cfg DispatcherConfig) (*Dispatcher, error) {
 		nodes: make(map[ident.NodeID]*Node),
 		done:  make(chan struct{}),
 	}
-	d.batchIO = batchTransportAvailable && !cfg.DisableBatchIO
+	d.batchIO = batchTransportAvailable && !cfg.disableBatchIO
 	for i := 0; i < cfg.Sockets; i++ {
 		conn, err := net.ListenUDP("udp", addr)
 		if err != nil {
@@ -155,8 +156,8 @@ func NewDispatcher(cfg DispatcherConfig) (*Dispatcher, error) {
 	return d, nil
 }
 
-// BatchIO reports whether the mmsg batch transport is active (false on
-// platforms without it or when DisableBatchIO is set).
+// BatchIO reports whether the mmsg batch transport is active: false on
+// platforms without it, or when a shard socket could not be wrapped.
 func (d *Dispatcher) BatchIO() bool { return d.batchIO }
 
 // Stats returns the dispatcher-level counters.

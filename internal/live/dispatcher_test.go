@@ -26,7 +26,7 @@ func dispatcherModes(t *testing.T, run func(t *testing.T, dcfg DispatcherConfig)
 			continue
 		}
 		t.Run(m.name, func(t *testing.T) {
-			run(t, DispatcherConfig{Sockets: 2, Batch: 16, DisableBatchIO: m.disable})
+			run(t, DispatcherConfig{Sockets: 2, Batch: 16, disableBatchIO: m.disable})
 		})
 	}
 }
@@ -47,8 +47,8 @@ func TestDispatcherHostedRoutingDelivers(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer c.Close()
-		if c.Disp.BatchIO() == dcfg.DisableBatchIO {
-			t.Fatalf("BatchIO() = %v with DisableBatchIO = %v", c.Disp.BatchIO(), dcfg.DisableBatchIO)
+		if c.Disp.BatchIO() == dcfg.disableBatchIO {
+			t.Fatalf("BatchIO() = %v with disableBatchIO = %v", c.Disp.BatchIO(), dcfg.disableBatchIO)
 		}
 
 		c.Nodes[2].Subscribe(7)

@@ -97,8 +97,8 @@ type Config struct {
 	// Epoch, when non-zero, anchors the node's monotonic clock — the
 	// time base of PublishedAt stamps and the Lost buffer. Nodes
 	// sharing an epoch stamp directly comparable PublishedAt values,
-	// which cmd/livebench uses to measure cross-dispatcher delivery
-	// latency. Zero means time.Now() at node start.
+	// which benchmark/live.go uses to measure delivery latency against
+	// one clock. Zero means time.Now() at node start.
 	Epoch time.Time
 	// OnDeliver, when non-nil, observes every local delivery. It is
 	// called outside the node's lock, from the node's goroutines.

@@ -259,14 +259,45 @@ func TestKernelProcessedCount(t *testing.T) {
 	}
 }
 
-func BenchmarkKernelScheduleAndRun(b *testing.B) {
+// BenchmarkKernelScheduleDispatch measures the kernel's per-event cost
+// on the schedule/dispatch path: every executed handler reschedules
+// itself, so each op is exactly one heap push, one heap pop, and one
+// handler dispatch over a standing population of timers.
+func BenchmarkKernelScheduleDispatch(b *testing.B) {
+	const population = 256
+	k := New(1)
+	rng := k.NewStream(1)
+	remaining := b.N
+	var tick func()
+	tick = func() {
+		if remaining <= 0 {
+			return
+		}
+		remaining--
+		k.After(Time(rng.Intn(1000))*time.Microsecond, tick)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < population; i++ {
+		k.At(Time(i)*time.Microsecond, tick)
+	}
+	k.RunAll()
+}
+
+// BenchmarkKernelScheduleCancel measures the schedule-then-cancel path:
+// each op schedules one timer and cancels it before it fires, the
+// lifecycle of every retransmission timeout that is satisfied in time.
+func BenchmarkKernelScheduleCancel(b *testing.B) {
 	k := New(1)
 	fn := func() {}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		k.After(time.Millisecond, fn)
-		if k.Pending() > 1024 {
-			k.RunAll()
+		k.After(time.Millisecond, fn).Cancel()
+		if i%1024 == 1023 {
+			// Drain the cancelled backlog the way a real run would:
+			// virtual time advances past the dead entries.
+			k.Run(k.Now() + 2*time.Millisecond)
 		}
 	}
 	k.RunAll()
