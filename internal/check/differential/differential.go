@@ -2,7 +2,10 @@
 // against the live UDP implementation: the same overlay, the same
 // subscriptions, and the same per-node publish order are driven
 // through both, and every subscriber must end up with the same set of
-// delivered event IDs on both sides.
+// delivered event IDs on both sides. Both sides run the same protocol
+// core (pubsub.Node + core.Engine); what differs is the driver — a
+// virtual network and clock against real sockets, real time, and the
+// live node's loss injection, ledger and request retries.
 //
 // Event identifiers are {source, sequence} with the sequence assigned
 // by the publishing node, so replaying the publish plan in the same

@@ -6,6 +6,11 @@ import (
 	"repro/internal/core"
 )
 
+// sharedCoreLegs are the algorithms the live node runs only since it
+// drives the simulator's core: hybrid (the adaptive controller) and
+// random pull.
+var sharedCoreLegs = []core.Algorithm{core.Hybrid, core.RandomPull}
+
 // TestSimMatchesLive is the differential matrix: for each seed and
 // algorithm, the simulator and the live UDP cluster replay the same
 // publish plan over the same overlay, and every subscriber must end
@@ -15,7 +20,7 @@ func TestSimMatchesLive(t *testing.T) {
 	if testing.Short() {
 		seeds = seeds[:1]
 	}
-	for _, alg := range []core.Algorithm{core.Push, core.CombinedPull} {
+	for _, alg := range append([]core.Algorithm{core.Push, core.CombinedPull}, sharedCoreLegs...) {
 		for _, seed := range seeds {
 			c := Case{Seed: seed, N: 8, Algorithm: alg}
 			t.Run(c.Algorithm.String()+"/"+string(rune('0'+seed)), func(t *testing.T) {
@@ -39,6 +44,19 @@ func TestSimMatchesHostedLive(t *testing.T) {
 	}
 	for _, alg := range []core.Algorithm{core.Push, core.CombinedPull} {
 		for _, seed := range seeds {
+			c := Case{Seed: seed, N: 8, Algorithm: alg, Hosted: true}
+			t.Run(c.Algorithm.String()+"/hosted/"+string(rune('0'+seed)), func(t *testing.T) {
+				if err := Run(c); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
+	}
+	for _, alg := range sharedCoreLegs {
+		for _, seed := range []int64{1, 2, 3} {
+			if testing.Short() && seed > 1 {
+				break
+			}
 			c := Case{Seed: seed, N: 8, Algorithm: alg, Hosted: true}
 			t.Run(c.Algorithm.String()+"/hosted/"+string(rune('0'+seed)), func(t *testing.T) {
 				if err := Run(c); err != nil {

@@ -190,22 +190,3 @@ func TestLostBufferAddRemoveAllocsZero(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-// TestEventIDSetSortedCachedAllocsZero pins the live node's push digest:
-// Sorted on an unchanged set returns the cached snapshot without
-// allocating.
-func TestEventIDSetSortedCachedAllocsZero(t *testing.T) {
-	set := ident.NewEventIDSet(64)
-	for i := 0; i < 64; i++ {
-		set.Add(ident.EventID{Source: ident32(i % 8), Seq: uint32(i)})
-	}
-	set.Sorted() // warm the snapshot
-	allocs := testing.AllocsPerRun(100, func() {
-		if len(set.Sorted()) != 64 {
-			t.Fatal("wrong digest length")
-		}
-	})
-	if allocs != 0 {
-		t.Fatalf("cached Sorted: %v allocs/run, want 0", allocs)
-	}
-}

@@ -82,6 +82,10 @@ type Engine struct {
 	ctrl *adapt.Controller
 	obs  func(adapt.Snapshot)
 
+	// admit, when non-nil, vets every event before it is served to a
+	// peer (SetServeAdmission); the simulator leaves it nil.
+	admit func(to ident.NodeID, ev *wire.Event) bool
+
 	// Cumulative signal counters for the controller: delivered counts
 	// every first-copy delivery (routed or recovered), pushMissing
 	// counts events missing from received push digests (the loss
@@ -255,6 +259,16 @@ func (e *Engine) SetAdaptObserver(fn func(adapt.Snapshot)) {
 	if e.ctrl != nil {
 		e.obs = fn
 	}
+}
+
+// SetServeAdmission installs admit, asked once per distinct event
+// before the engine serves it to peer to — on the pull paths and for
+// push requests alike. An event admit refuses is withheld: a pull
+// digest keeps its entry in the remaining set, so the digest can still
+// find another replica. The live driver meters its per-peer serve
+// quota here; nil (the default) admits everything.
+func (e *Engine) SetServeAdmission(admit func(to ident.NodeID, ev *wire.Event) bool) {
+	e.admit = admit
 }
 
 // BufferLen returns the current event-buffer occupancy.
@@ -791,6 +805,10 @@ func (e *Engine) serve(gossiper ident.NodeID, wanted []wire.LostEntry) []wire.Lo
 		// Several wanted tags can map to one event; a linear scan over
 		// the handful collected so far replaces the old per-call map.
 		if !containsEvent(events, id) {
+			if e.admit != nil && !e.admit(gossiper, ev) {
+				remaining = append(remaining, w)
+				continue
+			}
 			events = append(events, ev)
 		}
 	}
@@ -817,7 +835,7 @@ func (e *Engine) onRequest(m *wire.Request) {
 	e.requestsSinceRound++
 	events := e.evScratch[:0]
 	for _, id := range m.IDs {
-		if ev := e.buf.Get(id); ev != nil {
+		if ev := e.buf.Get(id); ev != nil && (e.admit == nil || e.admit(m.Requester, ev)) {
 			events = append(events, ev)
 		}
 	}

@@ -1,11 +1,14 @@
 package core
 
 import (
+	"slices"
 	"testing"
 	"time"
 
+	"repro/internal/cache"
 	"repro/internal/ident"
 	"repro/internal/topology"
+	"repro/internal/wire"
 )
 
 // TestEvictionKeepsIndicesConsistent: once an event falls out of the
@@ -143,5 +146,42 @@ func TestPushDigestExcludesOwnedEvents(t *testing.T) {
 		if got := e.Stats().RequestsSent; got != 0 {
 			t.Fatalf("engine %d sent %d requests with nothing missing", i, got)
 		}
+	}
+}
+
+// TestServeAdmissionWithholdsRefusedEvents: an event the admission hook
+// refuses is not served; on the pull path its entry stays in the
+// remaining set, and a push request simply omits it.
+func TestServeAdmissionWithholdsRefusedEvents(t *testing.T) {
+	_, e := indexRig(t, 64, cache.FIFOPolicy, 1)
+	for seq := 1; seq <= 4; seq++ {
+		e.index(&wire.Event{
+			ID:      ident.EventID{Source: 3, Seq: uint32(seq)},
+			Content: content(5),
+			Tags:    []ident.PatternSeq{{Pattern: 5, Seq: uint32(seq)}},
+		})
+	}
+	var asked []ident.EventID
+	e.SetServeAdmission(func(to ident.NodeID, ev *wire.Event) bool {
+		if to != 1 {
+			t.Fatalf("admission asked for peer %v, want node(1)", to)
+		}
+		asked = append(asked, ev.ID)
+		return ev.ID.Seq%2 == 1
+	})
+	wanted := []wire.LostEntry{le(3, 5, 1), le(3, 5, 2), le(3, 5, 3), le(3, 5, 9)}
+	rem := e.serve(1, wanted)
+	if want := []wire.LostEntry{le(3, 5, 2), le(3, 5, 9)}; !slices.Equal(rem, want) {
+		t.Fatalf("remaining = %v, want %v", rem, want)
+	}
+	if len(asked) != 3 {
+		t.Fatalf("admission asked %d times, want once per buffered event (3)", len(asked))
+	}
+	if got := e.Stats().RetransmitsServed; got != 2 {
+		t.Fatalf("RetransmitsServed = %d after pull serve, want 2", got)
+	}
+	e.onRequest(&wire.Request{Requester: 1, IDs: []ident.EventID{{Source: 3, Seq: 2}, {Source: 3, Seq: 4}}})
+	if got := e.Stats().RetransmitsServed; got != 2 {
+		t.Fatalf("RetransmitsServed = %d after a wholly refused request, want 2", got)
 	}
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
 	"slices"
@@ -17,14 +18,14 @@ import (
 // maps, and the engine logic that maintained and served them.
 type mapIndex struct {
 	buf    *cache.Cache
-	patIdx map[ident.PatternID]*ident.EventIDSet
+	patIdx map[ident.PatternID]map[ident.EventID]bool
 	tagIdx map[wire.LostEntry]ident.EventID
 }
 
 func newMapIndex(capacity int, policy cache.Policy, rng *rand.Rand) *mapIndex {
 	m := &mapIndex{
 		buf:    cache.New(capacity, policy, rng),
-		patIdx: make(map[ident.PatternID]*ident.EventIDSet),
+		patIdx: make(map[ident.PatternID]map[ident.EventID]bool),
 		tagIdx: make(map[wire.LostEntry]ident.EventID),
 	}
 	m.buf.SetOnEvict(m.unindex)
@@ -39,10 +40,10 @@ func (m *mapIndex) index(ev *wire.Event) {
 	for _, p := range ev.Content {
 		set, ok := m.patIdx[p]
 		if !ok {
-			set = ident.NewEventIDSet(8)
+			set = make(map[ident.EventID]bool)
 			m.patIdx[p] = set
 		}
-		set.Add(ev.ID)
+		set[ev.ID] = true
 	}
 	for _, t := range ev.Tags {
 		m.tagIdx[wire.LostEntry{Source: ev.ID.Source, Pattern: t.Pattern, Seq: t.Seq}] = ev.ID
@@ -51,9 +52,7 @@ func (m *mapIndex) index(ev *wire.Event) {
 
 func (m *mapIndex) unindex(ev *wire.Event) {
 	for _, p := range ev.Content {
-		if set, ok := m.patIdx[p]; ok {
-			set.Remove(ev.ID)
-		}
+		delete(m.patIdx[p], ev.ID)
 	}
 	for _, t := range ev.Tags {
 		delete(m.tagIdx, wire.LostEntry{Source: ev.ID.Source, Pattern: t.Pattern, Seq: t.Seq})
@@ -61,11 +60,16 @@ func (m *mapIndex) unindex(ev *wire.Event) {
 }
 
 func (m *mapIndex) digest(p ident.PatternID) []ident.EventID {
-	set, ok := m.patIdx[p]
-	if !ok || set.Len() == 0 {
+	set := m.patIdx[p]
+	if len(set) == 0 {
 		return nil
 	}
-	return set.Sorted()
+	out := make([]ident.EventID, 0, len(set))
+	for id := range set {
+		out = append(out, id)
+	}
+	slices.SortFunc(out, func(a, b ident.EventID) int { return cmp.Compare(idKey(a), idKey(b)) })
+	return out
 }
 
 func (m *mapIndex) serve(wanted []wire.LostEntry) (events []*wire.Event, remaining []wire.LostEntry) {

@@ -122,10 +122,7 @@ func Run(p Params) (Result, error) {
 		}
 	}
 
-	seen := make([]*ident.EventIDSet, p.N)
-	for i := range seen {
-		seen[i] = ident.NewEventIDSet(256)
-	}
+	seen := make([]ident.SeqSet, p.N)
 
 	measureFrom := sim.Time(time.Second)
 	measureTo := p.Duration - 2*time.Second

@@ -43,6 +43,27 @@ func TestDeterministicUnderSeed(t *testing.T) {
 	}
 }
 
+// TestFixedSeedResult pins one run bit for bit, so a change to the
+// per-node seen sets (or anything else on the run's path) that alters
+// behavior fails loudly.
+func TestFixedSeedResult(t *testing.T) {
+	got, err := Run(quick())
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := Result{
+		DeliveryRate:           0.8406654343807763,
+		EventMessages:          0x41abc,
+		MessagesPerDelivery:    118.28847845206684,
+		DuplicateReceptions:    0x21503,
+		UninterestedReceptions: 0x17969,
+		EventsPublished:        0xc84,
+	}
+	if got != want {
+		t.Fatalf("fixed-seed result drifted:\n got %#v\nwant %#v", got, want)
+	}
+}
+
 func TestPaperCriticismsHold(t *testing.T) {
 	// The paper's Sec. V criticism of pure gossip dissemination:
 	// events reach non-interested nodes and arrive more than once.

@@ -5,10 +5,7 @@
 // pull-based epidemic algorithms (paper Sec. III-B).
 package ident
 
-import (
-	"fmt"
-	"slices"
-)
+import "fmt"
 
 // NodeID identifies a dispatcher in the overlay network.
 //
@@ -79,91 +76,4 @@ type PatternSeq struct {
 // String implements fmt.Stringer.
 func (ps PatternSeq) String() string {
 	return fmt.Sprintf("%v#%d", ps.Pattern, ps.Seq)
-}
-
-// EventIDSet is a set of event identifiers. The zero value is ready to
-// use with Add via the nil-map-safe methods below only after
-// initialization; use NewEventIDSet.
-//
-// Its remaining users are the live runtime (internal/live: a node's
-// received set and per-pattern push index), the flooding baseline
-// (internal/flood: per-dispatcher seen sets) and the map-based oracles
-// of the simulator's tests.
-// The simulator keeps no event identifier in a Go map: a dispatcher's
-// received set is a SeqSet, the recovery engine's push index sorted
-// per-pattern rows (internal/core), and the event cache and pending
-// requests an EventTable.
-//
-// Sorted caches its result between mutations: the push gossiper reads
-// the same digest every round, so a set that did not change since the
-// last round hands back the cached snapshot without iterating or
-// sorting anything.
-type EventIDSet struct {
-	m    map[EventID]struct{}
-	snap []EventID // cached Sorted() result; nil when stale
-}
-
-// NewEventIDSet returns an empty set with capacity hint n.
-func NewEventIDSet(n int) *EventIDSet {
-	return &EventIDSet{m: make(map[EventID]struct{}, n)}
-}
-
-// Add inserts id and reports whether it was absent.
-func (s *EventIDSet) Add(id EventID) bool {
-	if _, ok := s.m[id]; ok {
-		return false
-	}
-	s.m[id] = struct{}{}
-	s.snap = nil
-	return true
-}
-
-// Clear empties the set in place, keeping the map's buckets for reuse.
-// Previously returned Sorted snapshots are unaffected.
-func (s *EventIDSet) Clear() {
-	clear(s.m)
-	s.snap = nil
-}
-
-// Has reports whether id is in the set.
-func (s *EventIDSet) Has(id EventID) bool {
-	_, ok := s.m[id]
-	return ok
-}
-
-// Remove deletes id from the set and reports whether it was present.
-func (s *EventIDSet) Remove(id EventID) bool {
-	if _, ok := s.m[id]; !ok {
-		return false
-	}
-	delete(s.m, id)
-	s.snap = nil
-	return true
-}
-
-// Len returns the number of elements.
-func (s *EventIDSet) Len() int { return len(s.m) }
-
-// Sorted returns the elements in canonical (source-major) order. The
-// returned slice is an immutable snapshot shared across calls until the
-// next mutation; callers must not modify it.
-func (s *EventIDSet) Sorted() []EventID {
-	if s.snap == nil {
-		out := make([]EventID, 0, len(s.m))
-		for id := range s.m {
-			out = append(out, id)
-		}
-		slices.SortFunc(out, func(a, b EventID) int {
-			switch {
-			case a.Less(b):
-				return -1
-			case b.Less(a):
-				return 1
-			default:
-				return 0
-			}
-		})
-		s.snap = out
-	}
-	return s.snap
 }

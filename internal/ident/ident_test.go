@@ -1,7 +1,6 @@
 package ident
 
 import (
-	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -35,34 +34,5 @@ func TestEventIDLessIsTotalOrder(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestEventIDSet(t *testing.T) {
-	s := NewEventIDSet(4)
-	a := EventID{Source: 1, Seq: 1}
-	b := EventID{Source: 0, Seq: 2}
-	if !s.Add(a) {
-		t.Fatal("first Add returned false")
-	}
-	if s.Add(a) {
-		t.Fatal("duplicate Add returned true")
-	}
-	s.Add(b)
-	if s.Len() != 2 || !s.Has(a) || !s.Has(b) {
-		t.Fatal("set contents wrong")
-	}
-	sorted := s.Sorted()
-	if !sort.SliceIsSorted(sorted, func(i, j int) bool { return sorted[i].Less(sorted[j]) }) {
-		t.Fatalf("Sorted() not in order: %v", sorted)
-	}
-	if sorted[0] != b {
-		t.Fatalf("Sorted()[0] = %v, want %v (source-major order)", sorted[0], b)
-	}
-	if !s.Remove(a) || s.Remove(a) {
-		t.Fatal("Remove semantics wrong")
-	}
-	if s.Len() != 1 || s.Has(a) {
-		t.Fatal("Remove did not delete the element")
 	}
 }

@@ -7,16 +7,16 @@ import (
 	"testing"
 )
 
-// TestSeqSetMatchesEventIDSet drives SeqSet and the map-based EventIDSet
-// it replaced as a dispatcher's received set with the same random
-// operations and demands identical answers: mostly ascending sequence
+// TestSeqSetMatchesEventIDSet drives SeqSet and a plain map — what the
+// map-based EventIDSet it replaced as a dispatcher's received set held —
+// with the same random operations and demands identical answers: mostly ascending sequence
 // numbers with reordering, numbers far below a row's base, large gaps,
 // and several rounds of Clear and reuse over changing source sets.
 func TestSeqSetMatchesEventIDSet(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	var s SeqSet
 	for round := 0; round < 4; round++ {
-		ref := NewEventIDSet(0)
+		ref := make(map[EventID]bool)
 		sources := 1 + rng.Intn(6)
 		srcBase := NodeID(rng.Intn(20))
 		next := make([]uint32, sources)
@@ -44,28 +44,30 @@ func TestSeqSetMatchesEventIDSet(t *testing.T) {
 		for op := 0; op < 5000; op++ {
 			id := draw()
 			if rng.Intn(3) == 0 {
-				if got, want := s.Has(id), ref.Has(id); got != want {
+				if got, want := s.Has(id), ref[id]; got != want {
 					t.Fatalf("round %d op %d: Has(%v) = %v, want %v", round, op, id, got, want)
 				}
 				continue
 			}
-			if got, want := s.Add(id), ref.Add(id); got != want {
+			want := !ref[id]
+			ref[id] = true
+			if got := s.Add(id); got != want {
 				t.Fatalf("round %d op %d: Add(%v) = %v, want %v", round, op, id, got, want)
 			}
-			if s.Len() != ref.Len() {
-				t.Fatalf("round %d op %d: Len = %d, want %d", round, op, s.Len(), ref.Len())
+			if s.Len() != len(ref) {
+				t.Fatalf("round %d op %d: Len = %d, want %d", round, op, s.Len(), len(ref))
 			}
 		}
-		for _, id := range ref.Sorted() {
+		for id := range ref {
 			if !s.Has(id) {
 				t.Fatalf("round %d: lost %v", round, id)
 			}
 		}
 		// Probe identifiers around every member, including other sources.
-		for _, id := range ref.Sorted() {
+		for id := range ref {
 			for _, p := range []EventID{{id.Source, id.Seq + 1}, {id.Source, id.Seq - 1}, {id.Source + 100, id.Seq}} {
-				if s.Has(p) != ref.Has(p) {
-					t.Fatalf("round %d: Has(%v) = %v, want %v", round, p, s.Has(p), ref.Has(p))
+				if s.Has(p) != ref[p] {
+					t.Fatalf("round %d: Has(%v) = %v, want %v", round, p, s.Has(p), ref[p])
 				}
 			}
 		}
@@ -73,7 +75,7 @@ func TestSeqSetMatchesEventIDSet(t *testing.T) {
 		if s.Len() != 0 {
 			t.Fatalf("Len after Clear = %d", s.Len())
 		}
-		for _, id := range ref.Sorted() {
+		for id := range ref {
 			if s.Has(id) {
 				t.Fatalf("round %d: %v survived Clear", round, id)
 			}

@@ -177,9 +177,15 @@ func (d *Dispatcher) shardFor(id ident.NodeID) *shard {
 // through its shard's socket and ring; cfg.Bind is ignored. The
 // returned node is used exactly like a standalone one.
 func (d *Dispatcher) AddNode(cfg Config) (*Node, error) {
-	cfg = cfg.withDefaults()
+	cfg, gcfg, err := cfg.normalize()
+	if err != nil {
+		return nil, err
+	}
 	sh := d.shardFor(cfg.ID)
-	n := newNodeState(cfg, &hostedTransport{sh: sh}, d)
+	n, err := newNodeState(cfg, gcfg, &hostedTransport{sh: sh}, d)
+	if err != nil {
+		return nil, err
+	}
 	d.mu.Lock()
 	if _, dup := d.nodes[cfg.ID]; dup {
 		d.mu.Unlock()

@@ -21,6 +21,7 @@ func FuzzLiveEnvelope(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Cleanup(func() { _ = n.Close() })
+	n.SetDirectory(map[ident.NodeID]*net.UDPAddr{2: fakeAddr(2), 3: fakeAddr(3)})
 	n.Subscribe(7)
 
 	ev := &wire.Event{
@@ -28,7 +29,7 @@ func FuzzLiveEnvelope(f *testing.F) {
 		Content: matching.Content{7},
 		Tags:    []ident.PatternSeq{{Pattern: 7, Seq: 1}},
 	}
-	valid := n.encodeEnvelope(nil, ev, false)
+	valid := n.encodeEnvelope(nil, 1, ev, false)
 	f.Add(valid)
 	f.Add(valid[:len(valid)-1]) // truncated payload
 	f.Add(valid[:3])            // truncated envelope
@@ -36,6 +37,17 @@ func FuzzLiveEnvelope(f *testing.F) {
 	f.Add([]byte{1, 0, 0, 0, 1, 0, 0, 0, flagBatch, 0xff, 0xff}) // batch with lying frame length
 	f.Add([]byte{})
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff})
+	// Input the core would trust: a negative pattern, an event from a
+	// far source, recovery traffic naming forged peers, and a raw event
+	// flagged out of band.
+	f.Add(n.encodeEnvelope(nil, 2, &wire.Subscribe{Pattern: -1}, false))
+	far := *ev
+	far.ID.Source = 1<<31 - 1
+	far.Route = []ident.NodeID{far.ID.Source}
+	f.Add(n.encodeEnvelope(nil, 2, &far, false))
+	f.Add(n.encodeEnvelope(nil, 1<<30, &wire.Request{Requester: 1 << 30, IDs: []ident.EventID{ev.ID}}, true))
+	f.Add(n.encodeEnvelope(nil, 1<<30, &wire.Retransmit{Responder: 1 << 30, Events: []*wire.Event{ev}}, true))
+	f.Add(n.encodeEnvelope(nil, 2, ev, true))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		n.handleDatagram(data) // must not panic
 	})
@@ -151,11 +163,11 @@ func TestLiveFaultRequestRetryAndAbandon(t *testing.T) {
 	defer n.Close()
 	n.Subscribe(7)
 
-	n.onGossipPush(9, &wire.GossipPush{
+	n.deliverFrom(9, &wire.GossipPush{
 		Gossiper: 9,
 		Pattern:  7,
 		Digest:   []ident.EventID{{Source: 9, Seq: 1}},
-	})
+	}, false)
 	waitFor(t, 2*time.Second, func() bool {
 		return n.Stats().RequestsAbandoned == 1
 	}, "unanswerable request was never abandoned")
@@ -163,10 +175,7 @@ func TestLiveFaultRequestRetryAndAbandon(t *testing.T) {
 	if st.RequestsRetried != 2 { // attempts 2 and 3; attempt 4 would exceed the cap
 		t.Fatalf("RequestsRetried = %d, want 2", st.RequestsRetried)
 	}
-	n.mu.Lock()
-	left := len(n.pending)
-	n.mu.Unlock()
-	if left != 0 {
+	if left := n.pendingLen(); left != 0 {
 		t.Fatalf("%d pending entries survive abandonment", left)
 	}
 }
@@ -175,31 +184,25 @@ func TestLiveFaultRequestRetryAndAbandon(t *testing.T) {
 // past MaxPending: the oldest entries must be shed first and the table
 // must never exceed its bound.
 func TestLiveFaultPendingShedBounded(t *testing.T) {
-	n, err := NewNode(Config{
+	n, _ := testNode(t, Config{
 		ID:             1,
 		Algorithm:      core.Push,
 		GossipInterval: time.Hour, // keep the retry sweep out of the way
 		RequestBackoff: time.Hour,
 		MaxPending:     8,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer n.Close()
 	n.Subscribe(7)
 
 	for i := 1; i <= 20; i++ {
-		n.onGossipPush(9, &wire.GossipPush{
+		n.deliverFrom(9, &wire.GossipPush{
 			Gossiper: 9,
 			Pattern:  7,
 			Digest:   []ident.EventID{{Source: 9, Seq: uint32(i)}},
-		})
+		}, false)
 	}
-	n.mu.Lock()
-	size := len(n.pending)
-	_, oldestAlive := n.pending[ident.EventID{Source: 9, Seq: 1}]
-	_, newestAlive := n.pending[ident.EventID{Source: 9, Seq: 20}]
-	n.mu.Unlock()
+	size := n.pendingLen()
+	oldestAlive := n.isPending(ident.EventID{Source: 9, Seq: 1})
+	newestAlive := n.isPending(ident.EventID{Source: 9, Seq: 20})
 	if size != 8 {
 		t.Fatalf("pending table holds %d entries, want the 8-entry bound", size)
 	}

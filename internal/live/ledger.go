@@ -1,10 +1,9 @@
 package live
 
 import (
-	"math"
-	"time"
-
 	"repro/internal/ident"
+	"repro/internal/sim"
+	"repro/internal/wire"
 )
 
 // The fairness ledger tracks recovery traffic (Request and Retransmit
@@ -17,13 +16,18 @@ import (
 //
 //   - Serving is metered: each peer gets ServeBudget bytes of
 //     Retransmit payload per LedgerWindow; events beyond the budget are
-//     trimmed from the response (and, on the gossip-pull path, left in
-//     the "remaining" set so another replica can serve them).
+//     withheld from the response (and, on the gossip-pull path, left in
+//     the "remaining" set so another replica can serve them). The
+//     engine asks through its serve-admission hook.
 //   - Shedding is greediest-first: when the pending table is full, the
 //     victim is the peer with the most live entries (ties broken by
 //     most recovery bytes received — the peer that has already consumed
 //     the most), and its oldest entry is evicted. With a single active
 //     peer this reduces to plain oldest-first.
+//
+// Only directory members are accounted (and served): a datagram can
+// name any peer, and a ledger that grew an entry per forged identifier
+// would be a memory leak any sender could drive.
 //
 // The design borrows the shape of Bitswap's per-peer ledgers: symmetric
 // byte counters consulted at serve time, not a global rate limit, so a
@@ -51,25 +55,22 @@ type peerLedger struct {
 	recvB, recvMsgs uint64
 	pending         int
 	// windowServed is the Retransmit payload bytes served to this peer
-	// since windowStart; the quota refills when the window rolls over.
+	// in the window ending at windowEnd (kernel time); the quota refills
+	// when the window rolls over.
 	windowServed int
-	windowStart  time.Time
+	windowEnd    sim.Time
 }
 
-// ledger maps peers to their accounting records.
-type ledger struct {
-	peers map[ident.NodeID]*peerLedger
-}
-
-func (l *ledger) init() {
-	l.peers = make(map[ident.NodeID]*peerLedger)
-}
-
-func (l *ledger) peer(id ident.NodeID) *peerLedger {
-	pl, ok := l.peers[id]
+// peerLedgerLocked returns peer's record, creating it on first use —
+// or nil when peer is not in the directory. Callers hold n.mu.
+func (n *Node) peerLedgerLocked(peer ident.NodeID) *peerLedger {
+	pl, ok := n.ledger[peer]
 	if !ok {
+		if _, known := n.directory[peer]; !known {
+			return nil
+		}
 		pl = &peerLedger{}
-		l.peers[id] = pl
+		n.ledger[peer] = pl
 	}
 	return pl
 }
@@ -77,42 +78,45 @@ func (l *ledger) peer(id ident.NodeID) *peerLedger {
 // ledgerSentLocked records recovery bytes transmitted to peer. Callers
 // hold n.mu.
 func (n *Node) ledgerSentLocked(peer ident.NodeID, bytes int) {
-	pl := n.ledger.peer(peer)
-	pl.sentB += uint64(bytes)
-	pl.sentMsgs++
+	if pl := n.peerLedgerLocked(peer); pl != nil {
+		pl.sentB += uint64(bytes)
+		pl.sentMsgs++
+	}
 }
 
 // ledgerRecvLocked records recovery bytes received from peer. Callers
 // hold n.mu.
 func (n *Node) ledgerRecvLocked(peer ident.NodeID, bytes int) {
-	pl := n.ledger.peer(peer)
-	pl.recvB += uint64(bytes)
-	pl.recvMsgs++
+	if pl := n.peerLedgerLocked(peer); pl != nil {
+		pl.recvB += uint64(bytes)
+		pl.recvMsgs++
+	}
 }
 
-// serveAllowanceLocked returns how many more Retransmit payload bytes
-// peer may be served in the current ledger window, rolling the window
-// over if it has elapsed. Unlimited (MaxInt) when no budget is
-// configured. Callers hold n.mu.
-func (n *Node) serveAllowanceLocked(peer ident.NodeID, now time.Time) int {
-	if n.cfg.ServeBudget <= 0 {
-		return math.MaxInt
+// admitServeLocked is the engine's serve-admission hook: ev may go to
+// peer if peer is a directory member with ServeBudget left in its
+// current window (always, when no budget is configured). An admitted
+// event is debited from the window at once. Runs inside the core,
+// under n.mu.
+func (n *Node) admitServeLocked(peer ident.NodeID, ev *wire.Event) bool {
+	pl := n.peerLedgerLocked(peer)
+	if pl == nil {
+		return false
 	}
-	pl := n.ledger.peer(peer)
-	if pl.windowStart.IsZero() || now.Sub(pl.windowStart) >= n.cfg.LedgerWindow {
-		pl.windowStart = now
+	if n.cfg.ServeBudget <= 0 {
+		return true
+	}
+	if now := n.k.Now(); now >= pl.windowEnd {
+		pl.windowEnd = now + n.cfg.LedgerWindow
 		pl.windowServed = 0
 	}
-	return n.cfg.ServeBudget - pl.windowServed
-}
-
-// chargeServeLocked debits bytes from peer's window quota and records
-// them as sent. Callers hold n.mu.
-func (n *Node) chargeServeLocked(peer ident.NodeID, bytes int) {
-	pl := n.ledger.peer(peer)
-	pl.windowServed += bytes
-	pl.sentB += uint64(bytes)
-	pl.sentMsgs++
+	sz := ev.WireSize()
+	if pl.windowServed+sz > n.cfg.ServeBudget {
+		n.stats.quotaTrimmed.Add(1)
+		return false
+	}
+	pl.windowServed += sz
+	return true
 }
 
 // shedGreediestLocked evicts one live pending entry when the table is
@@ -122,7 +126,7 @@ func (n *Node) chargeServeLocked(peer ident.NodeID, bytes int) {
 func (n *Node) shedGreediestLocked() {
 	var victim ident.NodeID
 	var best *peerLedger
-	for id, pl := range n.ledger.peers {
+	for id, pl := range n.ledger {
 		if pl.pending == 0 {
 			continue
 		}
@@ -132,22 +136,20 @@ func (n *Node) shedGreediestLocked() {
 		}
 	}
 	if best == nil {
-		// No attributed entries (should not happen: every pending entry
-		// increments its peer's count) — fall back to plain oldest-first.
+		// No attributed entries (requests to peers outside the
+		// directory): fall back to plain oldest-first.
 		n.shedOldestLocked()
 		return
 	}
-	for i, pr := range n.pendingQ {
+	for _, pr := range n.pendingQ {
 		if pr.done || pr.from != victim {
 			continue
 		}
-		pr.done = true
-		delete(n.pending, pr.id)
-		best.pending--
+		// The tombstone stays in pendingQ; compaction reclaims it.
+		// Entries ahead of it belong to other peers and keep their
+		// positions.
+		n.dropPendingLocked(pr)
 		n.stats.pendingShed.Add(1)
-		// Tombstone stays in pendingQ; compaction reclaims it. Entries
-		// ahead of i belong to other peers and keep their positions.
-		_ = i
 		return
 	}
 	// Ledger said the victim had live entries but the queue disagrees;
@@ -161,8 +163,8 @@ func (n *Node) shedGreediestLocked() {
 func (n *Node) Ledger() map[ident.NodeID]PeerLedger {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	out := make(map[ident.NodeID]PeerLedger, len(n.ledger.peers))
-	for id, pl := range n.ledger.peers {
+	out := make(map[ident.NodeID]PeerLedger, len(n.ledger))
+	for id, pl := range n.ledger {
 		out[id] = PeerLedger{
 			BytesSent:        pl.sentB,
 			MessagesSent:     pl.sentMsgs,

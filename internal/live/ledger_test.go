@@ -10,41 +10,39 @@ import (
 	"repro/internal/wire"
 )
 
-// quotaNode builds a standalone node with k events for pattern 7 in its
-// buffer and timers parked out of the way, so tests can drive the
-// recovery serve path directly.
-func quotaNode(t *testing.T, k int, cfg Config) *Node {
+// quotaNode builds a node with k events for pattern 7 in its buffer,
+// peers 8 and 9 in its directory and no timers running, so tests can
+// drive the recovery serve path through datagrams. It also returns the
+// encoded size of one of its events — what the serve quota is charged
+// per event.
+func quotaNode(t *testing.T, k int, cfg Config) (*Node, int) {
 	t.Helper()
+	var size int
 	cfg.ID = 1
-	cfg.Algorithm = core.Push
+	if cfg.Algorithm == 0 {
+		cfg.Algorithm = core.Push
+	}
 	cfg.GossipInterval = time.Hour
 	cfg.RequestBackoff = time.Hour
-	n, err := NewNode(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { _ = n.Close() })
+	cfg.OnDeliver = func(ev *wire.Event, _ bool) { size = ev.WireSize() }
+	n, _ := testNode(t, cfg, 8, 9)
 	n.Subscribe(7)
 	for i := 0; i < k; i++ {
 		n.Publish(matching.Content{7})
 	}
-	return n
+	return n, size
 }
 
-// eventWireSize is the encoded size of one of quotaNode's events — what
-// the serve quota is charged per event.
-func eventWireSize(n *Node) int {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.buf.Get(ident.EventID{Source: 1, Seq: 1}).WireSize()
+// request sends n a push request from requester for ids.
+func request(n *Node, requester ident.NodeID, ids []ident.EventID) {
+	n.deliverFrom(requester, &wire.Request{Requester: requester, IDs: ids}, true)
 }
 
 // TestLedgerQuotaAsymmetricTraffic: a greedy requester is capped at its
 // ServeBudget while a modest one is served in full from its own,
 // independent budget.
 func TestLedgerQuotaAsymmetricTraffic(t *testing.T) {
-	n := quotaNode(t, 10, Config{LedgerWindow: time.Hour})
-	sz := eventWireSize(n)
+	n, sz := quotaNode(t, 10, Config{LedgerWindow: time.Hour})
 	n.mu.Lock()
 	n.cfg.ServeBudget = 3 * sz
 	n.mu.Unlock()
@@ -54,7 +52,7 @@ func TestLedgerQuotaAsymmetricTraffic(t *testing.T) {
 		ids = append(ids, ident.EventID{Source: 1, Seq: uint32(i)})
 	}
 	// Peer 8 wants everything: only 3 events fit its window budget.
-	n.onRequest(&wire.Request{Requester: 8, IDs: ids})
+	request(n, 8, ids)
 	st := n.Stats()
 	if st.Served != 3 {
 		t.Fatalf("Served = %d, want 3 (budget of 3 events)", st.Served)
@@ -63,12 +61,12 @@ func TestLedgerQuotaAsymmetricTraffic(t *testing.T) {
 		t.Fatalf("QuotaTrimmed = %d, want 7", st.QuotaTrimmed)
 	}
 	// Asking again in the same window yields nothing more.
-	n.onRequest(&wire.Request{Requester: 8, IDs: ids[:4]})
+	request(n, 8, ids[:4])
 	if got := n.Stats().Served; got != 3 {
 		t.Fatalf("Served after repeat request = %d, want 3 (window exhausted)", got)
 	}
 	// Peer 9's budget is its own: a modest request is served in full.
-	n.onRequest(&wire.Request{Requester: 9, IDs: ids[:2]})
+	request(n, 9, ids[:2])
 	if got := n.Stats().Served; got != 5 {
 		t.Fatalf("Served = %d, want 5 (peer 9 unaffected by peer 8's greed)", got)
 	}
@@ -88,8 +86,7 @@ func TestLedgerQuotaAsymmetricTraffic(t *testing.T) {
 // TestLedgerQuotaWindowRefills: the serve budget is per window, not
 // forever — after the window rolls over, the same peer is served again.
 func TestLedgerQuotaWindowRefills(t *testing.T) {
-	n := quotaNode(t, 4, Config{LedgerWindow: 20 * time.Millisecond})
-	sz := eventWireSize(n)
+	n, sz := quotaNode(t, 4, Config{LedgerWindow: 20 * time.Millisecond})
 	n.mu.Lock()
 	n.cfg.ServeBudget = 2 * sz
 	n.mu.Unlock()
@@ -98,12 +95,12 @@ func TestLedgerQuotaWindowRefills(t *testing.T) {
 	for i := 1; i <= 4; i++ {
 		ids = append(ids, ident.EventID{Source: 1, Seq: uint32(i)})
 	}
-	n.onRequest(&wire.Request{Requester: 8, IDs: ids})
+	request(n, 8, ids)
 	if got := n.Stats().Served; got != 2 {
 		t.Fatalf("Served = %d, want 2 in the first window", got)
 	}
 	time.Sleep(30 * time.Millisecond)
-	n.onRequest(&wire.Request{Requester: 8, IDs: ids[2:]})
+	request(n, 8, ids[2:])
 	if got := n.Stats().Served; got != 4 {
 		t.Fatalf("Served = %d, want 4 after the window refilled", got)
 	}
@@ -113,20 +110,36 @@ func TestLedgerQuotaWindowRefills(t *testing.T) {
 // quota cannot cover are left in the remaining set (so another replica
 // can serve them) rather than silently dropped.
 func TestLedgerQuotaTrimsGossipServe(t *testing.T) {
-	n := quotaNode(t, 4, Config{LedgerWindow: time.Hour})
-	sz := eventWireSize(n)
+	n, sz := quotaNode(t, 4, Config{Algorithm: core.SubscriberPull, LedgerWindow: time.Hour, PForward: 1})
 	n.mu.Lock()
 	n.cfg.ServeBudget = 2 * sz
+	n.mu.Unlock()
+	// The digest arrives from neighbor 5; neighbor 6 subscribes to 7, so
+	// whatever is left of the digest travels on to it.
+	n.AddNeighbor(5, fakeAddr(5))
+	n.AddNeighbor(6, fakeAddr(6))
+	n.deliverFrom(6, &wire.Subscribe{Pattern: 7}, false)
 	var wanted []wire.LostEntry
 	for i := 1; i <= 4; i++ {
 		wanted = append(wanted, wire.LostEntry{Source: 1, Pattern: 7, Seq: uint32(i)})
 	}
-	remaining, outs := n.serveLocked(8, wanted)
-	n.mu.Unlock()
+	rec := n.tr.(*recorder)
+	rec.take()
+	n.deliverFrom(5, &wire.GossipSubPull{Gossiper: 8, Pattern: 7, Wanted: wanted}, false)
+	var outs []*wire.Retransmit
+	var remaining []wire.LostEntry
+	for _, o := range rec.take() {
+		switch m := o.msg.(type) {
+		case *wire.Retransmit:
+			outs = append(outs, m)
+		case *wire.GossipSubPull:
+			remaining = m.Wanted
+		}
+	}
 	if len(outs) != 1 {
 		t.Fatalf("got %d retransmissions, want 1", len(outs))
 	}
-	if got := len(outs[0].msg.(*wire.Retransmit).Events); got != 2 {
+	if got := len(outs[0].Events); got != 2 {
 		t.Fatalf("retransmit carries %d events, want 2 (quota)", got)
 	}
 	if len(remaining) != 2 {
@@ -140,28 +153,24 @@ func TestLedgerQuotaTrimsGossipServe(t *testing.T) {
 // push feeds a digest from a given gossiper through the pending-table
 // admission path.
 func push(n *Node, gossiper ident.NodeID, src ident.NodeID, seq uint32) {
-	n.onGossipPush(gossiper, &wire.GossipPush{
+	n.deliverFrom(gossiper, &wire.GossipPush{
 		Gossiper: gossiper,
 		Pattern:  7,
 		Digest:   []ident.EventID{{Source: src, Seq: seq}},
-	})
+	}, false)
 }
 
 // TestLedgerGreediestFirstShed: when the pending table fills, the shed
 // victim is the peer with the most live entries — the modest peer's
 // entries survive the greedy peer's flood.
 func TestLedgerGreediestFirstShed(t *testing.T) {
-	n, err := NewNode(Config{
+	n, _ := testNode(t, Config{
 		ID:             1,
 		Algorithm:      core.Push,
 		GossipInterval: time.Hour,
 		RequestBackoff: time.Hour,
 		MaxPending:     8,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer n.Close()
+	}, 5, 6, 50, 60)
 	n.Subscribe(7)
 
 	for i := 1; i <= 4; i++ { // greedy peer 5: entries 1-4
@@ -177,13 +186,11 @@ func TestLedgerGreediestFirstShed(t *testing.T) {
 		push(n, 5, 50, uint32(i))
 	}
 
-	n.mu.Lock()
-	size := len(n.pending)
-	_, aOldest := n.pending[ident.EventID{Source: 50, Seq: 1}]
-	_, aSecond := n.pending[ident.EventID{Source: 50, Seq: 2}]
-	_, b1 := n.pending[ident.EventID{Source: 60, Seq: 1}]
-	_, b2 := n.pending[ident.EventID{Source: 60, Seq: 2}]
-	n.mu.Unlock()
+	size := n.pendingLen()
+	aOldest := n.isPending(ident.EventID{Source: 50, Seq: 1})
+	aSecond := n.isPending(ident.EventID{Source: 50, Seq: 2})
+	b1 := n.isPending(ident.EventID{Source: 60, Seq: 1})
+	b2 := n.isPending(ident.EventID{Source: 60, Seq: 2})
 	if size != 8 {
 		t.Fatalf("pending table holds %d entries, want 8", size)
 	}
@@ -208,17 +215,13 @@ func TestLedgerGreediestFirstShed(t *testing.T) {
 // shed is the flooder itself, so a modest peer's single entry survives
 // a flood dozens of times the table size.
 func TestLedgerFloodDoesNotStarvePeers(t *testing.T) {
-	n, err := NewNode(Config{
+	n, _ := testNode(t, Config{
 		ID:             1,
 		Algorithm:      core.Push,
 		GossipInterval: time.Hour,
 		RequestBackoff: time.Hour,
 		MaxPending:     8,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer n.Close()
+	}, 5, 6, 50, 60)
 	n.Subscribe(7)
 
 	for i := 1; i <= 8; i++ { // flooder 5 fills the table
@@ -229,10 +232,8 @@ func TestLedgerFloodDoesNotStarvePeers(t *testing.T) {
 		push(n, 5, 50, uint32(i))
 	}
 
-	n.mu.Lock()
-	_, alive := n.pending[ident.EventID{Source: 60, Seq: 1}]
-	size := len(n.pending)
-	n.mu.Unlock()
+	alive := n.isPending(ident.EventID{Source: 60, Seq: 1})
+	size := n.pendingLen()
 	if size != 8 {
 		t.Fatalf("pending table holds %d entries, want 8", size)
 	}
@@ -242,18 +243,44 @@ func TestLedgerFloodDoesNotStarvePeers(t *testing.T) {
 
 	// The modest peer's recovery still completes: a retransmit answers
 	// its pending entry.
-	n.onRetransmit(&wire.Retransmit{
+	n.deliverFrom(6, &wire.Retransmit{
 		Responder: 6,
 		Events: []*wire.Event{{
 			ID:      ident.EventID{Source: 60, Seq: 1},
 			Content: matching.Content{7},
 		}},
-	})
+	}, true)
 	st := n.Stats()
 	if st.Recovered != 1 {
 		t.Fatalf("Recovered = %d, want 1", st.Recovered)
 	}
 	if got := n.Ledger()[6].Pending; got != 0 {
 		t.Fatalf("ledger[6].Pending = %d after recovery, want 0", got)
+	}
+}
+
+// TestLedgerIgnoresUnknownPeers: a datagram can name any peer, so the
+// ledger accounts only directory members. Ten thousand requests from
+// forged requesters, and as many retransmissions from forged
+// responders, leave it no larger than the directory — and nothing is
+// served to an address the node does not know.
+func TestLedgerIgnoresUnknownPeers(t *testing.T) {
+	n, _ := quotaNode(t, 4, Config{})
+	dirSize := 2 // peers 8 and 9
+	ids := []ident.EventID{{Source: 1, Seq: 1}, {Source: 1, Seq: 2}}
+	request(n, 8, ids) // a known peer is accounted and served
+	for i := 0; i < 10000; i++ {
+		forged := ident.NodeID(1000 + i)
+		request(n, forged, ids)
+		n.deliverFrom(forged, &wire.Retransmit{Responder: forged}, true)
+	}
+	if got := len(n.Ledger()); got > dirSize {
+		t.Fatalf("ledger holds %d peers after forged traffic, want ≤ %d (the directory)", got, dirSize)
+	}
+	if got := n.Ledger()[8].MessagesReceived; got != 1 {
+		t.Fatalf("known peer's request accounted %d times, want 1", got)
+	}
+	if got := n.Stats().Served; got != 2 {
+		t.Fatalf("Served = %d, want 2 (only the known peer's request)", got)
 	}
 }

@@ -371,4 +371,21 @@ func TestLiveClusterBadConfig(t *testing.T) {
 	if _, err := NewNode(Config{Bind: "256.0.0.1:bad"}); err == nil {
 		t.Fatal("NewNode with bad bind succeeded")
 	}
+	d, err := NewDispatcher(DispatcherConfig{Sockets: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	for _, cfg := range []Config{
+		{ID: 1, BufferSize: -1},
+		{ID: 2, Algorithm: core.Push, PForward: 1.5},
+	} {
+		if n, err := NewNode(cfg); err == nil {
+			n.Close()
+			t.Fatalf("NewNode(%+v) succeeded", cfg)
+		}
+		if _, err := d.AddNode(cfg); err == nil {
+			t.Fatalf("Dispatcher.AddNode(%+v) succeeded", cfg)
+		}
+	}
 }

@@ -1,15 +1,31 @@
 // Package live runs the paper's protocols for real: dispatchers are
 // processes communicating over UDP sockets (stdlib net only), not
-// simulated components on a virtual clock. It reuses the simulator's
-// building blocks — the wire codec, the content model, the β-bounded
-// event buffer, the Lost buffer — and re-implements subscription
-// forwarding, reverse-path event routing, and the epidemic recovery
-// algorithms against real time and real I/O.
+// simulated components on a virtual clock.
+//
+// A live node is a driver around the simulator's protocol core. It owns
+// a pubsub.Node (subscription forwarding, reverse-path event routing),
+// a core.Engine (sequence-tag loss detection and the epidemic
+// recoveries; none under NoRecovery) and a private sim.Kernel that
+// serves as the node's clock and timer queue. Every entry point —
+// a datagram, Publish, Subscribe, a link change, the node's timer
+// goroutine — takes the node's lock and first runs the kernel up to the
+// real time elapsed since the node's epoch, so gossip rounds, request
+// retries and heartbeats are kernel timers, and the engine's jittered
+// ticker, adaptive period and random streams work unchanged. The core
+// sends through the pubsub.Net seam, which here appends to an
+// out-buffer flushed to the sockets after the lock is released.
+//
+// What is live-only stays in the driver and acts on the messages the
+// core emits and receives: injected loss (DropProb), the failure
+// detector's suspect skipping, the per-peer fairness ledger (ledger.go)
+// with its serve quota, request retry with backoff and abandonment, and
+// greediest-first shedding of the pending-request table. An ingress
+// guard drops input the core would trust blindly (see admissible).
 //
 // The package exists for two reasons: it demonstrates that the
-// simulated protocols are implementable as-is (the simulator and the
-// live node speak the same wire format), and it gives downstream users
-// a deployable starting point rather than only a simulation.
+// simulated protocols are implementable as-is — it runs the very same
+// code over the same wire format — and it gives downstream users a
+// deployable starting point rather than only a simulation.
 //
 // Nodes come in two deployments. NewNode binds one socket per node and
 // reads it from a dedicated goroutine — simple, and fine up to a few
@@ -22,29 +38,32 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"math/rand"
 	"net"
 	"net/netip"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"repro/internal/cache"
 	"repro/internal/core"
 	"repro/internal/ident"
+	"repro/internal/matching"
+	"repro/internal/pubsub"
 	"repro/internal/sim"
 	"repro/internal/wire"
 )
 
-// Config parameterizes one live dispatcher.
+// Config parameterizes one live dispatcher. The protocol fields
+// (Algorithm through LostTTL) are defaulted and validated by
+// core.Config.Normalize, exactly as the simulator's are.
 type Config struct {
 	// ID identifies this dispatcher; must be unique in the network.
 	ID ident.NodeID
 	// Bind is the UDP address to listen on; empty means 127.0.0.1:0.
 	// Ignored for dispatcher-hosted nodes, which share shard sockets.
 	Bind string
-	// Algorithm selects the recovery variant (NoRecovery disables
-	// gossip entirely).
+	// Algorithm selects the recovery variant; zero means NoRecovery,
+	// which installs no engine. Hybrid runs the adaptive controller
+	// with its default configuration.
 	Algorithm core.Algorithm
 	// GossipInterval is T. Zero means 30 ms.
 	GossipInterval time.Duration
@@ -64,10 +83,9 @@ type Config struct {
 	// HeartbeatInterval enables the per-neighbor failure detector:
 	// every interval the node heartbeats its tree neighbors and
 	// suspects any neighbor not heard from within HeartbeatTimeout.
-	// Suspected neighbors are skipped when picking gossip targets (the
-	// tree keeps routing events — healing the tree is the operator's
-	// job) and revived by any incoming traffic. Zero disables the
-	// detector.
+	// Gossip to suspected neighbors is dropped (the tree keeps routing
+	// events — healing the tree is the operator's job) and any incoming
+	// traffic revives them. Zero disables the detector.
 	HeartbeatInterval time.Duration
 	// HeartbeatTimeout is the silence after which a neighbor is
 	// suspected. Zero means 4×HeartbeatInterval.
@@ -85,8 +103,8 @@ type Config struct {
 	// Zero means 4096.
 	MaxPending int
 	// ServeBudget caps the bytes of recovery traffic (Retransmit
-	// payloads) served to any single peer per LedgerWindow; requests
-	// beyond the budget are trimmed and counted in Stats.QuotaTrimmed.
+	// payloads) served to any single peer per LedgerWindow; events
+	// beyond the budget are withheld and counted in Stats.QuotaTrimmed.
 	// Zero disables the quota.
 	ServeBudget int
 	// LedgerWindow is the quota refill period. Zero means
@@ -105,30 +123,37 @@ type Config struct {
 	OnDeliver func(ev *wire.Event, recovered bool)
 }
 
-func (c Config) withDefaults() Config {
+// normalize defaults cfg and validates it. The protocol fields go
+// through core.Config.Normalize; the returned core.Config is the
+// engine's configuration.
+func (c Config) normalize() (Config, core.Config, error) {
 	if c.Bind == "" {
 		c.Bind = "127.0.0.1:0"
 	}
 	if c.Algorithm == 0 {
 		c.Algorithm = core.NoRecovery
 	}
-	if c.GossipInterval == 0 {
-		c.GossipInterval = 30 * time.Millisecond
+	g, err := core.Config{
+		Algorithm:      c.Algorithm,
+		GossipInterval: c.GossipInterval,
+		BufferSize:     c.BufferSize,
+		PForward:       c.PForward,
+		PSource:        c.PSource,
+		LostCapacity:   c.LostCapacity,
+		LostTTL:        c.LostTTL,
+	}.Normalize()
+	if err != nil {
+		return c, g, fmt.Errorf("live: %w", err)
 	}
-	if c.BufferSize == 0 {
-		c.BufferSize = 1500
+	c.GossipInterval, c.BufferSize = g.GossipInterval, g.BufferSize
+	c.PForward, c.PSource = g.PForward, g.PSource
+	c.LostCapacity, c.LostTTL = g.LostCapacity, g.LostTTL
+	if c.DropProb < 0 || c.DropProb > 1 {
+		return c, g, fmt.Errorf("live: DropProb %v outside [0, 1]", c.DropProb)
 	}
-	if c.PForward == 0 {
-		c.PForward = 0.9
-	}
-	if c.PSource == 0 {
-		c.PSource = 0.5
-	}
-	if c.LostCapacity == 0 {
-		c.LostCapacity = 4096
-	}
-	if c.LostTTL == 0 {
-		c.LostTTL = 10 * time.Second
+	if c.HeartbeatInterval < 0 || c.HeartbeatTimeout < 0 || c.RequestRetries < 0 || c.RequestBackoff < 0 ||
+		c.MaxPending < 0 || c.ServeBudget < 0 || c.LedgerWindow < 0 {
+		return c, g, fmt.Errorf("live: negative heartbeat, retry, pending or ledger setting")
 	}
 	if c.HeartbeatInterval > 0 && c.HeartbeatTimeout == 0 {
 		c.HeartbeatTimeout = 4 * c.HeartbeatInterval
@@ -148,7 +173,7 @@ func (c Config) withDefaults() Config {
 	if c.Seed == 0 {
 		c.Seed = 1
 	}
-	return c
+	return c, g, nil
 }
 
 // Stats is a snapshot of a live node's counters.
@@ -161,9 +186,10 @@ type Stats struct {
 	EventsSent     uint64
 	Served         uint64
 	DroppedInject  uint64
-	// Malformed counts datagrams dropped because they were too short
-	// or failed to decode — counted, never fatal. Misrouted counts
-	// well-formed datagrams whose destination slot names another node.
+	// Malformed counts datagrams dropped because they were too short,
+	// failed to decode, or failed the ingress guard — counted, never
+	// fatal. Misrouted counts well-formed datagrams whose destination
+	// slot names another node.
 	Malformed uint64
 	Misrouted uint64
 	// HeartbeatsSent, NeighborsSuspected, and NeighborsRevived report
@@ -186,7 +212,7 @@ type Stats struct {
 // counters are the node's statistics, updated with atomics so the
 // per-datagram hot path never takes a lock just to count.
 type counters struct {
-	published, delivered, recovered, lossesDetected      atomic.Uint64
+	published, delivered, recovered                      atomic.Uint64
 	gossipSent, eventsSent, served, droppedInject        atomic.Uint64
 	malformed, misrouted                                 atomic.Uint64
 	heartbeatsSent, neighborsSuspected, neighborsRevived atomic.Uint64
@@ -199,7 +225,6 @@ func (c *counters) snapshot() Stats {
 		Published:          c.published.Load(),
 		Delivered:          c.delivered.Load(),
 		Recovered:          c.recovered.Load(),
-		LossesDetected:     c.lossesDetected.Load(),
 		GossipSent:         c.gossipSent.Load(),
 		EventsSent:         c.eventsSent.Load(),
 		Served:             c.served.Load(),
@@ -218,7 +243,7 @@ func (c *counters) snapshot() Stats {
 
 // peerState is the failure detector's per-neighbor record, guarded by
 // peerMu — a dedicated leaf lock so that per-datagram liveness updates
-// never contend with the routing state under mu. Lock order: mu may be
+// never contend with the protocol state under mu. Lock order: mu may be
 // held when taking peerMu, never the reverse.
 type peerState struct {
 	lastSeen  time.Time
@@ -232,26 +257,31 @@ type Node struct {
 	disp  *Dispatcher // non-nil when hosted; owns the sockets
 	start time.Time
 
+	// mu guards everything below it up to peerMu: the protocol core,
+	// its kernel, and the driver state the core's sends feed.
 	mu        sync.Mutex
-	rng       *rand.Rand
+	k         *sim.Kernel
+	ps        *pubsub.Node
+	eng       *core.Engine // nil under NoRecovery
 	neighbors map[ident.NodeID]netip.AddrPort
 	directory map[ident.NodeID]netip.AddrPort
-	local     map[ident.PatternID]bool
-	localSet  ident.PatternSet // in-range mirror of local; event-path fast match
-	table     map[ident.PatternID][]ident.NodeID
-	nextSeq   uint32
-	patSeq    map[ident.PatternID]uint32
-	received  *ident.EventIDSet
-
-	buf      *cache.Cache
-	patIdx   map[ident.PatternID]*ident.EventIDSet
-	tagIdx   map[wire.LostEntry]ident.EventID
-	lost     *core.LostBuffer
-	high     map[srcPattern]uint32
-	routes   map[ident.NodeID][]ident.NodeID
-	pending  map[ident.EventID]*pendingReq
-	pendingQ []*pendingReq // FIFO shadow of pending, oldest first
-	ledger   ledger        // per-peer recovery-traffic accounting
+	// outs and delivs collect what the core did under mu: the messages
+	// it sent and the local deliveries it made. unlock hands both to
+	// the sockets and to OnDeliver after releasing mu.
+	outs   []out
+	delivs []delivery
+	// pending is the outstanding push-request table (retries.go).
+	pending    ident.EventTable[*pendingReq]
+	pendingQ   []*pendingReq // FIFO shadow of pending, oldest first
+	retryTimer sim.Canceler
+	retryAt    sim.Time // when retryTimer fires; meaningful while armed
+	retryArmed bool
+	ledger     map[ident.NodeID]*peerLedger // directory members only
+	// wakeAt is the kernel time the timer goroutine sleeps until (-1:
+	// nothing scheduled); an entry point that schedules an earlier
+	// timer nudges the goroutine through wake.
+	wakeAt sim.Time
+	wake   chan struct{}
 
 	peerMu sync.Mutex
 	peers  map[ident.NodeID]*peerState
@@ -263,15 +293,29 @@ type Node struct {
 	wg        sync.WaitGroup
 }
 
-type srcPattern struct {
-	src ident.NodeID
-	pat ident.PatternID
+// out is one outbound message the core (or the driver) decided under
+// the lock, with its destination already resolved. A nil msg is a
+// heartbeat.
+type out struct {
+	to   ident.NodeID
+	addr netip.AddrPort
+	msg  wire.Message
+	oob  bool
 }
 
-// NewNode binds a UDP socket and starts the node's receive loop (and
-// gossip loop when recovery is enabled). Close releases everything.
+// delivery is one local delivery awaiting its OnDeliver callback.
+type delivery struct {
+	ev        *wire.Event
+	recovered bool
+}
+
+// NewNode binds a UDP socket and starts the node's receive loop and
+// timer goroutine. Close releases everything.
 func NewNode(cfg Config) (*Node, error) {
-	cfg = cfg.withDefaults()
+	cfg, gcfg, err := cfg.normalize()
+	if err != nil {
+		return nil, err
+	}
 	addr, err := net.ResolveUDPAddr("udp", cfg.Bind)
 	if err != nil {
 		return nil, fmt.Errorf("live: resolving %q: %w", cfg.Bind, err)
@@ -280,60 +324,75 @@ func NewNode(cfg Config) (*Node, error) {
 	if err != nil {
 		return nil, fmt.Errorf("live: listening on %q: %w", cfg.Bind, err)
 	}
-	n := newNodeState(cfg, &sockTransport{conn: conn}, nil)
+	n, err := newNodeState(cfg, gcfg, &sockTransport{conn: conn}, nil)
+	if err != nil {
+		conn.Close()
+		return nil, err
+	}
 	n.wg.Add(1)
 	go n.readLoop(conn)
 	n.startLoops()
 	return n, nil
 }
 
-// newNodeState builds the protocol state shared by standalone and
-// hosted nodes. cfg must already carry defaults.
-func newNodeState(cfg Config, tr transport, disp *Dispatcher) *Node {
+// newNodeState builds the protocol core and driver state shared by
+// standalone and hosted nodes. cfg and gcfg come from normalize. No
+// timer runs until startLoops.
+func newNodeState(cfg Config, gcfg core.Config, tr transport, disp *Dispatcher) (*Node, error) {
 	start := cfg.Epoch
 	if start.IsZero() {
 		start = time.Now()
 	}
-	rng := rand.New(rand.NewSource(sim.DeriveSeed(cfg.Seed, 'l', int64(cfg.ID))))
+	// The kernel's root stream (k.Rand) is the driver's own: loss
+	// injection and backoff jitter. The engine derives its stream from
+	// the same seed.
+	k := sim.New(sim.DeriveSeed(cfg.Seed, 'l', int64(cfg.ID)))
 	n := &Node{
 		cfg:       cfg,
 		tr:        tr,
 		disp:      disp,
 		start:     start,
-		rng:       rng,
+		k:         k,
 		neighbors: make(map[ident.NodeID]netip.AddrPort),
 		directory: make(map[ident.NodeID]netip.AddrPort),
-		local:     make(map[ident.PatternID]bool),
-		table:     make(map[ident.PatternID][]ident.NodeID),
-		patSeq:    make(map[ident.PatternID]uint32),
-		received:  ident.NewEventIDSet(64),
-		buf:       cache.New(cfg.BufferSize, cache.FIFOPolicy, nil),
-		patIdx:    make(map[ident.PatternID]*ident.EventIDSet),
-		tagIdx:    make(map[wire.LostEntry]ident.EventID),
-		lost:      core.NewLostBuffer(cfg.LostCapacity, cfg.LostTTL),
-		high:      make(map[srcPattern]uint32),
-		routes:    make(map[ident.NodeID][]ident.NodeID),
-		pending:   make(map[ident.EventID]*pendingReq),
+		wakeAt:    -1,
+		wake:      make(chan struct{}, 1),
+		ledger:    make(map[ident.NodeID]*peerLedger),
 		peers:     make(map[ident.NodeID]*peerState),
 		done:      make(chan struct{}),
 	}
-	n.ledger.init()
-	n.buf.SetOnEvict(n.unindexLocked)
-	return n
+	// Bring the clock to the present before anything is scheduled: a
+	// shared Epoch may lie far in the past.
+	n.k.Run(n.now())
+	pcfg := pubsub.Config{RecordRoutes: cfg.Algorithm.NeedsRoutes(), OnDeliver: n.onDeliver}
+	n.ps = pubsub.NewNode(cfg.ID, n.k, coreNet{n}, nil, pcfg)
+	if cfg.Algorithm != core.NoRecovery {
+		eng, err := core.NewEngine(n.ps, gcfg)
+		if err != nil {
+			return nil, fmt.Errorf("live: %w", err)
+		}
+		eng.SetServeAdmission(n.admitServeLocked)
+		n.eng = eng
+	}
+	return n, nil
 }
 
-// startLoops launches the timer-driven goroutines (gossip, heartbeat).
+// startLoops starts gossip rounds and the failure detector on the
+// kernel, and the timer goroutine that drives the kernel in real time.
 // The receive path is the caller's: standalone nodes run readLoop,
 // hosted nodes are fed by their dispatcher's shard readers.
 func (n *Node) startLoops() {
-	if n.cfg.Algorithm != core.NoRecovery {
-		n.wg.Add(1)
-		go n.gossipLoop()
+	n.lock()
+	if n.eng != nil {
+		n.eng.Start()
 	}
 	if n.cfg.HeartbeatInterval > 0 {
-		n.wg.Add(1)
-		go n.heartbeatLoop()
+		iv := n.cfg.HeartbeatInterval
+		sim.NewTicker(n.k, iv, iv, n.heartbeatLocked)
 	}
+	n.unlock()
+	n.wg.Add(1)
+	go n.timerLoop()
 }
 
 // ID returns the dispatcher identifier.
@@ -344,7 +403,15 @@ func (n *Node) ID() ident.NodeID { return n.cfg.ID }
 func (n *Node) Addr() *net.UDPAddr { return n.tr.localAddr() }
 
 // Stats returns a snapshot of the counters.
-func (n *Node) Stats() Stats { return n.stats.snapshot() }
+func (n *Node) Stats() Stats {
+	st := n.stats.snapshot()
+	if n.eng != nil {
+		n.mu.Lock()
+		st.LossesDetected = n.eng.Stats().LossesDetected
+		n.mu.Unlock()
+	}
+	return st
+}
 
 // Close shuts the node down: goroutines are joined and, for a
 // standalone node, the socket is closed. A hosted node deregisters
@@ -375,69 +442,89 @@ func toAddrPort(a *net.UDPAddr) netip.AddrPort {
 }
 
 // SetDirectory installs the id→address map used by out-of-band sends.
-// The map is copied.
+// The map is copied. The directory is also the node's trust domain:
+// only its members are accounted in the ledger, served, or accepted as
+// event sources.
 func (n *Node) SetDirectory(dir map[ident.NodeID]*net.UDPAddr) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
+	n.lock()
 	for id, a := range dir {
 		n.directory[id] = toAddrPort(a)
 	}
+	n.unlock()
 }
 
 // AddNeighbor attaches a tree link toward the given dispatcher and
-// advertises every known interest over it, exactly as OnLinkUp does in
-// the simulator.
+// advertises every known interest over it (pubsub.Node.OnLinkUp).
 func (n *Node) AddNeighbor(id ident.NodeID, addr *net.UDPAddr) {
 	ap := toAddrPort(addr)
-	n.mu.Lock()
+	n.lock()
+	_, known := n.neighbors[id]
 	n.neighbors[id] = ap
 	n.directory[id] = ap
-	var subs []ident.PatternID
-	for p := range n.local {
-		subs = append(subs, p)
+	if !known {
+		n.ps.OnLinkUp(id)
 	}
-	for p := range n.table {
-		if !n.local[p] && n.advertisedToLocked(p, id) {
-			subs = append(subs, p)
-		}
-	}
-	n.mu.Unlock()
+	n.unlock()
 	n.peerMu.Lock()
 	n.peers[id] = &peerState{lastSeen: time.Now()} // grace period before the detector may suspect
 	n.peerMu.Unlock()
-	for _, p := range subs {
-		n.sendTree(id, &wire.Subscribe{Pattern: p})
-	}
 }
 
 // RemoveNeighbor detaches a tree link and flushes every route through
-// it (OnLinkDown).
+// it (pubsub.Node.OnLinkDown).
 func (n *Node) RemoveNeighbor(id ident.NodeID) {
-	n.mu.Lock()
-	delete(n.neighbors, id)
-	var stale []ident.PatternID
-	for p, dirs := range n.table {
-		for _, d := range dirs {
-			if d == id {
-				stale = append(stale, p)
-				break
-			}
-		}
+	n.lock()
+	if _, ok := n.neighbors[id]; ok {
+		delete(n.neighbors, id)
+		n.ps.OnLinkDown(id)
 	}
-	n.mu.Unlock()
+	n.unlock()
 	n.peerMu.Lock()
 	delete(n.peers, id)
 	n.peerMu.Unlock()
-	for _, p := range stale {
-		n.mu.Lock()
-		outs := n.removeInterestLocked(p, id)
-		n.mu.Unlock()
-		n.flush(outs)
-	}
 }
 
-// now returns the node's monotonic clock as a duration since start,
-// the time base of the Lost buffer.
+// Subscribe registers a local subscription and propagates it through
+// the tree (subscription forwarding, paper Sec. II).
+func (n *Node) Subscribe(p ident.PatternID) {
+	n.lock()
+	n.ps.Subscribe(p)
+	n.unlock()
+}
+
+// Unsubscribe removes a local subscription and propagates the removal.
+func (n *Node) Unsubscribe(p ident.PatternID) {
+	n.lock()
+	n.ps.Unsubscribe(p)
+	n.unlock()
+}
+
+// Subscriptions returns the locally subscribed patterns.
+func (n *Node) Subscriptions() []ident.PatternID {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	return append([]ident.PatternID(nil), n.ps.LocalPatterns()...)
+}
+
+// KnownPatternCount returns the number of patterns with local or
+// remote interest — tests use it to watch subscription propagation.
+func (n *Node) KnownPatternCount() int {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	return len(n.ps.KnownPatterns())
+}
+
+// Publish stamps and routes a new event, returning its identifier.
+func (n *Node) Publish(content matching.Content) ident.EventID {
+	n.lock()
+	ev := n.ps.Publish(content, 0)
+	n.stats.published.Add(1)
+	n.unlock()
+	return ev.ID
+}
+
+// now returns the node's monotonic clock as a duration since start:
+// the kernel's time base.
 func (n *Node) now() time.Duration { return time.Since(n.start) }
 
 // envelope layout: 4 bytes sender ID, 4 bytes destination ID, 1 byte
@@ -469,57 +556,16 @@ func appendEnvelope(buf []byte, from, to ident.NodeID, flags byte) []byte {
 	return append(buf, flags)
 }
 
-// encodeEnvelope encodes msg in a self-addressed envelope — the shape
-// handleDatagram accepts. Tests use it to synthesize valid datagrams.
-func (n *Node) encodeEnvelope(buf []byte, msg wire.Message, oob bool) []byte {
+// encodeEnvelope encodes msg in an envelope from the given sender to
+// this node — the shape handleDatagram accepts. Tests use it to
+// synthesize valid datagrams.
+func (n *Node) encodeEnvelope(buf []byte, from ident.NodeID, msg wire.Message, oob bool) []byte {
 	var flags byte
 	if oob {
 		flags = flagOOB
 	}
-	buf = appendEnvelope(buf[:0], n.cfg.ID, n.cfg.ID, flags)
+	buf = appendEnvelope(buf[:0], from, n.cfg.ID, flags)
 	return msg.Append(buf)
-}
-
-// sendTree transmits msg to a direct neighbor, subject to injected
-// loss. Subscription control messages are exempt: in a real deployment
-// the control plane rides a reliable transport (TCP), while events and
-// gossip are the best-effort data plane the paper studies.
-func (n *Node) sendTree(to ident.NodeID, msg wire.Message) {
-	kind := msg.Kind()
-	control := kind == wire.KindSubscribe || kind == wire.KindUnsubscribe
-	n.mu.Lock()
-	addr, ok := n.neighbors[to]
-	drop := !control && n.cfg.DropProb > 0 && n.rng.Float64() < n.cfg.DropProb
-	n.mu.Unlock()
-	if !ok {
-		return
-	}
-	if drop {
-		n.stats.droppedInject.Add(1)
-		return
-	}
-	if kind.IsGossip() {
-		n.stats.gossipSent.Add(1)
-	} else if kind == wire.KindEvent {
-		n.stats.eventsSent.Add(1)
-	}
-	n.tr.sendMsg(n.cfg.ID, to, addr, msg, false)
-}
-
-// sendOOB transmits msg to any dispatcher in the directory.
-func (n *Node) sendOOB(to ident.NodeID, msg wire.Message) {
-	n.mu.Lock()
-	addr, ok := n.directory[to]
-	n.mu.Unlock()
-	if !ok {
-		return
-	}
-	if kind := msg.Kind(); kind.IsGossip() {
-		n.stats.gossipSent.Add(1)
-	} else if kind == wire.KindRetransmit {
-		n.stats.eventsSent.Add(uint64(len(msg.(*wire.Retransmit).Events)))
-	}
-	n.tr.sendMsg(n.cfg.ID, to, addr, msg, true)
 }
 
 func closing(err error) bool {
@@ -552,9 +598,10 @@ func (n *Node) readLoop(conn *net.UDPConn) {
 }
 
 // handleDatagram parses and dispatches one raw datagram. It must never
-// panic on adversarial input: anything that does not parse is counted
-// as malformed and dropped, like real UDP software. Split out from
-// readLoop so tests can fuzz it without a socket.
+// panic on adversarial input: anything that does not parse or fails the
+// ingress guard is counted as malformed and dropped, like real UDP
+// software. Split out from readLoop so tests can fuzz it without a
+// socket.
 func (n *Node) handleDatagram(buf []byte) {
 	if len(buf) < envelopeLen {
 		n.stats.malformed.Add(1)
@@ -573,29 +620,36 @@ func (n *Node) handleDatagram(buf []byte) {
 	}
 	oob := flags&flagOOB != 0
 	payload := buf[envelopeLen:]
-	if flags&flagBatch != 0 {
-		for len(payload) > 0 {
-			frame, rest, err := wire.NextFrame(payload)
-			if err != nil {
-				n.stats.malformed.Add(1)
-				return
-			}
-			msg, err := wire.Decode(frame)
-			if err != nil {
-				n.stats.malformed.Add(1)
-				return
-			}
-			n.handle(from, msg, oob)
-			payload = rest
+	n.lock()
+	defer n.unlock()
+	if flags&flagBatch == 0 {
+		n.receiveLocked(from, payload, oob)
+		return
+	}
+	for len(payload) > 0 {
+		frame, rest, err := wire.NextFrame(payload)
+		if err != nil {
+			n.stats.malformed.Add(1)
+			return
 		}
-		return
+		if !n.receiveLocked(from, frame, oob) {
+			return
+		}
+		payload = rest
 	}
-	msg, err := wire.Decode(payload)
-	if err != nil {
+}
+
+// receiveLocked decodes one message and hands it to the core; it
+// reports false when the message was malformed (and counted).
+func (n *Node) receiveLocked(from ident.NodeID, b []byte, oob bool) bool {
+	msg, err := wire.Decode(b)
+	if err != nil || !n.admissible(msg, oob) {
 		n.stats.malformed.Add(1)
-		return
+		return false
 	}
-	n.handle(from, msg, oob)
+	n.ingressLocked(msg)
+	n.ps.HandleMessage(from, msg, oob)
+	return true
 }
 
 // observePeer feeds the failure detector: any traffic from a tree
@@ -630,71 +684,22 @@ func (n *Node) isSuspect(id ident.NodeID) bool {
 	return s
 }
 
-// gossipLoop runs a gossip round every interval, with a random initial
-// phase like the simulator's jittered ticker.
-func (n *Node) gossipLoop() {
-	defer n.wg.Done()
-	phase := time.Duration(rand.New(rand.NewSource(sim.DeriveSeed(n.cfg.Seed, 'p', int64(n.cfg.ID)))).
-		Int63n(int64(n.cfg.GossipInterval)))
-	timer := time.NewTimer(phase)
-	select {
-	case <-timer.C:
-	case <-n.done:
-		timer.Stop()
-		return
-	}
-	ticker := time.NewTicker(n.cfg.GossipInterval)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-ticker.C:
-			n.gossipRound()
-		case <-n.done:
-			return
-		}
-	}
-}
-
-// heartbeatLoop drives the failure detector: each tick heartbeats
-// every tree neighbor and suspects the silent ones.
-func (n *Node) heartbeatLoop() {
-	defer n.wg.Done()
-	ticker := time.NewTicker(n.cfg.HeartbeatInterval)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-ticker.C:
-			n.heartbeat()
-		case <-n.done:
-			return
-		}
-	}
-}
-
-func (n *Node) heartbeat() {
-	type hb struct {
-		id   ident.NodeID
-		addr netip.AddrPort
-	}
-	n.mu.Lock()
-	targets := make([]hb, 0, len(n.neighbors))
-	for id, addr := range n.neighbors {
-		targets = append(targets, hb{id: id, addr: addr})
-	}
-	n.mu.Unlock()
+// heartbeatLocked is the failure detector's kernel tick: heartbeat
+// every tree neighbor and suspect the silent ones.
+func (n *Node) heartbeatLocked() {
 	now := time.Now()
 	n.peerMu.Lock()
-	for _, t := range targets {
-		if ps, ok := n.peers[t.id]; ok && !ps.suspected && now.Sub(ps.lastSeen) > n.cfg.HeartbeatTimeout {
+	for id := range n.neighbors {
+		if ps, ok := n.peers[id]; ok && !ps.suspected && now.Sub(ps.lastSeen) > n.cfg.HeartbeatTimeout {
 			ps.suspected = true
 			n.stats.neighborsSuspected.Add(1)
 		}
 	}
 	n.peerMu.Unlock()
-	n.stats.heartbeatsSent.Add(uint64(len(targets)))
-	for _, t := range targets {
-		n.tr.sendHeartbeat(n.cfg.ID, t.id, t.addr)
+	for id, addr := range n.neighbors {
+		n.outs = append(n.outs, out{to: id, addr: addr})
 	}
+	n.stats.heartbeatsSent.Add(uint64(len(n.neighbors)))
 }
 
 // SuspectedNeighbors returns the neighbors the failure detector

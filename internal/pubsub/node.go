@@ -52,6 +52,20 @@ func (NopRecovery) OnDeliver(*wire.Event, ident.NodeID) {}
 // HandleRecovery implements Recovery.
 func (NopRecovery) HandleRecovery(ident.NodeID, wire.Message, bool) {}
 
+// Net is the transport a dispatcher sends through: the simulator's
+// *network.Network, or a live driver that buffers the sends and
+// transmits them on real sockets.
+type Net interface {
+	// Register installs the handler for messages addressed to id.
+	Register(id ident.NodeID, h network.Handler)
+	// Send transmits msg to a direct neighbor on the overlay.
+	Send(from, to ident.NodeID, msg wire.Message)
+	// SendOOB transmits msg to any dispatcher out of band.
+	SendOOB(from, to ident.NodeID, msg wire.Message)
+}
+
+var _ Net = (*network.Network)(nil)
+
 // DeliverFunc observes every local delivery (original or recovered).
 type DeliverFunc func(node ident.NodeID, ev *wire.Event, recovered bool)
 
@@ -85,7 +99,7 @@ type Config struct {
 type Node struct {
 	id  ident.NodeID
 	k   *sim.Kernel
-	net *network.Network
+	net Net
 	cfg Config
 
 	neighbors []ident.NodeID
@@ -135,7 +149,7 @@ type Node struct {
 var _ network.Handler = (*Node)(nil)
 
 // NewNode builds a dispatcher with the given initial neighbor set.
-func NewNode(id ident.NodeID, k *sim.Kernel, net *network.Network, neighbors []ident.NodeID, cfg Config) *Node {
+func NewNode(id ident.NodeID, k *sim.Kernel, net Net, neighbors []ident.NodeID, cfg Config) *Node {
 	n := &Node{
 		id:        id,
 		k:         k,

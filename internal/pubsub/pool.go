@@ -2,7 +2,6 @@ package pubsub
 
 import (
 	"repro/internal/ident"
-	"repro/internal/network"
 	"repro/internal/sim"
 )
 
@@ -24,7 +23,7 @@ type NodePool struct {
 // identical to a new one — every piece of subscription, routing, and
 // delivery state is cleared; only map buckets and slice capacity
 // survive.
-func NewNodeIn(id ident.NodeID, k *sim.Kernel, net *network.Network, neighbors []ident.NodeID, cfg Config, pool *NodePool) *Node {
+func NewNodeIn(id ident.NodeID, k *sim.Kernel, net Net, neighbors []ident.NodeID, cfg Config, pool *NodePool) *Node {
 	if pool != nil {
 		if m := len(pool.free); m > 0 {
 			n := pool.free[m-1]
@@ -43,7 +42,7 @@ func NewNodeIn(id ident.NodeID, k *sim.Kernel, net *network.Network, neighbors [
 // reset re-targets a pooled node at a new identity, clearing all
 // subscription, routing, and delivery state while keeping the grown
 // capacity of its maps and scratch slices.
-func (n *Node) reset(id ident.NodeID, k *sim.Kernel, net *network.Network, neighbors []ident.NodeID, cfg Config) {
+func (n *Node) reset(id ident.NodeID, k *sim.Kernel, net Net, neighbors []ident.NodeID, cfg Config) {
 	n.id, n.k, n.net, n.cfg = id, k, net, cfg
 	n.neighbors = append(n.neighbors[:0], neighbors...)
 	n.localSet = ident.PatternSet{}

@@ -167,6 +167,17 @@ func (k *Kernel) Processed() uint64 { return k.processed }
 // cancelled entries not yet drained).
 func (k *Kernel) Pending() int { return len(k.heap) }
 
+// NextAt returns the time of the earliest scheduled event; ok is false
+// when nothing is scheduled. The event may have been cancelled, in which
+// case running the kernel up to that time just discards it. A driver
+// that advances the kernel from a real clock sleeps until NextAt.
+func (k *Kernel) NextAt() (at Time, ok bool) {
+	if len(k.heap) == 0 {
+		return 0, false
+	}
+	return k.heap[0].at, true
+}
+
 // At schedules fn to run at virtual time at. Scheduling in the past
 // panics: it is always a bug in the caller.
 func (k *Kernel) At(at Time, fn Handler) Canceler {

@@ -65,6 +65,27 @@ func TestKernelHorizonLeavesFutureEvents(t *testing.T) {
 	}
 }
 
+func TestKernelNextAt(t *testing.T) {
+	k := New(1)
+	if _, ok := k.NextAt(); ok {
+		t.Fatal("empty kernel reports a next event")
+	}
+	k.At(3*time.Second, func() {})
+	c := k.At(2*time.Second, func() {})
+	if at, ok := k.NextAt(); !ok || at != 2*time.Second {
+		t.Fatalf("NextAt = %v, %v; want 2s", at, ok)
+	}
+	c.Cancel()
+	k.Run(2500 * time.Millisecond) // discards the cancelled entry
+	if at, ok := k.NextAt(); !ok || at != 3*time.Second {
+		t.Fatalf("NextAt after run = %v, %v; want 3s", at, ok)
+	}
+	k.RunAll()
+	if _, ok := k.NextAt(); ok {
+		t.Fatal("drained kernel reports a next event")
+	}
+}
+
 func TestKernelSchedulingFromHandler(t *testing.T) {
 	k := New(1)
 	var order []string
