@@ -77,15 +77,16 @@ func Generate(rng *rand.Rand) Case {
 	if rng.Intn(2) == 1 {
 		c.ChurnRate = 1 + float64(rng.Intn(3))
 	}
-	// Overlay diversity and repair mode. Reconfiguration is a
-	// tree-with-oracle feature (the driver's ReplacementLink mends a
-	// two-way split), so the draws respect scenario's compatibility
-	// rules rather than generating cases normalize would reject.
+	// Overlay diversity and repair mode. Reconfiguration is a tree
+	// feature (a break splits a tree in two; redundant overlays stay
+	// connected), so the draws respect scenario's compatibility rule
+	// rather than generating cases normalize would reject. Under either
+	// repair mode a tree case keeps its reconfigurations.
 	c.Overlay = topology.Kind(rng.Intn(len(topology.Kinds())))
 	if rng.Intn(2) == 1 {
 		c.Repair = scenario.RepairSelfStabilizing
 	}
-	if c.Overlay != topology.KindTree || c.Repair == scenario.RepairSelfStabilizing {
+	if c.Overlay != topology.KindTree {
 		c.Reconfig = 0
 	}
 	c.Adaptive = rng.Intn(3) == 1

@@ -67,6 +67,8 @@ func TestPlanValidate(t *testing.T) {
 		{"flap self", Action{Kind: LinkFlap, A: 2, B: 2}, false},
 		{"partition out of range", Action{Kind: Partition, A: 0, B: 9}, false},
 		{"loss model without constructor", Action{Kind: SetLossModel}, false},
+		{"generated link break", Action{Kind: LinkBreak}, false},
+		{"generated sub swap", Action{Kind: SubSwap}, false},
 		{"unknown kind", Action{Kind: Kind(99)}, false},
 		{"negative time", Action{At: -1, Kind: NodeCrash, Node: 0}, false},
 	}
@@ -83,7 +85,7 @@ func TestPlanValidate(t *testing.T) {
 }
 
 func TestKindString(t *testing.T) {
-	for k := NodeCrash; k <= SetLossModel; k++ {
+	for k := NodeCrash; k <= SubSwap; k++ {
 		if s := k.String(); strings.HasPrefix(s, "fault(") {
 			t.Errorf("kind %d has no name: %q", uint8(k), s)
 		}

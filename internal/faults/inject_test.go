@@ -1,6 +1,8 @@
 package faults
 
 import (
+	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -128,5 +130,76 @@ func TestDisableHealingLeavesRepairToProtocol(t *testing.T) {
 	}
 	if rig.inj.LastFaultAt() == 0 {
 		t.Fatal("LastFaultAt not recorded")
+	}
+}
+
+// TestLinkBreakHealsByRepairMode drives the reconfiguration generator
+// on a 5-node line: in oracle mode every break is replaced RepairDelay
+// later, so the line stays one component; with DisableHealing nothing
+// replaces the links, the line falls apart link by link, and every
+// later epoch is counted as a skip.
+func TestLinkBreakHealsByRepairMode(t *testing.T) {
+	oracle := newTestRig(t, topology.NewLine(5), Config{RepairDelay: 10 * time.Millisecond})
+	oracle.inj.Reconfigure(100 * time.Millisecond)
+	oracle.k.Run(time.Second + 50*time.Millisecond)
+	if st := oracle.inj.Stats(); st.LinkBreaks != 10 || st.BreakSkips != 0 {
+		t.Fatalf("oracle: breaks=%d skips=%d, want 10/0", st.LinkBreaks, st.BreakSkips)
+	}
+	if !oracle.topo.Connected() {
+		t.Fatal("oracle: replacement links did not reconnect the line")
+	}
+
+	selfStab := newTestRig(t, topology.NewLine(5), Config{RepairDelay: 10 * time.Millisecond, DisableHealing: true})
+	selfStab.inj.Reconfigure(100 * time.Millisecond)
+	selfStab.k.Run(time.Second)
+	if st := selfStab.inj.Stats(); st.LinkBreaks != 4 || st.BreakSkips != 6 {
+		t.Fatalf("DisableHealing: breaks=%d skips=%d, want 4/6", st.LinkBreaks, st.BreakSkips)
+	}
+	if n := selfStab.topo.NumLinks(); n != 0 {
+		t.Fatalf("DisableHealing: %d links left, want 0 (nothing replaced)", n)
+	}
+}
+
+// TestSubSwapSkipsCrashedDispatcher pins the churn policy under node
+// faults: a swap aimed at a crashed dispatcher is skipped and counted,
+// its subscriptions stay as they were, and the swaps that do apply
+// keep the subscriber index in step with the dispatchers.
+func TestSubSwapSkipsCrashedDispatcher(t *testing.T) {
+	const patterns = 8
+	rig := newTestRig(t, topology.NewLine(3), Config{RepairDelay: 10 * time.Millisecond})
+	subs := make([][]ident.PatternID, 3)
+	for i, n := range rig.nodes {
+		n.Subscribe(ident.PatternID(i))
+		subs[i] = []ident.PatternID{ident.PatternID(i)}
+	}
+	index := pubsub.NewSubscriberIndex(patterns, subs)
+	plan := &Plan{Actions: []Action{{Kind: NodeCrash, Node: 0}}}
+	if err := rig.inj.Schedule(plan); err != nil {
+		t.Fatal(err)
+	}
+	uniform := func(r *rand.Rand) ident.PatternID { return ident.PatternID(r.Intn(patterns)) }
+	rig.inj.ChurnSubscriptions(50, index, patterns, uniform)
+	rig.k.Run(time.Second)
+
+	st := rig.inj.Stats()
+	if st.SubSwaps == 0 || st.Skipped == 0 {
+		t.Fatalf("swaps=%d skipped=%d, want both > 0", st.SubSwaps, st.Skipped)
+	}
+	if got := rig.nodes[0].LocalPatterns(); !slices.Equal(got, []ident.PatternID{0}) {
+		t.Fatalf("crashed dispatcher's subscriptions changed to %v", got)
+	}
+	for p := ident.PatternID(0); p < patterns; p++ {
+		for _, v := range index.Subscribers(p) {
+			if !rig.nodes[v].IsLocal(p) {
+				t.Fatalf("index lists node %d under pattern %d it does not hold", v, p)
+			}
+		}
+	}
+	for v, n := range rig.nodes {
+		for _, p := range n.LocalPatterns() {
+			if !slices.Contains(index.Subscribers(p), ident.NodeID(v)) {
+				t.Fatalf("node %d holds pattern %d the index does not list", v, p)
+			}
+		}
 	}
 }

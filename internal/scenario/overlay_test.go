@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -183,10 +184,6 @@ func TestOverlayParamValidation(t *testing.T) {
 			p.Repair = RepairSelfStabilizing
 			p.Shards = 2 // accepted and ignored
 		}, ""},
-		{"self-stab-with-reconfig", func(p *Params) {
-			p.Repair = RepairSelfStabilizing
-			p.ReconfigInterval = time.Second
-		}, "incompatible with ReconfigInterval"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			p := DefaultParams()
@@ -245,5 +242,43 @@ func TestSelfStabilizingDeterministicReplay(t *testing.T) {
 			a.Repair != b.Repair {
 			t.Fatalf("%v: replay diverged:\n  a=%+v\n  b=%+v", kind, a, b)
 		}
+	}
+}
+
+// TestFaultSelfStabilizingReconfiguration runs the paper's
+// reconfiguration model (ρ = 250 ms on the golden parameters) under
+// the self-stabilizing repair protocol instead of the oracle's
+// replacement link: every algorithm must run clean under all monitors,
+// replay bit for bit, and the protocol — not the oracle — must be what
+// re-links the splits.
+func TestFaultSelfStabilizingReconfiguration(t *testing.T) {
+	for _, alg := range core.Algorithms() {
+		t.Run(alg.String(), func(t *testing.T) {
+			t.Parallel()
+			params := func() Params {
+				p := goldenCheckParams(alg, 250*time.Millisecond)
+				p.Repair = RepairSelfStabilizing
+				p.Check = check.All()
+				return p
+			}
+			a, err := Run(params())
+			if err != nil {
+				t.Fatalf("checked run reported a violation: %v", err)
+			}
+			b, err := Run(params())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if a.Reconfigurations == 0 {
+				t.Fatal("no reconfigurations")
+			}
+			if a.Repair.LinksAdded == 0 {
+				t.Fatal("self-stabilizing protocol added no link after the reconfigurations")
+			}
+			a.Params, b.Params = Params{}, Params{}
+			if !reflect.DeepEqual(a, b) {
+				t.Errorf("replay diverged:\n  a=%+v\n  b=%+v", a, b)
+			}
+		})
 	}
 }

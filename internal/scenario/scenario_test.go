@@ -177,6 +177,7 @@ func TestParamValidation(t *testing.T) {
 		func(p *Params) { p.NumPatterns = 0 },
 		func(p *Params) { p.MeasureFrom = 2 * time.Second; p.MeasureTo = time.Second },
 		func(p *Params) { p.Algorithm = core.Push; p.Gossip.PForward = 7 },
+		func(p *Params) { p.RepairDelay = -time.Millisecond },
 	}
 	for i, mutate := range bad {
 		p := quickParams()
@@ -184,6 +185,20 @@ func TestParamValidation(t *testing.T) {
 		if _, err := Run(p); err == nil {
 			t.Errorf("case %d: invalid params accepted", i)
 		}
+	}
+}
+
+// TestRepairDelayDefault pins the one default every repair path
+// shares: zero means the paper's 0.1 s.
+func TestRepairDelayDefault(t *testing.T) {
+	p := quickParams()
+	p.RepairDelay = 0
+	n, err := p.normalize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n.RepairDelay != 100*time.Millisecond {
+		t.Fatalf("RepairDelay 0 normalized to %v, want 100ms", n.RepairDelay)
 	}
 }
 
