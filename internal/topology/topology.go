@@ -21,6 +21,11 @@ var (
 	ErrDegreeFull   = errors.New("topology: node degree limit reached")
 	ErrWouldCycle   = errors.New("topology: link would create a cycle")
 	ErrSameEndpoint = errors.New("topology: self link")
+	// ErrLinkPresent and ErrReconnected are ReplacementLink's "nothing
+	// to repair" answers: the broken link is back, or another path
+	// already joins its two endpoints.
+	ErrLinkPresent = errors.New("topology: broken link is present again")
+	ErrReconnected = errors.New("topology: endpoints of the broken link are already reconnected")
 )
 
 // Link is an undirected edge between two dispatchers. The canonical
@@ -441,15 +446,16 @@ func (t *Tree) IsTree() bool {
 // (overlapping reconfigurations, paper Sec. IV-A): only the components
 // containing broken.A and broken.B are considered, which keeps each
 // repair independent. The replacement differs from the broken link
-// whenever any other valid pair exists.
+// whenever any other valid pair exists. When there is nothing left to
+// repair it returns ErrLinkPresent or ErrReconnected.
 func (t *Tree) ReplacementLink(broken Link, rng *rand.Rand) (Link, error) {
 	if t.HasLink(broken.A, broken.B) {
-		return Link{}, fmt.Errorf("topology: link %v-%v still present", broken.A, broken.B)
+		return Link{}, fmt.Errorf("%w: %v-%v", ErrLinkPresent, broken.A, broken.B)
 	}
 	compA := t.Component(broken.A)
 	for _, x := range compA {
 		if x == broken.B {
-			return Link{}, fmt.Errorf("topology: endpoints of %v-%v already reconnected", broken.A, broken.B)
+			return Link{}, fmt.Errorf("%w: %v-%v", ErrReconnected, broken.A, broken.B)
 		}
 	}
 	compB := t.Component(broken.B)

@@ -178,6 +178,25 @@ func TestReplacementLinkReconnects(t *testing.T) {
 	}
 }
 
+// TestReplacementLinkNothingToRepair pins the sentinels a repairer
+// uses to tell "outage over" from "retry later".
+func TestReplacementLinkNothingToRepair(t *testing.T) {
+	line := NewLine(4) // 0-1-2-3, maxDegree 2
+	broken := Link{A: 1, B: 2}
+	if _, err := line.ReplacementLink(broken, rand.New(rand.NewSource(1))); !errors.Is(err, ErrLinkPresent) {
+		t.Fatalf("link still present: err = %v, want ErrLinkPresent", err)
+	}
+	if err := line.RemoveLink(1, 2); err != nil {
+		t.Fatal(err)
+	}
+	if err := line.AddLink(0, 3); err != nil { // another path joins 1 and 2
+		t.Fatal(err)
+	}
+	if _, err := line.ReplacementLink(broken, rand.New(rand.NewSource(1))); !errors.Is(err, ErrReconnected) {
+		t.Fatalf("sides rejoined: err = %v, want ErrReconnected", err)
+	}
+}
+
 func TestLinkIncarnation(t *testing.T) {
 	line := NewLine(3)
 	if got := line.LinkIncarnation(0, 1); got != 1 {
