@@ -51,11 +51,6 @@ type Case struct {
 	Algorithm core.Algorithm
 	// Publishes is the number of core (compared) events. Zero means 40.
 	Publishes int
-	// Hosted runs the live side on a shared Dispatcher (batched sockets,
-	// coalesced envelopes) instead of one socket per node. The protocol
-	// traffic must be indistinguishable, so the same fixed point must be
-	// reached.
-	Hosted bool
 }
 
 const (
@@ -188,15 +183,20 @@ func (s deliveredSets) diff(o deliveredSets, sName, oName string) string {
 	return "sets identical"
 }
 
-// Run drives one case through both implementations and returns an
-// error describing the first divergence, if any.
-func Run(c Case) error {
+// Run drives one case through both implementations, the live side on
+// a default Dispatcher, and returns an error describing the first
+// divergence, if any.
+func Run(c Case) error { return run(c, live.DispatcherConfig{}) }
+
+// run is Run with the live side hosted on a Dispatcher configured by
+// dcfg.
+func run(c Case, dcfg live.DispatcherConfig) error {
 	pl := newPlan(c)
 	simSets, err := runSim(c, pl)
 	if err != nil {
 		return fmt.Errorf("differential: sim side: %w", err)
 	}
-	liveSets, err := runLive(c, pl, simSets)
+	liveSets, err := runLive(c, pl, simSets, dcfg)
 	if err != nil {
 		return fmt.Errorf("differential: live side: %w", err)
 	}
@@ -277,11 +277,12 @@ func runSim(c Case, pl *plan) (deliveredSets, error) {
 	return sets, nil
 }
 
-// runLive replays the plan over real UDP sockets and polls after each
-// flush wave until the delivered sets match the simulator's reference
-// (or the wave budget runs out — the comparison in Run then reports
-// the divergence).
-func runLive(c Case, pl *plan, want deliveredSets) (deliveredSets, error) {
+// runLive replays the plan over real UDP sockets, every node hosted on
+// one Dispatcher configured by dcfg (batched I/O, coalesced
+// envelopes), and polls after each flush wave until the delivered sets
+// match the simulator's reference (or the wave budget runs out — the
+// comparison in run then reports the divergence).
+func runLive(c Case, pl *plan, want deliveredSets, dcfg live.DispatcherConfig) (deliveredSets, error) {
 	var mu sync.Mutex
 	core_, all := make(map[ident.EventID]bool), newDeliveredSets(c.N)
 
@@ -317,13 +318,7 @@ func runLive(c Case, pl *plan, want deliveredSets) (deliveredSets, error) {
 		}
 		return out
 	}
-	var cluster *live.Cluster
-	var err error
-	if c.Hosted {
-		cluster, err = live.NewDispatcherCluster(c.N, maxDegree, c.Seed, live.DispatcherConfig{}, mkcfg)
-	} else {
-		cluster, err = live.NewCluster(c.N, maxDegree, c.Seed, mkcfg)
-	}
+	cluster, err := live.NewDispatcherCluster(c.N, maxDegree, c.Seed, dcfg, mkcfg)
 	if err != nil {
 		return nil, err
 	}

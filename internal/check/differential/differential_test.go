@@ -4,27 +4,21 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/live"
 )
 
-// sharedCoreLegs are the algorithms the live node runs only since it
-// drives the simulator's core: hybrid (the adaptive controller) and
-// random pull.
-var sharedCoreLegs = []core.Algorithm{core.Hybrid, core.RandomPull}
-
-// TestSimMatchesLive is the differential matrix: for each seed and
-// algorithm, the simulator and the live UDP cluster replay the same
-// publish plan over the same overlay, and every subscriber must end
-// up with the identical set of core event IDs.
-func TestSimMatchesLive(t *testing.T) {
+// matrix runs check on every algorithm for seeds 1–3 (seed 1 only
+// under -short), one subtest each, named by algorithm, infix and seed.
+func matrix(t *testing.T, infix string, check func(Case) error) {
 	seeds := []int64{1, 2, 3}
 	if testing.Short() {
 		seeds = seeds[:1]
 	}
-	for _, alg := range append([]core.Algorithm{core.Push, core.CombinedPull}, sharedCoreLegs...) {
+	for _, alg := range []core.Algorithm{core.Push, core.CombinedPull, core.Hybrid, core.RandomPull} {
 		for _, seed := range seeds {
 			c := Case{Seed: seed, N: 8, Algorithm: alg}
-			t.Run(c.Algorithm.String()+"/"+string(rune('0'+seed)), func(t *testing.T) {
-				if err := Run(c); err != nil {
+			t.Run(c.Algorithm.String()+infix+string(rune('0'+seed)), func(t *testing.T) {
+				if err := check(c); err != nil {
 					t.Fatal(err)
 				}
 			})
@@ -32,37 +26,25 @@ func TestSimMatchesLive(t *testing.T) {
 	}
 }
 
-// TestSimMatchesHostedLive extends the differential through the
-// Dispatcher: the live side shares batched sockets and coalesces
-// envelopes, yet must reach the exact fixed point the simulator
-// predicts — coalescing must not create, lose, or reorder protocol
-// meaning.
+// TestSimMatchesLive is the differential matrix: for each seed and
+// algorithm, the simulator and the live UDP cluster replay the same
+// publish plan over the same overlay, and every subscriber must end
+// up with the identical set of core event IDs. The live nodes share
+// the dispatcher's batched sockets and coalesce envelopes, so the
+// matrix also shows that coalescing creates, loses and reorders no
+// protocol meaning. Hybrid (the adaptive controller) and random pull
+// run on sockets since the live node drives the simulator's core.
+func TestSimMatchesLive(t *testing.T) {
+	matrix(t, "/", Run)
+}
+
+// TestSimMatchesHostedLive re-runs the matrix with the live nodes on
+// the dispatcher shape of the live benchmark workloads: two shard
+// sockets and batches of 128 datagrams, so envelopes cross between
+// shard sockets and coalesce into deep batches, yet the fixed point
+// the simulator predicts must not move.
 func TestSimMatchesHostedLive(t *testing.T) {
-	seeds := []int64{1, 2}
-	if testing.Short() {
-		seeds = seeds[:1]
-	}
-	for _, alg := range []core.Algorithm{core.Push, core.CombinedPull} {
-		for _, seed := range seeds {
-			c := Case{Seed: seed, N: 8, Algorithm: alg, Hosted: true}
-			t.Run(c.Algorithm.String()+"/hosted/"+string(rune('0'+seed)), func(t *testing.T) {
-				if err := Run(c); err != nil {
-					t.Fatal(err)
-				}
-			})
-		}
-	}
-	for _, alg := range sharedCoreLegs {
-		for _, seed := range []int64{1, 2, 3} {
-			if testing.Short() && seed > 1 {
-				break
-			}
-			c := Case{Seed: seed, N: 8, Algorithm: alg, Hosted: true}
-			t.Run(c.Algorithm.String()+"/hosted/"+string(rune('0'+seed)), func(t *testing.T) {
-				if err := Run(c); err != nil {
-					t.Fatal(err)
-				}
-			})
-		}
-	}
+	matrix(t, "/hosted/", func(c Case) error {
+		return run(c, live.DispatcherConfig{Sockets: 2, Batch: 128})
+	})
 }

@@ -62,14 +62,3 @@ func TestAllocsPack(t *testing.T) {
 		t.Fatalf("pack allocates %.1f times per flush, want 0", n)
 	}
 }
-
-// TestAllocsReadBufferPooled pins the receive-buffer discipline: the
-// standalone read loop borrows its 64 KB buffer from the shared pool
-// instead of allocating one per node lifetime.
-func TestAllocsReadBufferPooled(t *testing.T) {
-	bp := recvBufPool.Get().(*[]byte)
-	if len(*bp) != 64<<10 {
-		t.Fatalf("pooled receive buffer is %d bytes, want %d", len(*bp), 64<<10)
-	}
-	recvBufPool.Put(bp)
-}

@@ -19,7 +19,7 @@ import (
 // answers for them.
 func TestLiveSpillPatternDelivery(t *testing.T) {
 	var delivered sync.Map // nodeID → count
-	c, err := NewCluster(6, 4, 77, func(i int) Config {
+	c := newCluster(t, 6, 4, 77, func(i int) Config {
 		id := ident.NodeID(i)
 		return Config{
 			OnDeliver: func(ev *wire.Event, recovered bool) {
@@ -28,21 +28,11 @@ func TestLiveSpillPatternDelivery(t *testing.T) {
 			},
 		}
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
 
 	c.Nodes[3].Subscribe(200)
 	c.Nodes[4].Subscribe(513)
-	waitFor(t, 2*time.Second, func() bool {
-		for _, n := range c.Nodes {
-			if n.KnownPatternCount() < 2 {
-				return false
-			}
-		}
-		return true
-	}, "spill-pattern subscription propagation")
+	waitRoutes(t, c, 200, 3)
+	waitRoutes(t, c, 513, 4)
 
 	c.Nodes[0].Publish(matching.Content{200})
 	c.Nodes[0].Publish(matching.Content{513})

@@ -14,65 +14,15 @@ import (
 type Cluster struct {
 	Nodes []*Node
 	Topo  *topology.Tree
-	// Disp is non-nil for dispatcher-hosted clusters
-	// (NewDispatcherCluster); standalone clusters leave it nil.
+	// Disp hosts every node of the cluster.
 	Disp *Dispatcher
 }
 
-// NewCluster starts n live dispatchers and wires them into a random
-// tree with node degree at most maxDegree. mkcfg produces each node's
-// configuration (ID and Bind are filled in by the cluster). On error,
-// every node already started is closed.
-func NewCluster(n, maxDegree int, seed int64, mkcfg func(i int) Config) (*Cluster, error) {
-	topo, err := topology.New(n, maxDegree, rand.New(rand.NewSource(seed)))
-	if err != nil {
-		return nil, fmt.Errorf("live: building overlay: %w", err)
-	}
-	c := &Cluster{Topo: topo}
-	for i := 0; i < n; i++ {
-		cfg := mkcfg(i)
-		cfg.ID = ident.NodeID(i)
-		cfg.Bind = "127.0.0.1:0"
-		if cfg.Seed == 0 {
-			cfg.Seed = seed
-		}
-		node, err := NewNode(cfg)
-		if err != nil {
-			c.Close()
-			return nil, fmt.Errorf("live: starting node %d: %w", i, err)
-		}
-		c.Nodes = append(c.Nodes, node)
-	}
-	dir := make(map[ident.NodeID]*net.UDPAddr, n)
-	for _, node := range c.Nodes {
-		dir[node.ID()] = node.Addr()
-	}
-	for _, node := range c.Nodes {
-		node.SetDirectory(dir)
-	}
-	for _, l := range topo.Links() {
-		c.Nodes[l.A].AddNeighbor(l.B, c.Nodes[l.B].Addr())
-		c.Nodes[l.B].AddNeighbor(l.A, c.Nodes[l.A].Addr())
-	}
-	return c, nil
-}
-
-// Close shuts every node down, then the hosting dispatcher if any.
-func (c *Cluster) Close() {
-	for _, n := range c.Nodes {
-		if n != nil {
-			_ = n.Close()
-		}
-	}
-	if c.Disp != nil {
-		_ = c.Disp.Close()
-	}
-}
-
-// NewDispatcherCluster is NewCluster with every node hosted on one
-// Dispatcher instead of owning its own socket — same topology, same
-// wiring, same protocol traffic, different transport. Tests use the two
-// constructors as differential twins.
+// NewDispatcherCluster starts n live dispatchers, all hosted on one
+// Dispatcher configured by dcfg, and wires them into a random tree with
+// node degree at most maxDegree. mkcfg produces each node's
+// configuration (ID is filled in by the cluster, and Seed when zero).
+// On error, everything already started is closed.
 func NewDispatcherCluster(n, maxDegree int, seed int64, dcfg DispatcherConfig, mkcfg func(i int) Config) (*Cluster, error) {
 	topo, err := topology.New(n, maxDegree, rand.New(rand.NewSource(seed)))
 	if err != nil {
@@ -96,16 +46,25 @@ func NewDispatcherCluster(n, maxDegree int, seed int64, dcfg DispatcherConfig, m
 		}
 		c.Nodes = append(c.Nodes, node)
 	}
-	dir := make(map[ident.NodeID]*net.UDPAddr, n)
+	c.link()
+	return c, nil
+}
+
+// link gives every node the directory of all the cluster's addresses
+// and wires each tree link as a pair of neighbors.
+func (c *Cluster) link() {
+	dir := make(map[ident.NodeID]*net.UDPAddr, len(c.Nodes))
 	for _, node := range c.Nodes {
 		dir[node.ID()] = node.Addr()
 	}
 	for _, node := range c.Nodes {
 		node.SetDirectory(dir)
 	}
-	for _, l := range topo.Links() {
+	for _, l := range c.Topo.Links() {
 		c.Nodes[l.A].AddNeighbor(l.B, c.Nodes[l.B].Addr())
 		c.Nodes[l.B].AddNeighbor(l.A, c.Nodes[l.A].Addr())
 	}
-	return c, nil
 }
+
+// Close shuts the hosting dispatcher down, and every node with it.
+func (c *Cluster) Close() { _ = c.Disp.Close() }

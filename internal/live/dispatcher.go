@@ -12,21 +12,20 @@ import (
 	"repro/internal/wire"
 )
 
-// A Dispatcher hosts many live nodes on a small fixed set of UDP
-// sockets. Where NewNode spends a socket, a read goroutine, and a
-// syscall per datagram on every node, the dispatcher shards its nodes
-// across Sockets sockets, drains each with batched reads (recvmmsg on
-// Linux), routes each datagram to its node by the envelope's
-// destination slot, and coalesces outgoing messages per (sender,
-// destination) into batch envelopes flushed with batched writes
-// (sendmmsg). Hosting a thousand nodes costs a handful of file
-// descriptors and goroutines, and the per-message syscall cost drops by
-// roughly the batch factor.
+// A Dispatcher hosts live nodes on a small fixed set of UDP sockets; it
+// is the package's only socket deployment. It shards its nodes across
+// Sockets sockets, drains each with batched reads (recvmmsg on Linux),
+// routes each datagram to its node by the envelope's destination slot,
+// and coalesces outgoing messages per (sender, destination) into batch
+// envelopes flushed with batched writes (sendmmsg). Hosting a thousand
+// nodes costs a handful of file descriptors and goroutines, and the
+// per-message syscall cost drops by roughly the batch factor. NewNode
+// is the smallest case: one node on a private one-socket dispatcher.
 
 // maxDatagram is the coalescing budget: a batch envelope is flushed
 // before it would exceed this size, chosen to clear typical MTUs.
-// Single messages larger than the budget are sent alone, exactly as a
-// standalone node would send them.
+// Single messages larger than the budget are sent alone, in a plain
+// envelope.
 const maxDatagram = 1400
 
 // DispatcherConfig parameterizes a Dispatcher.
@@ -175,7 +174,7 @@ func (d *Dispatcher) shardFor(id ident.NodeID) *shard {
 
 // AddNode creates a node hosted on this dispatcher. The node speaks
 // through its shard's socket and ring; cfg.Bind is ignored. The
-// returned node is used exactly like a standalone one.
+// returned node is used exactly like one from NewNode.
 func (d *Dispatcher) AddNode(cfg Config) (*Node, error) {
 	cfg, gcfg, err := cfg.normalize()
 	if err != nil {
@@ -330,9 +329,9 @@ type packKey struct {
 
 // pack encodes entries into datagrams, coalescing messages with the
 // same key into batch envelopes up to the maxDatagram budget.
-// Heartbeats and oversized messages are emitted alone, byte-identical
-// to a standalone node's datagrams. ds and bufs stay index-aligned: one
-// pooled buffer per datagram.
+// Heartbeats and oversized messages are emitted alone, in plain
+// envelopes. ds and bufs stay index-aligned: one pooled buffer per
+// datagram.
 func (s *shard) pack(entries []outEntry, ds []dgram, bufs []*[]byte, open map[packKey]int) ([]dgram, []*[]byte) {
 	clear(open)
 	for _, e := range entries {
@@ -397,7 +396,3 @@ func (t *hostedTransport) sendHeartbeat(from, to ident.NodeID, addr netip.AddrPo
 }
 
 func (t *hostedTransport) localAddr() *net.UDPAddr { return t.sh.pc.localAddr() }
-
-// close is a no-op: the shard sockets belong to the dispatcher and
-// outlive any one hosted node.
-func (t *hostedTransport) close() error { return nil }

@@ -2,15 +2,12 @@ package live
 
 import (
 	"net"
-	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/ident"
 	"repro/internal/matching"
-	"repro/internal/wire"
 )
 
 // dispatcherModes runs a subtest once with the mmsg batch transport (if
@@ -31,61 +28,21 @@ func dispatcherModes(t *testing.T, run func(t *testing.T, dcfg DispatcherConfig)
 	}
 }
 
+// TestDispatcherHostedRoutingDelivers routes over nodes that all share
+// one dispatcher's shard sockets.
 func TestDispatcherHostedRoutingDelivers(t *testing.T) {
 	dispatcherModes(t, func(t *testing.T, dcfg DispatcherConfig) {
-		var delivered sync.Map
-		c, err := NewDispatcherCluster(8, 4, 42, dcfg, func(i int) Config {
-			id := ident.NodeID(i)
-			return Config{
-				OnDeliver: func(ev *wire.Event, recovered bool) {
-					v, _ := delivered.LoadOrStore(id, new(atomic.Int64))
-					v.(*atomic.Int64).Add(1)
-				},
+		routingDelivers(t, func(mkcfg func(i int) Config) *Cluster {
+			c, err := NewDispatcherCluster(8, 4, 42, dcfg, mkcfg)
+			if err != nil {
+				t.Fatal(err)
 			}
+			t.Cleanup(c.Close)
+			if c.Disp.BatchIO() == dcfg.disableBatchIO {
+				t.Fatalf("BatchIO() = %v with disableBatchIO = %v", c.Disp.BatchIO(), dcfg.disableBatchIO)
+			}
+			return c
 		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer c.Close()
-		if c.Disp.BatchIO() == dcfg.disableBatchIO {
-			t.Fatalf("BatchIO() = %v with disableBatchIO = %v", c.Disp.BatchIO(), dcfg.disableBatchIO)
-		}
-
-		c.Nodes[2].Subscribe(7)
-		c.Nodes[5].Subscribe(7)
-		waitFor(t, 2*time.Second, func() bool {
-			for _, n := range c.Nodes {
-				if n.KnownPatternCount() == 0 {
-					return false
-				}
-			}
-			return true
-		}, "subscription propagation")
-
-		c.Nodes[0].Publish(matching.Content{7})
-		c.Nodes[0].Publish(matching.Content{7, 9})
-		c.Nodes[0].Publish(matching.Content{3})
-
-		count := func(id ident.NodeID) int64 {
-			v, ok := delivered.Load(id)
-			if !ok {
-				return 0
-			}
-			return v.(*atomic.Int64).Load()
-		}
-		waitFor(t, 2*time.Second, func() bool {
-			return count(2) == 2 && count(5) == 2
-		}, "event delivery to both subscribers")
-		time.Sleep(50 * time.Millisecond)
-		for i := 0; i < 8; i++ {
-			id := ident.NodeID(i)
-			if id == 2 || id == 5 {
-				continue
-			}
-			if got := count(id); got != 0 {
-				t.Fatalf("non-subscriber %v got %d deliveries", id, got)
-			}
-		}
 	})
 }
 
@@ -102,9 +59,7 @@ func TestDispatcherCoalescingKeepsEveryMessage(t *testing.T) {
 		}
 		defer c.Close()
 		c.Nodes[1].Subscribe(4)
-		waitFor(t, 2*time.Second, func() bool {
-			return c.Nodes[0].KnownPatternCount() == 1
-		}, "subscription propagation")
+		waitRoutes(t, c, 4, 1)
 		for i := 0; i < events; i++ {
 			c.Nodes[0].Publish(matching.Content{4})
 		}
@@ -122,51 +77,14 @@ func TestDispatcherCoalescingKeepsEveryMessage(t *testing.T) {
 // node on one dispatcher.
 func TestDispatcherRecoveryWithLoss(t *testing.T) {
 	dispatcherModes(t, func(t *testing.T, dcfg DispatcherConfig) {
-		const (
-			nodes  = 8
-			events = 80
-		)
-		c, err := NewDispatcherCluster(nodes, 4, 11, dcfg, func(i int) Config {
-			return Config{
-				Algorithm:      core.Push,
-				GossipInterval: 10 * time.Millisecond,
-				DropProb:       0.3,
-				PForward:       1.0,
+		recoversWithLoss(t, core.Push, 8, 80, func(mkcfg func(i int) Config) *Cluster {
+			c, err := NewDispatcherCluster(8, 4, 11, dcfg, mkcfg)
+			if err != nil {
+				t.Fatal(err)
 			}
+			t.Cleanup(c.Close)
+			return c
 		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer c.Close()
-		for i := 1; i < nodes; i++ {
-			c.Nodes[i].Subscribe(7)
-		}
-		waitFor(t, 2*time.Second, func() bool {
-			return c.Nodes[0].KnownPatternCount() >= 1
-		}, "subscription propagation")
-		for e := 0; e < events; e++ {
-			c.Nodes[0].Publish(matching.Content{7})
-			time.Sleep(time.Millisecond)
-		}
-		waitFor(t, 30*time.Second, func() bool {
-			for i := 1; i < nodes; i++ {
-				if c.Nodes[i].Stats().Delivered < events {
-					return false
-				}
-			}
-			return true
-		}, "recovery of dropped events on hosted transport")
-		var recovered, dropped uint64
-		for _, n := range c.Nodes {
-			recovered += n.Stats().Recovered
-			dropped += n.Stats().DroppedInject
-		}
-		if dropped == 0 {
-			t.Fatal("loss injection never fired — test proves nothing")
-		}
-		if recovered == 0 {
-			t.Fatal("no events recovered via gossip")
-		}
 	})
 }
 
@@ -214,9 +132,7 @@ func TestDispatcherNodeCloseLeavesOthersRunning(t *testing.T) {
 	defer c.Close()
 	nb := c.Topo.Neighbors(0)[0]
 	c.Nodes[nb].Subscribe(3)
-	waitFor(t, 2*time.Second, func() bool {
-		return c.Nodes[0].KnownPatternCount() >= 1
-	}, "subscription propagation")
+	waitRoutes(t, c, 3, nb)
 	var victim ident.NodeID = ident.None
 	for i := 1; i < 4; i++ {
 		if ident.NodeID(i) != nb {
@@ -249,67 +165,68 @@ func TestDispatcherDuplicateNodeID(t *testing.T) {
 	}
 }
 
-// TestDispatcherCloseIsIdempotent double-closes both the dispatcher and
-// a hosted node.
-func TestDispatcherCloseIsIdempotent(t *testing.T) {
-	d, err := NewDispatcher(DispatcherConfig{Sockets: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	n, err := d.AddNode(Config{ID: 1, Algorithm: core.Push})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := n.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := n.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := d.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := d.Close(); err != nil {
-		t.Fatal(err)
+// closeTwice calls closeFn twice: the second call must be a no-op.
+func closeTwice(t *testing.T, closeFn func() error) {
+	t.Helper()
+	for i := 0; i < 2; i++ {
+		if err := closeFn(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 
-// TestDispatcherStandaloneInterop mixes transports: a standalone node
-// and a dispatcher-hosted node wired as neighbors must interoperate —
-// the envelope is the contract, not the transport.
-func TestDispatcherStandaloneInterop(t *testing.T) {
-	d, err := NewDispatcher(DispatcherConfig{Sockets: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer d.Close()
-	hosted, err := d.AddNode(Config{ID: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	alone, err := NewNode(Config{ID: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer alone.Close()
+// TestDispatcherCloseIsIdempotent double-closes, on each I/O path, a
+// hosted node and then its dispatcher.
+func TestDispatcherCloseIsIdempotent(t *testing.T) {
+	dispatcherModes(t, func(t *testing.T, dcfg DispatcherConfig) {
+		d, err := NewDispatcher(dcfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n, err := d.AddNode(Config{ID: 1, Algorithm: core.Push})
+		if err != nil {
+			t.Fatal(err)
+		}
+		closeTwice(t, n.Close)
+		closeTwice(t, d.Close)
+	})
+}
 
-	dir := map[ident.NodeID]*net.UDPAddr{1: hosted.Addr(), 2: alone.Addr()}
-	hosted.SetDirectory(dir)
-	alone.SetDirectory(dir)
-	hosted.AddNeighbor(2, alone.Addr())
-	alone.AddNeighbor(1, hosted.Addr())
+// TestDispatcherPairInterop wires nodes on two dispatchers, one on
+// each I/O path where the platform has batch I/O, as neighbors:
+// datagrams cross between the two dispatchers' sockets, and the
+// envelope is the whole contract between them.
+func TestDispatcherPairInterop(t *testing.T) {
+	var nodes [2]*Node
+	for i, portable := range []bool{false, true} {
+		d, err := NewDispatcher(DispatcherConfig{Sockets: 1, disableBatchIO: portable})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer d.Close()
+		if nodes[i], err = d.AddNode(Config{ID: ident.NodeID(i + 1)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	a, b := nodes[0], nodes[1]
 
-	alone.Subscribe(5)
+	dir := map[ident.NodeID]*net.UDPAddr{1: a.Addr(), 2: b.Addr()}
+	a.SetDirectory(dir)
+	b.SetDirectory(dir)
+	a.AddNeighbor(2, b.Addr())
+	b.AddNeighbor(1, a.Addr())
+
+	b.Subscribe(5)
 	waitFor(t, 2*time.Second, func() bool {
-		return hosted.KnownPatternCount() == 1
-	}, "subscription crossed transports")
-	hosted.Publish(matching.Content{5})
+		return a.routesToward(5, 2)
+	}, "subscription crossed dispatchers")
+	a.Publish(matching.Content{5})
 	waitFor(t, 2*time.Second, func() bool {
-		return alone.Stats().Delivered == 1
-	}, "delivery from hosted to standalone")
-	alone.Publish(matching.Content{5})
+		return b.Stats().Delivered == 1
+	}, "delivery across dispatchers")
+	b.Publish(matching.Content{5})
 	time.Sleep(50 * time.Millisecond)
-	if got := hosted.Stats().Delivered; got != 0 {
-		t.Fatalf("hosted non-subscriber delivered %d events", got)
+	if got := a.Stats().Delivered; got != 0 {
+		t.Fatalf("non-subscriber delivered %d events", got)
 	}
 }

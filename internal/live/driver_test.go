@@ -33,7 +33,6 @@ func (r *recorder) sendHeartbeat(_, to ident.NodeID, _ netip.AddrPort) {
 }
 
 func (r *recorder) localAddr() *net.UDPAddr { return fakeAddr(0) }
-func (r *recorder) close() error            { return nil }
 
 // take returns and forgets everything recorded so far.
 func (r *recorder) take() []out {
@@ -60,7 +59,8 @@ func testNode(t testing.TB, cfg Config, peers ...ident.NodeID) (*Node, *recorder
 		t.Fatal(err)
 	}
 	rec := &recorder{}
-	n, err := newNodeState(cfg, gcfg, rec, nil)
+	// A socketless dispatcher: Close only deregisters the node from it.
+	n, err := newNodeState(cfg, gcfg, rec, &Dispatcher{})
 	if err != nil {
 		t.Fatal(err)
 	}

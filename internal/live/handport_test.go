@@ -618,7 +618,7 @@ func (n *handPort) AddNeighbor(id ident.NodeID, addr *net.UDPAddr) {
 	}
 	n.mu.Unlock()
 	n.peerMu.Lock()
-	n.peers[id] = &peerState{lastSeen: time.Now()} // grace period before the detector may suspect
+	n.peers[id] = &peerState{lastSeen: time.Since(n.start)} // grace period before the detector may suspect
 	n.peerMu.Unlock()
 	for _, p := range subs {
 		n.sendTree(id, &wire.Subscribe{Pattern: p})

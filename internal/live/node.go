@@ -27,11 +27,10 @@
 // code over the same wire format — and it gives downstream users a
 // deployable starting point rather than only a simulation.
 //
-// Nodes come in two deployments. NewNode binds one socket per node and
-// reads it from a dedicated goroutine — simple, and fine up to a few
-// hundred dispatchers per process. NewDispatcher hosts thousands of
+// Every node runs on a Dispatcher (dispatcher.go), which hosts many
 // nodes on a small fixed set of sockets with batched I/O and coalesced
-// sends; see dispatcher.go.
+// sends. NewNode is the one-node case: a private dispatcher with one
+// socket, closed with the node.
 package live
 
 import (
@@ -58,8 +57,9 @@ import (
 type Config struct {
 	// ID identifies this dispatcher; must be unique in the network.
 	ID ident.NodeID
-	// Bind is the UDP address to listen on; empty means 127.0.0.1:0.
-	// Ignored for dispatcher-hosted nodes, which share shard sockets.
+	// Bind is the UDP address NewNode's socket listens on; empty means
+	// 127.0.0.1:0. Dispatcher.AddNode ignores it: its nodes share the
+	// dispatcher's sockets.
 	Bind string
 	// Algorithm selects the recovery variant; zero means NoRecovery,
 	// which installs no engine. Hybrid runs the adaptive controller
@@ -127,9 +127,6 @@ type Config struct {
 // through core.Config.Normalize; the returned core.Config is the
 // engine's configuration.
 func (c Config) normalize() (Config, core.Config, error) {
-	if c.Bind == "" {
-		c.Bind = "127.0.0.1:0"
-	}
 	if c.Algorithm == 0 {
 		c.Algorithm = core.NoRecovery
 	}
@@ -246,16 +243,18 @@ func (c *counters) snapshot() Stats {
 // never contend with the protocol state under mu. Lock order: mu may be
 // held when taking peerMu, never the reverse.
 type peerState struct {
-	lastSeen  time.Time
+	lastSeen  time.Duration // n.now() of the neighbor's last datagram
 	suspected bool
 }
 
 // Node is one live dispatcher.
 type Node struct {
-	cfg   Config
-	tr    transport
-	disp  *Dispatcher // non-nil when hosted; owns the sockets
-	start time.Time
+	cfg  Config
+	tr   transport
+	disp *Dispatcher // owns the sockets
+	// ownsDisp marks NewNode's private dispatcher, which Close closes.
+	ownsDisp bool
+	start    time.Time
 
 	// mu guards everything below it up to peerMu: the protocol core,
 	// its kernel, and the driver state the core's sends feed.
@@ -309,35 +308,34 @@ type delivery struct {
 	recovered bool
 }
 
-// NewNode binds a UDP socket and starts the node's receive loop and
-// timer goroutine. Close releases everything.
+// NewNode starts one node on a private dispatcher with a single socket
+// bound to cfg.Bind. Close releases the node, the socket and the
+// dispatcher's goroutines.
 func NewNode(cfg Config) (*Node, error) {
-	cfg, gcfg, err := cfg.normalize()
+	// One node's traffic needs neither deep batches nor a deep ring. The
+	// receive slab is Batch × 64 KB, so one slot keeps a few hundred
+	// nodes per process as cheap as one socket each; 64 ring entries
+	// cover a node's bursts, and a full ring blocks senders rather than
+	// dropping.
+	const (
+		nodeBatch = 1
+		nodeRing  = 64
+	)
+	d, err := NewDispatcher(DispatcherConfig{Bind: cfg.Bind, Sockets: 1, Batch: nodeBatch, Ring: nodeRing})
 	if err != nil {
 		return nil, err
 	}
-	addr, err := net.ResolveUDPAddr("udp", cfg.Bind)
+	n, err := d.AddNode(cfg)
 	if err != nil {
-		return nil, fmt.Errorf("live: resolving %q: %w", cfg.Bind, err)
-	}
-	conn, err := net.ListenUDP("udp", addr)
-	if err != nil {
-		return nil, fmt.Errorf("live: listening on %q: %w", cfg.Bind, err)
-	}
-	n, err := newNodeState(cfg, gcfg, &sockTransport{conn: conn}, nil)
-	if err != nil {
-		conn.Close()
+		d.Close()
 		return nil, err
 	}
-	n.wg.Add(1)
-	go n.readLoop(conn)
-	n.startLoops()
+	n.ownsDisp = true
 	return n, nil
 }
 
-// newNodeState builds the protocol core and driver state shared by
-// standalone and hosted nodes. cfg and gcfg come from normalize. No
-// timer runs until startLoops.
+// newNodeState builds a node's protocol core and driver state. cfg and
+// gcfg come from normalize. No timer runs until startLoops.
 func newNodeState(cfg Config, gcfg core.Config, tr transport, disp *Dispatcher) (*Node, error) {
 	start := cfg.Epoch
 	if start.IsZero() {
@@ -379,8 +377,7 @@ func newNodeState(cfg Config, gcfg core.Config, tr transport, disp *Dispatcher) 
 
 // startLoops starts gossip rounds and the failure detector on the
 // kernel, and the timer goroutine that drives the kernel in real time.
-// The receive path is the caller's: standalone nodes run readLoop,
-// hosted nodes are fed by their dispatcher's shard readers.
+// Datagrams arrive from the dispatcher's shard readers.
 func (n *Node) startLoops() {
 	n.lock()
 	if n.eng != nil {
@@ -398,8 +395,8 @@ func (n *Node) startLoops() {
 // ID returns the dispatcher identifier.
 func (n *Node) ID() ident.NodeID { return n.cfg.ID }
 
-// Addr returns the UDP address peers use to reach this node — its own
-// socket for a standalone node, the shard socket for a hosted one.
+// Addr returns the UDP address peers use to reach this node: its
+// dispatcher shard's socket.
 func (n *Node) Addr() *net.UDPAddr { return n.tr.localAddr() }
 
 // Stats returns a snapshot of the counters.
@@ -413,17 +410,20 @@ func (n *Node) Stats() Stats {
 	return st
 }
 
-// Close shuts the node down: goroutines are joined and, for a
-// standalone node, the socket is closed. A hosted node deregisters
-// from its dispatcher; the shard sockets stay up.
+// Close shuts the node down: its goroutines are joined and it leaves
+// its dispatcher. A node from NewNode then closes its private
+// dispatcher and socket; a node from AddNode leaves the shard sockets
+// up for the others.
 func (n *Node) Close() error {
 	var err error
 	n.closeOnce.Do(func() {
 		close(n.done)
-		err = n.tr.close()
 		n.wg.Wait()
-		if n.disp != nil {
-			n.disp.removeNode(n.cfg.ID)
+		// Deregister first: Dispatcher.Close closes the nodes it still
+		// hosts, and this one is already inside closeOnce.
+		n.disp.removeNode(n.cfg.ID)
+		if n.ownsDisp {
+			err = n.disp.Close()
 		}
 	})
 	return err
@@ -466,7 +466,7 @@ func (n *Node) AddNeighbor(id ident.NodeID, addr *net.UDPAddr) {
 	}
 	n.unlock()
 	n.peerMu.Lock()
-	n.peers[id] = &peerState{lastSeen: time.Now()} // grace period before the detector may suspect
+	n.peers[id] = &peerState{lastSeen: n.now()} // grace period before the detector may suspect
 	n.peerMu.Unlock()
 }
 
@@ -572,35 +572,10 @@ func closing(err error) bool {
 	return errors.Is(err, net.ErrClosed)
 }
 
-// readLoop receives datagrams until Close (standalone nodes only; a
-// hosted node is fed by its dispatcher's shard readers). The 64 KB
-// receive buffer is pooled across node lifetimes.
-func (n *Node) readLoop(conn *net.UDPConn) {
-	defer n.wg.Done()
-	bp := recvBufPool.Get().(*[]byte)
-	defer recvBufPool.Put(bp)
-	buf := *bp
-	for {
-		nb, _, err := conn.ReadFromUDPAddrPort(buf)
-		if err != nil {
-			if closing(err) {
-				return
-			}
-			select {
-			case <-n.done:
-				return
-			default:
-				continue
-			}
-		}
-		n.handleDatagram(buf[:nb])
-	}
-}
-
 // handleDatagram parses and dispatches one raw datagram. It must never
 // panic on adversarial input: anything that does not parse or fails the
 // ingress guard is counted as malformed and dropped, like real UDP
-// software. Split out from readLoop so tests can fuzz it without a
+// software. The dispatcher's route calls it; tests fuzz it without a
 // socket.
 func (n *Node) handleDatagram(buf []byte) {
 	if len(buf) < envelopeLen {
@@ -662,7 +637,7 @@ func (n *Node) observePeer(from ident.NodeID) {
 	}
 	n.peerMu.Lock()
 	if ps, ok := n.peers[from]; ok {
-		ps.lastSeen = time.Now()
+		ps.lastSeen = n.now()
 		if ps.suspected {
 			ps.suspected = false
 			n.stats.neighborsRevived.Add(1)
@@ -687,10 +662,10 @@ func (n *Node) isSuspect(id ident.NodeID) bool {
 // heartbeatLocked is the failure detector's kernel tick: heartbeat
 // every tree neighbor and suspect the silent ones.
 func (n *Node) heartbeatLocked() {
-	now := time.Now()
+	now := n.now()
 	n.peerMu.Lock()
 	for id := range n.neighbors {
-		if ps, ok := n.peers[id]; ok && !ps.suspected && now.Sub(ps.lastSeen) > n.cfg.HeartbeatTimeout {
+		if ps, ok := n.peers[id]; ok && !ps.suspected && now-ps.lastSeen > n.cfg.HeartbeatTimeout {
 			ps.suspected = true
 			n.stats.neighborsSuspected.Add(1)
 		}

@@ -15,8 +15,8 @@ import (
 // per packet. On Linux it is backed by recvmmsg/sendmmsg (batch_linux);
 // everywhere else by a portable stdlib fallback that degrades to one
 // datagram per call. transport is the node layer: how one live.Node
-// emits messages — a standalone node owns a socket, a hosted node
-// borrows its dispatcher's shard ring.
+// emits messages. Its one socket implementation is hostedTransport
+// (dispatcher.go), which enqueues on the node's dispatcher shard ring.
 
 // dgram is one datagram of a batch I/O operation. Reads fill b
 // (re-sliced to the payload length); writes consume b and send to `to`.
@@ -66,10 +66,10 @@ func (c *stdConn) writeBatch(ds []dgram) (int, error) {
 func (c *stdConn) localAddr() *net.UDPAddr { return c.conn.LocalAddr().(*net.UDPAddr) }
 func (c *stdConn) close() error            { return c.conn.Close() }
 
-// transport is how a node transmits: the standalone implementation
-// encodes and writes synchronously on its own socket; the hosted
-// implementation enqueues on the dispatcher shard's ring, where the
-// writer coalesces messages into batched datagrams.
+// transport is how a node transmits. On sockets that is
+// hostedTransport: sends enqueue on the dispatcher shard's ring, where
+// the writer coalesces messages into batched datagrams. Tests record a
+// node's sends through their own implementation.
 type transport interface {
 	// sendMsg envelopes msg from one node to another and transmits it
 	// (possibly coalesced and deferred, per implementation).
@@ -78,19 +78,6 @@ type transport interface {
 	sendHeartbeat(from, to ident.NodeID, addr netip.AddrPort)
 	// localAddr is the address peers use to reach this node.
 	localAddr() *net.UDPAddr
-	// close releases transport resources the node owns (the socket for
-	// a standalone node; nothing for a hosted one).
-	close() error
-}
-
-// recvBufPool recycles the 64 KB receive buffers shared by standalone
-// read loops and dispatcher shards, so opening and closing nodes in
-// bulk does not churn the allocator.
-var recvBufPool = sync.Pool{
-	New: func() any {
-		b := make([]byte, 64<<10)
-		return &b
-	},
 }
 
 // sendBufPool recycles datagram encode buffers (envelope + payload,
@@ -108,39 +95,3 @@ func putSendBuf(bp *[]byte) {
 		sendBufPool.Put(bp)
 	}
 }
-
-// sockTransport is the standalone transport: the node's own socket,
-// one synchronous write per message, exactly the pre-dispatcher
-// behavior. WriteToUDPAddrPort copies the payload into the kernel
-// before returning, so the pooled buffer is immediately reusable.
-type sockTransport struct {
-	conn *net.UDPConn
-}
-
-func (t *sockTransport) sendMsg(from, to ident.NodeID, addr netip.AddrPort, msg wire.Message, oob bool) {
-	var flags byte
-	if oob {
-		flags = flagOOB
-	}
-	bp := sendBufPool.Get().(*[]byte)
-	b := appendEnvelope((*bp)[:0], from, to, flags)
-	b = msg.Append(b)
-	if _, err := t.conn.WriteToUDPAddrPort(b, addr); err != nil && !closing(err) {
-		// Best-effort, like UDP itself: the protocols tolerate loss by
-		// design, and errors to live addresses are not actionable here.
-		_ = err
-	}
-	*bp = b
-	putSendBuf(bp)
-}
-
-func (t *sockTransport) sendHeartbeat(from, to ident.NodeID, addr netip.AddrPort) {
-	var b [envelopeLen]byte
-	putEnvelope(b[:], from, to, flagHeartbeat)
-	if _, err := t.conn.WriteToUDPAddrPort(b[:], addr); err != nil && !closing(err) {
-		_ = err
-	}
-}
-
-func (t *sockTransport) localAddr() *net.UDPAddr { return t.conn.LocalAddr().(*net.UDPAddr) }
-func (t *sockTransport) close() error            { return t.conn.Close() }

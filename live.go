@@ -13,21 +13,23 @@ import (
 // LiveConfig parameterizes one live dispatcher (see live.Config).
 type LiveConfig = live.Config
 
-// LiveNode is a dispatcher bound to a real UDP socket.
+// LiveNode is a dispatcher reachable at a real UDP address.
 type LiveNode = live.Node
 
 // LiveStats is a snapshot of a live node's counters.
 type LiveStats = live.Stats
 
 // LiveCluster is a loopback network of live dispatchers arranged in a
-// random degree-bounded tree.
+// random degree-bounded tree, all sharing one set of sockets.
 type LiveCluster = live.Cluster
 
-// NewLiveNode starts one live dispatcher.
+// NewLiveNode starts one live dispatcher on its own UDP socket, bound
+// to cfg.Bind.
 func NewLiveNode(cfg LiveConfig) (*LiveNode, error) { return live.NewNode(cfg) }
 
 // NewLiveCluster starts n live dispatchers on the loopback interface,
-// connected in a random tree with the given degree bound.
+// connected in a random tree with the given degree bound and hosted on
+// one socket dispatcher with its default configuration.
 func NewLiveCluster(n, maxDegree int, seed int64, mkcfg func(i int) LiveConfig) (*LiveCluster, error) {
-	return live.NewCluster(n, maxDegree, seed, mkcfg)
+	return live.NewDispatcherCluster(n, maxDegree, seed, live.DispatcherConfig{}, mkcfg)
 }
