@@ -122,8 +122,9 @@ func BenchmarkExtensionPureGossip(b *testing.B) { benchFigure(b, "x-puregossip")
 // percentiles (EXTENSION, quantifying paper Sec. IV-C).
 func BenchmarkExtensionLatency(b *testing.B) { benchFigure(b, "x-latency") }
 
-// BenchmarkExtensionAdaptive regenerates the adaptive-interval
-// ablation (EXTENSION, paper Sec. IV-E via [14]).
+// BenchmarkExtensionAdaptive regenerates the closed-loop controller
+// matrix: adaptive and hybrid gossip vs the static algorithms across
+// fault regimes (EXTENSION, paper Sec. IV-E via [14]).
 func BenchmarkExtensionAdaptive(b *testing.B) { benchFigure(b, "x-adaptive") }
 
 // BenchmarkSingleRunCombinedPull measures the raw cost of one small

@@ -131,11 +131,8 @@ func Algorithms() []Algorithm { return core.Algorithms() }
 func ParseAlgorithm(s string) (Algorithm, error) { return core.ParseAlgorithm(s) }
 
 // GossipConfig carries the gossip parameters (T, β, Pforward, Psource,
-// buffer policy, Lost-buffer bounds, optional adaptive interval).
+// buffer policy, Lost-buffer bounds, optional closed-loop controller).
 type GossipConfig = core.Config
-
-// AdaptiveConfig tunes the adaptive gossip-interval extension.
-type AdaptiveConfig = core.AdaptiveConfig
 
 // AdaptConfig bounds and tunes the closed-loop adaptive controller
 // (internal/adapt): per-node loss/churn/latency estimators drive

@@ -102,14 +102,13 @@ func TestPublicAPIDefaultsMatchPaperFig2(t *testing.T) {
 func TestPublicAPIAdaptiveGossip(t *testing.T) {
 	p := smallParams()
 	p.Algorithm = SubscriberPull
-	p.Gossip.Adaptive = &AdaptiveConfig{
-		Min:          10 * time.Millisecond,
-		Max:          200 * time.Millisecond,
-		ShrinkFactor: 0.7,
-		GrowFactor:   1.3,
-	}
-	if _, err := Run(p); err != nil {
+	p.Adapt = &AdaptConfig{}
+	res, err := Run(p)
+	if err != nil {
 		t.Fatal(err)
+	}
+	if res.Adapt.Rounds == 0 {
+		t.Fatal("Params.Adapt set but no controller round was observed")
 	}
 }
 

@@ -47,15 +47,15 @@ type Case struct {
 	ChurnRate   float64  // crashes/second; 0 = no fault plan
 	Overlay     topology.Kind
 	Repair      scenario.RepairMode
-	// Adaptive arms the closed-loop controller (internal/adapt) on
+	// Adapt arms the closed-loop controller (internal/adapt) on
 	// every algorithm and adds the Hybrid mode to the run, with the
 	// adaptation monitor judging knob bounds and dwell.
-	Adaptive bool
+	Adapt bool
 }
 
 func (c Case) String() string {
 	return fmt.Sprintf("seed=%d n=%d ε=%.2f εoob=%.2f rate=%.0f dur=%v reconfig=%v churn=%.1f overlay=%v repair=%v adaptive=%v",
-		c.Seed, c.N, c.LossRate, c.OOBLossRate, c.PublishRate, c.Duration, c.Reconfig, c.ChurnRate, c.Overlay, c.Repair, c.Adaptive)
+		c.Seed, c.N, c.LossRate, c.OOBLossRate, c.PublishRate, c.Duration, c.Reconfig, c.ChurnRate, c.Overlay, c.Repair, c.Adapt)
 }
 
 // Generate draws one case. The ranges are chosen to stress the
@@ -89,7 +89,7 @@ func Generate(rng *rand.Rand) Case {
 	if c.Overlay != topology.KindTree {
 		c.Reconfig = 0
 	}
-	c.Adaptive = rng.Intn(3) == 1
+	c.Adapt = rng.Intn(3) == 1
 	return c
 }
 
@@ -113,7 +113,7 @@ func (c Case) Params(alg core.Algorithm) scenario.Params {
 	if c.ChurnRate > 0 {
 		p.FaultPlan = faults.ChurnPlan(c.Seed, c.N, c.ChurnRate, c.Duration, 200*time.Millisecond)
 	}
-	if c.Adaptive && alg != core.NoRecovery {
+	if c.Adapt && alg != core.NoRecovery {
 		p.Adapt = &adapt.Config{}
 	}
 	p.Check = check.All()
@@ -125,7 +125,7 @@ func (c Case) Params(alg core.Algorithm) scenario.Params {
 // meaningless without it).
 func (c Case) Algorithms() []core.Algorithm {
 	algs := core.Algorithms()
-	if c.Adaptive {
+	if c.Adapt {
 		algs = append(algs, core.Hybrid)
 	}
 	return algs
@@ -157,7 +157,7 @@ func Shrink(c Case, origErr error) (Case, error) {
 		return err, err != nil
 	}
 	smaller := []func(Case) Case{
-		func(c Case) Case { c.Adaptive = false; return c },
+		func(c Case) Case { c.Adapt = false; return c },
 		func(c Case) Case { c.Repair = scenario.RepairOracle; return c },
 		func(c Case) Case { c.Overlay = topology.KindTree; return c },
 		func(c Case) Case { c.ChurnRate = 0; return c },

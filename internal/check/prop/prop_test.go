@@ -69,7 +69,7 @@ func TestAdaptiveCalmMetamorphicProperty(t *testing.T) {
 	for i := 0; i < cases; i++ {
 		c := Generate(rng)
 		c.LossRate, c.OOBLossRate, c.ChurnRate, c.Reconfig = 0, 0, 0, 0
-		c.Adaptive = true
+		c.Adapt = true
 		t.Logf("case %d: %s", i, c)
 		for _, alg := range []core.Algorithm{core.CombinedPull, core.Hybrid} {
 			p := c.Params(alg)

@@ -209,17 +209,6 @@ func TestConfigHybridDefaultsAdapt(t *testing.T) {
 	}
 }
 
-// TestConfigRejectsAdaptWithLegacyAdaptive: the two adaptation
-// extensions are mutually exclusive.
-func TestConfigRejectsAdaptWithLegacyAdaptive(t *testing.T) {
-	cfg := DefaultConfig(CombinedPull)
-	cfg.Adapt = &adapt.Config{}
-	cfg.Adaptive = &AdaptiveConfig{Min: 10 * time.Millisecond, Max: 120 * time.Millisecond, ShrinkFactor: 0.7, GrowFactor: 1.3}
-	if _, err := cfg.Normalize(); err == nil {
-		t.Fatal("Adapt + legacy Adaptive accepted")
-	}
-}
-
 // TestConfigRejectsInvalidAdapt: validation runs on the normalized
 // controller config.
 func TestConfigRejectsInvalidAdapt(t *testing.T) {

@@ -125,28 +125,12 @@ type Config struct {
 	// PendingTTL suppresses duplicate push requests for the same event
 	// within this window.
 	PendingTTL sim.Time
-	// Adaptive, when non-nil, enables the legacy adaptive
-	// gossip-interval extension (paper Sec. IV-E suggests it via
-	// ref. [14]): a busy/idle heuristic on the interval alone.
-	// Mutually exclusive with Adapt.
-	Adaptive *AdaptiveConfig
-	// Adapt, when non-nil, enables the full closed-loop controller
-	// (internal/adapt): an online loss/churn/latency estimator adapts
-	// PForward, PSource, fanout, and the round period within bounds.
-	// Required (and defaulted) for Algorithm == Hybrid. Mutually
-	// exclusive with Adaptive.
+	// Adapt, when non-nil, enables the closed-loop controller
+	// (internal/adapt; paper Sec. IV-E suggests adapting T via ref.
+	// [14]): an online loss/churn/latency estimator adapts PForward,
+	// PSource, fanout, and the round period within bounds.
+	// Required (and defaulted) for Algorithm == Hybrid.
 	Adapt *adapt.Config
-}
-
-// AdaptiveConfig tunes the adaptive gossip-interval extension: the
-// interval shrinks toward Min while recovery work is observed and
-// relaxes toward Max while the system is loss-free.
-type AdaptiveConfig struct {
-	// Min and Max bound the interval.
-	Min, Max sim.Time
-	// ShrinkFactor (<1) multiplies the interval on busy rounds;
-	// GrowFactor (>1) on idle rounds.
-	ShrinkFactor, GrowFactor float64
 }
 
 // DefaultConfig returns the paper's default gossip parameters (Fig. 2)
@@ -201,18 +185,10 @@ func (c Config) Normalize() (Config, error) {
 	if c.PForward < 0 || c.PForward > 1 || c.PSource < 0 || c.PSource > 1 {
 		return c, fmt.Errorf("core: probabilities out of range (PForward=%v, PSource=%v)", c.PForward, c.PSource)
 	}
-	if ad := c.Adaptive; ad != nil {
-		if ad.Min <= 0 || ad.Max < ad.Min || ad.ShrinkFactor <= 0 || ad.ShrinkFactor >= 1 || ad.GrowFactor <= 1 {
-			return c, fmt.Errorf("core: invalid adaptive config %+v", *ad)
-		}
-	}
 	if c.Algorithm == Hybrid && c.Adapt == nil {
 		c.Adapt = &adapt.Config{}
 	}
 	if c.Adapt != nil {
-		if c.Adaptive != nil {
-			return c, fmt.Errorf("core: Adapt and the legacy Adaptive extension are mutually exclusive")
-		}
 		if err := c.Adapt.Normalized(c.GossipInterval).Validate(); err != nil {
 			return c, err
 		}

@@ -64,10 +64,6 @@ type Engine struct {
 	needPatIdx bool
 	needTagIdx bool
 
-	// requestsSinceRound feeds the legacy adaptive-interval extension
-	// under push, where the Lost buffer is unused.
-	requestsSinceRound int
-
 	// knobs is the coherent per-round snapshot of the live gossip
 	// knobs. Every probabilistic decision of a round (and of the
 	// handlers that run between rounds) reads this one value; it is
@@ -278,7 +274,7 @@ func (e *Engine) BufferLen() int { return e.buf.Len() }
 func (e *Engine) LostLen() int { return e.lost.Len() }
 
 // GossipInterval returns the current interval (it changes over time
-// under the adaptive extension).
+// when the closed-loop controller is armed).
 func (e *Engine) GossipInterval() sim.Time {
 	if e.ticker != nil {
 		return e.ticker.Period()
@@ -408,8 +404,6 @@ func (e *Engine) round() {
 	}
 	if e.ctrl != nil {
 		e.observe()
-	} else {
-		e.adapt(sent)
 	}
 	e.sweepPending()
 }
@@ -477,33 +471,6 @@ func (e *Engine) observe() {
 	if e.obs != nil {
 		e.obs(snap)
 	}
-}
-
-// adapt implements the adaptive gossip-interval extension: shrink the
-// interval while recovery work exists, relax it while idle.
-func (e *Engine) adapt(sent bool) {
-	ad := e.cfg.Adaptive
-	if ad == nil || e.ticker == nil {
-		return
-	}
-	busy := sent
-	if e.cfg.Algorithm == Push {
-		busy = e.requestsSinceRound > 0
-	}
-	e.requestsSinceRound = 0
-	period := e.ticker.Period()
-	if busy {
-		period = sim.Time(float64(period) * ad.ShrinkFactor)
-		if period < ad.Min {
-			period = ad.Min
-		}
-	} else {
-		period = sim.Time(float64(period) * ad.GrowFactor)
-		if period > ad.Max {
-			period = ad.Max
-		}
-	}
-	e.ticker.SetPeriod(period)
 }
 
 // gossipPush starts a push round: pick a random pattern from the whole
@@ -832,7 +799,6 @@ func containsEvent(events []*wire.Event, id ident.EventID) bool {
 
 // onRequest serves a push request from the local buffer.
 func (e *Engine) onRequest(m *wire.Request) {
-	e.requestsSinceRound++
 	events := e.evScratch[:0]
 	for _, id := range m.IDs {
 		if ev := e.buf.Get(id); ev != nil && (e.admit == nil || e.admit(m.Requester, ev)) {

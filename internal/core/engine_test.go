@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/adapt"
 	"repro/internal/ident"
 	"repro/internal/matching"
 	"repro/internal/network"
@@ -403,11 +404,9 @@ func TestAdaptiveIntervalGrowsWhenIdle(t *testing.T) {
 	topo := topology.NewLine(2)
 	subs := [][]ident.PatternID{{5}, {5}}
 	cfg := deterministicCfg(SubscriberPull)
-	cfg.Adaptive = &AdaptiveConfig{
-		Min:          10 * time.Millisecond,
-		Max:          500 * time.Millisecond,
-		ShrinkFactor: 0.5,
-		GrowFactor:   1.5,
+	cfg.Adapt = &adapt.Config{
+		IntervalMin: 10 * time.Millisecond,
+		IntervalMax: 500 * time.Millisecond,
 	}
 	r := newRig(t, topo, subs, cfg)
 	r.run(5 * time.Second)
@@ -423,11 +422,9 @@ func TestAdaptiveIntervalShrinksUnderLoss(t *testing.T) {
 	subs := [][]ident.PatternID{nil, {5}, {5}}
 	cfg := deterministicCfg(SubscriberPull)
 	cfg.LostTTL = time.Hour
-	cfg.Adaptive = &AdaptiveConfig{
-		Min:          5 * time.Millisecond,
-		Max:          100 * time.Millisecond,
-		ShrinkFactor: 0.5,
-		GrowFactor:   1.5,
+	cfg.Adapt = &adapt.Config{
+		IntervalMin: 5 * time.Millisecond,
+		IntervalMax: 100 * time.Millisecond,
 	}
 	r := newRig(t, topo, subs, cfg)
 	// Lose an event that can never be recovered (nobody caches it:
@@ -469,7 +466,6 @@ func TestConfigNormalize(t *testing.T) {
 		{Algorithm: Algorithm(99)},
 		{Algorithm: Push, PForward: 1.5},
 		{Algorithm: Push, BufferSize: -1},
-		{Algorithm: Push, Adaptive: &AdaptiveConfig{Min: 0}},
 	}
 	for _, c := range bad {
 		if _, err := c.Normalize(); err == nil {

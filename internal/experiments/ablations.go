@@ -12,11 +12,11 @@ import (
 )
 
 // This file contains experiments beyond the paper: sensitivity sweeps
-// for the constants the paper leaves unspecified, and ablations for
-// the extensions DESIGN.md lists (buffer replacement policies after
-// the paper's [13] discussion; the adaptive gossip interval suggested
-// in Sec. IV-E via [14]). They are registered in the generators map in
-// experiments.go under "x-" identifiers.
+// for the constants the paper leaves unspecified (PForward, PSource),
+// the buffer replacement policies after the paper's [13] discussion,
+// the pure-gossip comparison, seed variance and recovery latency. They
+// are registered in the generators map in experiments.go under "x-"
+// identifiers.
 
 // xPForward sweeps the forwarding probability: the paper names the
 // parameter but never gives its value; this sweep documents why 0.9 is

@@ -45,7 +45,7 @@ func (t *Ticker) tick() {
 
 // SetPeriod changes the interval between subsequent firings. The
 // currently pending firing keeps its scheduled time. Used by the
-// adaptive gossip-interval extension.
+// closed-loop adaptive controller (internal/adapt).
 func (t *Ticker) SetPeriod(period Time) {
 	if period <= 0 {
 		panic("sim: ticker period must be positive")
