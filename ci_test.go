@@ -9,16 +9,18 @@ import (
 	"testing"
 )
 
-// TestCIRunPatternsMatchTests guards the workflow against stale -run
-// and -bench patterns. `go test -run X` exits 0 with "no tests to run"
-// when X matches nothing, and `go test -bench X` exits 0 having run no
-// benchmark, so a CI step naming a deleted or renamed function keeps
+// TestCIRunPatternsMatchTests guards the workflow against stale -run,
+// -bench and -fuzz patterns. `go test -run X` exits 0 with "no tests to
+// run" when X matches nothing, `go test -bench X` exits 0 having run no
+// benchmark, and `go test -run '^$' -fuzz X` exits 0 having fuzzed
+// nothing, so a CI step naming a deleted or renamed function keeps
 // passing while testing nothing. For every `go test … <pkgs>` line in
 // .github/workflows/ci.yml, each top-level |-alternative of the first
 // slash-separated level of its -run pattern must match at least one
 // Test/Benchmark/Fuzz/Example function declared in the _test.go files of
-// the listed packages, and each alternative of its -bench pattern at
-// least one Benchmark function there. "^$" and "." select deliberately
+// the listed packages, each alternative of its -bench pattern at least
+// one Benchmark function there, and each alternative of its -fuzz
+// pattern at least one Fuzz function. "^$" and "." select deliberately
 // and are not checked.
 func TestCIRunPatternsMatchTests(t *testing.T) {
 	const workflow = ".github/workflows/ci.yml"
@@ -33,11 +35,12 @@ func TestCIRunPatternsMatchTests(t *testing.T) {
 		if at < 0 {
 			continue
 		}
-		run, bench, pkgs := ciTestPatterns(args[at+2:])
+		run, bench, fuzz, pkgs := ciTestPatterns(args[at+2:])
 		var names map[string]bool
 		for _, sel := range []struct{ flag, pattern, prefix, what string }{
 			{"-run", run, "", "test"},
 			{"-bench", bench, "Benchmark", "benchmark"},
+			{"-fuzz", fuzz, "Fuzz", "fuzz"},
 		} {
 			if sel.pattern == "" || sel.pattern == "^$" || sel.pattern == "." {
 				continue
@@ -62,7 +65,7 @@ func TestCIRunPatternsMatchTests(t *testing.T) {
 		}
 	}
 	if checked == 0 {
-		t.Fatalf("no -run or -bench patterns found in %s; the parser is out of date", workflow)
+		t.Fatalf("no -run, -bench or -fuzz patterns found in %s; the parser is out of date", workflow)
 	}
 }
 
@@ -111,10 +114,10 @@ func indexPair(args []string, a, b string) int {
 	return -1
 }
 
-// ciTestPatterns extracts the -run and -bench values and the package
-// arguments (the ones that are paths: ".", "./…") from the arguments
-// after `go test`.
-func ciTestPatterns(args []string) (run, bench string, pkgs []string) {
+// ciTestPatterns extracts the -run, -bench and -fuzz values and the
+// package arguments (the ones that are paths: ".", "./…") from the
+// arguments after `go test`.
+func ciTestPatterns(args []string) (run, bench, fuzz string, pkgs []string) {
 	for i := 0; i < len(args); i++ {
 		a := args[i]
 		switch {
@@ -128,11 +131,16 @@ func ciTestPatterns(args []string) (run, bench string, pkgs []string) {
 			i++
 		case strings.HasPrefix(a, "-bench="):
 			bench = strings.TrimPrefix(a, "-bench=")
+		case a == "-fuzz" && i+1 < len(args):
+			fuzz = args[i+1]
+			i++
+		case strings.HasPrefix(a, "-fuzz="):
+			fuzz = strings.TrimPrefix(a, "-fuzz=")
 		case a == "." || strings.HasPrefix(a, "./"):
 			pkgs = append(pkgs, a)
 		}
 	}
-	return run, bench, pkgs
+	return run, bench, fuzz, pkgs
 }
 
 // splitUnbracketed splits s on sep outside (), [] and {} groups, the way

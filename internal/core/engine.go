@@ -354,9 +354,18 @@ func (e *Engine) detect(ev *wire.Event) {
 		high := e.high.get(tag.Pattern, ev.ID.Source)
 		switch {
 		case tag.Seq > high:
-			for q := high + 1; q < tag.Seq; q++ {
+			// The Lost buffer keeps only its newest Cap detections, so
+			// the older part of a wider gap is counted but not added:
+			// a forged sequence number costs no time in proportion to
+			// its jump.
+			gap := tag.Seq - high - 1
+			e.stats.LossesDetected += uint64(gap)
+			q := high + 1
+			if c := uint32(e.lost.Cap()); gap > c {
+				q = tag.Seq - c
+			}
+			for ; q < tag.Seq; q++ {
 				e.lost.Add(wire.LostEntry{Source: ev.ID.Source, Pattern: tag.Pattern, Seq: q}, now)
-				e.stats.LossesDetected++
 			}
 			e.high.set(tag.Pattern, ev.ID.Source, tag.Seq)
 		default:

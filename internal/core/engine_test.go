@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -503,5 +504,40 @@ func TestAlgorithmCapabilities(t *testing.T) {
 	}
 	if Push.NeedsRoutes() || SubscriberPull.NeedsRoutes() {
 		t.Fatal("push/subscriber pull should not need routes")
+	}
+}
+
+// TestLossDetectionWideGap feeds one event whose sequence number jumps
+// past the Lost buffer's capacity: the whole gap is counted, the buffer
+// ends as if every missing number had been added in order, and a
+// forged jump of 2^31 finishes at once instead of looping 2^31 times.
+func TestLossDetectionWideGap(t *testing.T) {
+	const capacity = 4
+	for _, seq := range []uint32{2, capacity, capacity + 1, capacity + 2, 3 * capacity, 1 << 31} {
+		topo := topology.NewLine(3)
+		subs := [][]ident.PatternID{nil, nil, {5}}
+		cfg := deterministicCfg(SubscriberPull)
+		cfg.LostCapacity = capacity
+		r := newRig(t, topo, subs, cfg)
+		r.nodes[2].HandleMessage(1, &wire.Event{
+			ID:      ident.EventID{Source: 0, Seq: 1},
+			Content: content(5),
+			Tags:    []ident.PatternSeq{{Pattern: 5, Seq: seq + 1}},
+		}, false)
+		e := r.engines[2]
+		if got, want := e.Stats().LossesDetected, uint64(seq); got != want {
+			t.Fatalf("jump to %d: LossesDetected = %d, want %d", seq+1, got, want)
+		}
+		// The oracle adds every missing number, or for the forged jump
+		// the last few times the capacity, which FIFO eviction reduces
+		// to the same newest entries.
+		oracle := NewLostBuffer(capacity, cfg.LostTTL)
+		for q := max(1, int64(seq)-4*capacity); q <= int64(seq); q++ {
+			oracle.Add(wire.LostEntry{Source: 0, Pattern: 5, Seq: uint32(q)}, 0)
+		}
+		got, want := e.lost.All(0), oracle.All(0)
+		if !slices.Equal(got, want) {
+			t.Fatalf("jump to %d: Lost buffer holds %v, want %v", seq+1, got, want)
+		}
 	}
 }

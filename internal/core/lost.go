@@ -152,6 +152,9 @@ func NewLostBuffer(capacity int, ttl sim.Time) *LostBuffer {
 // have expired but were not yet swept).
 func (b *LostBuffer) Len() int { return b.n }
 
+// Cap returns the most entries the buffer holds.
+func (b *LostBuffer) Cap() int { return b.capacity }
+
 // Reset empties the buffer and re-targets it at a new capacity and TTL,
 // keeping the detection queue and row storage the previous run grew, so
 // a recycled buffer reaches its steady-state footprint once and stays

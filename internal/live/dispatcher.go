@@ -1,7 +1,6 @@
 package live
 
 import (
-	"encoding/binary"
 	"fmt"
 	"net"
 	"net/netip"
@@ -15,17 +14,19 @@ import (
 // A Dispatcher hosts live nodes on a small fixed set of UDP sockets; it
 // is the package's only socket deployment. It shards its nodes across
 // Sockets sockets, drains each with batched reads (recvmmsg on Linux),
-// routes each datagram to its node by the envelope's destination slot,
-// and coalesces outgoing messages per (sender, destination) into batch
-// envelopes flushed with batched writes (sendmmsg). Hosting a thousand
+// and walks each datagram's records, handing every record to the node
+// its destination slot names. Outgoing messages are coalesced per
+// destination socket: one datagram carries the records of every sender
+// on the shard for every node behind that address, and a cycle's
+// datagrams leave in one batched write (sendmmsg). Hosting a thousand
 // nodes costs a handful of file descriptors and goroutines, and the
-// per-message syscall cost drops by roughly the batch factor. NewNode
-// is the smallest case: one node on a private one-socket dispatcher.
+// per-message syscall cost drops by roughly the records per datagram
+// times the batch factor. NewNode is the smallest case: one node on a
+// private one-socket dispatcher.
 
-// maxDatagram is the coalescing budget: a batch envelope is flushed
-// before it would exceed this size, chosen to clear typical MTUs.
-// Single messages larger than the budget are sent alone, in a plain
-// envelope.
+// maxDatagram is the coalescing budget: a datagram is closed before
+// another record would take it past this size, chosen to clear typical
+// MTUs. A record larger than the budget is sent alone.
 const maxDatagram = 1400
 
 // DispatcherConfig parameterizes a Dispatcher.
@@ -67,12 +68,13 @@ func (c DispatcherConfig) withDefaults() DispatcherConfig {
 	return c
 }
 
-// DispatcherStats reports dispatcher-level counters: datagrams dropped
-// before any node could own them.
+// DispatcherStats reports dispatcher-level counters: datagrams and
+// records dropped before any node could own them.
 type DispatcherStats struct {
-	// Malformed counts datagrams too short to carry an envelope.
+	// Malformed counts datagrams cut short by a truncated record or a
+	// length field running past the end; the walk stops there.
 	Malformed uint64
-	// Misrouted counts datagrams whose destination slot names no hosted
+	// Misrouted counts records whose destination slot names no hosted
 	// node.
 	Misrouted uint64
 }
@@ -227,23 +229,44 @@ func (d *Dispatcher) Close() error {
 	return err
 }
 
-// route hands one received datagram to the node its destination slot
-// names. Runs on the shard reader goroutine; the buffer is only valid
-// for the duration of the call (wire.Decode copies what it keeps).
-func (d *Dispatcher) route(buf []byte) {
-	if len(buf) < envelopeLen {
-		d.malformed.Add(1)
-		return
-	}
-	dest := ident.NodeID(binary.LittleEndian.Uint32(buf[4:]))
+// hop is one record of a received datagram, resolved to its node.
+type hop struct {
+	n *Node
+	r record
+}
+
+// route hands each record of one received datagram to the node its
+// destination slot names, under one read lock for the whole datagram.
+// A record naming no hosted node is counted as misrouted and skipped; a
+// truncated record ends the datagram, counted as malformed, and the
+// records before it are still delivered. Nodes are resolved first and
+// handed their records after the lock is released: delivery runs the
+// protocol, blocks on full rings and calls OnDeliver. Runs on the shard
+// reader goroutine with its scratch hops; buf is only valid for the
+// duration of the call (wire.Decode copies what it keeps).
+func (d *Dispatcher) route(buf []byte, hops []hop) []hop {
+	hops = hops[:0]
 	d.mu.RLock()
-	n := d.nodes[dest]
-	d.mu.RUnlock()
-	if n == nil {
-		d.misrouted.Add(1)
-		return
+	for {
+		r, rest, err := nextRecord(buf)
+		if err != nil {
+			d.malformed.Add(1)
+			break
+		}
+		if n := d.nodes[r.to]; n != nil {
+			hops = append(hops, hop{n: n, r: r})
+		} else {
+			d.misrouted.Add(1)
+		}
+		if buf = rest; len(buf) == 0 {
+			break
+		}
 	}
-	n.handleDatagram(buf)
+	d.mu.RUnlock()
+	for _, h := range hops {
+		h.n.handleRecord(h.r)
+	}
+	return hops
 }
 
 // readLoop drains the shard socket in batches and routes each datagram.
@@ -255,6 +278,7 @@ func (s *shard) readLoop() {
 	batch := s.d.cfg.Batch
 	slab := make([]byte, batch*slot)
 	ds := make([]dgram, batch)
+	var hops []hop
 	for {
 		for i := range ds {
 			ds[i].b = slab[i*slot : (i+1)*slot]
@@ -272,22 +296,24 @@ func (s *shard) readLoop() {
 			}
 		}
 		for i := 0; i < n; i++ {
-			s.d.route(ds[i].b)
+			hops = s.d.route(ds[i].b, hops)
 		}
 	}
 }
 
-// writeLoop drains the shard's ring, coalesces entries into batch
-// envelopes, and flushes them with one batched write. The first receive
-// blocks (no busy-waiting on an idle shard); the rest of the batch is
-// whatever else the ring already holds.
+// writeLoop drains the shard's ring, packs the entries into one
+// datagram per destination socket, and flushes them with one batched
+// write. The first receive blocks (no busy-waiting on an idle shard);
+// the rest of the batch is whatever else the ring already holds.
 func (s *shard) writeLoop() {
 	defer s.d.wg.Done()
 	batch := s.d.cfg.Batch
 	entries := make([]outEntry, 0, batch)
 	ds := make([]dgram, 0, batch)
 	bufs := make([]*[]byte, 0, batch)
-	open := make(map[packKey]int, batch)
+	// open grows to the distinct addresses one cycle reaches, not to
+	// the batch: clear costs the map's capacity, every cycle.
+	open := make(map[netip.AddrPort]int)
 	for {
 		entries = entries[:0]
 		select {
@@ -307,10 +333,9 @@ func (s *shard) writeLoop() {
 		}
 		ds, bufs = s.pack(entries, ds[:0], bufs[:0], open)
 		if len(ds) > 0 {
-			if _, err := s.pc.writeBatch(ds); err != nil && !closing(err) {
-				// Best-effort, like UDP: the protocols tolerate loss.
-				_ = err
-			}
+			// Best-effort, like UDP: the protocols tolerate loss, and
+			// writeBatch already skips a datagram the kernel refuses.
+			_, _ = s.pc.writeBatch(ds)
 		}
 		for i, bp := range bufs {
 			*bp = ds[i].b
@@ -319,57 +344,33 @@ func (s *shard) writeLoop() {
 	}
 }
 
-// packKey groups coalescible entries: frames share a datagram only when
-// sender, destination, and OOB flag all match, because the envelope
-// carries one of each.
-type packKey struct {
-	from, to ident.NodeID
-	oob      bool
-}
-
-// pack encodes entries into datagrams, coalescing messages with the
-// same key into batch envelopes up to the maxDatagram budget.
-// Heartbeats and oversized messages are emitted alone, in plain
-// envelopes. ds and bufs stay index-aligned: one pooled buffer per
-// datagram.
-func (s *shard) pack(entries []outEntry, ds []dgram, bufs []*[]byte, open map[packKey]int) ([]dgram, []*[]byte) {
+// pack encodes entries as records, keeping one open datagram per
+// destination address: records for every node behind that socket share
+// it while it stays within the maxDatagram budget, and a record that
+// would overflow it starts the address's next datagram. A record larger
+// than the budget therefore travels alone, and records from one sender
+// to one node keep their ring order. A message too large to frame is
+// dropped here, like any datagram UDP would refuse. ds and bufs stay
+// index-aligned: one pooled buffer per datagram.
+func (s *shard) pack(entries []outEntry, ds []dgram, bufs []*[]byte, open map[netip.AddrPort]int) ([]dgram, []*[]byte) {
 	clear(open)
 	for _, e := range entries {
-		if e.msg == nil { // heartbeat: payload-free, never coalesced
-			bp := sendBufPool.Get().(*[]byte)
-			b := appendEnvelope((*bp)[:0], e.from, e.to, flagHeartbeat)
-			ds = append(ds, dgram{b: b, to: e.addr})
-			bufs = append(bufs, bp)
-			continue
-		}
-		var flags byte
-		if e.oob {
-			flags = flagOOB
-		}
-		sz := e.msg.WireSize()
-		if sz > wire.MaxFrame || envelopeLen+wire.FrameOverhead+sz > maxDatagram {
-			// Too big to frame or to share: a plain envelope of its own.
-			bp := sendBufPool.Get().(*[]byte)
-			b := appendEnvelope((*bp)[:0], e.from, e.to, flags)
-			b = e.msg.Append(b)
-			ds = append(ds, dgram{b: b, to: e.addr})
-			bufs = append(bufs, bp)
-			continue
-		}
-		k := packKey{from: e.from, to: e.to, oob: e.oob}
-		if i, ok := open[k]; ok {
-			if len(ds[i].b)+wire.FrameOverhead+sz <= maxDatagram {
-				ds[i].b = wire.AppendFrame(ds[i].b, e.msg)
+		size := recordHeader
+		if e.msg != nil {
+			sz := e.msg.WireSize()
+			if sz > wire.MaxFrame {
 				continue
 			}
-			delete(open, k) // budget exhausted; start a fresh datagram
+			size += sz
+		}
+		if i, ok := open[e.addr]; ok && len(ds[i].b)+size <= maxDatagram {
+			ds[i].b = appendRecord(ds[i].b, e.from, e.to, e.msg, e.oob)
+			continue
 		}
 		bp := sendBufPool.Get().(*[]byte)
-		b := appendEnvelope((*bp)[:0], e.from, e.to, flags|flagBatch)
-		b = wire.AppendFrame(b, e.msg)
-		ds = append(ds, dgram{b: b, to: e.addr})
+		ds = append(ds, dgram{b: appendRecord((*bp)[:0], e.from, e.to, e.msg, e.oob), to: e.addr})
 		bufs = append(bufs, bp)
-		open[k] = len(ds) - 1
+		open[e.addr] = len(ds) - 1
 	}
 	return ds, bufs
 }

@@ -72,9 +72,13 @@ func testNode(t testing.TB, cfg Config, peers ...ident.NodeID) (*Node, *recorder
 	return n, rec
 }
 
-// deliverFrom feeds msg to n as a datagram sent by from.
+// deliverFrom feeds msg to n as a record sent by from.
 func (n *Node) deliverFrom(from ident.NodeID, msg wire.Message, oob bool) {
-	n.handleDatagram(n.encodeEnvelope(nil, from, msg, oob))
+	var flags byte
+	if oob {
+		flags = flagOOB
+	}
+	n.handleRecord(record{from: from, to: n.cfg.ID, flags: flags, msg: wire.Encode(msg)})
 }
 
 // isPending reports whether id has a live pending-request entry.

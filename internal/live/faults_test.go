@@ -13,8 +13,9 @@ import (
 )
 
 // FuzzLiveEnvelope feeds arbitrary datagrams through the full receive
-// path: a hardened dispatcher must never panic on adversarial input —
-// malformed datagrams are counted and dropped.
+// path, from the dispatcher's record walk to the node's decoder and
+// ingress guard: a hardened dispatcher must never panic on adversarial
+// input — malformed datagrams and records are counted and dropped.
 func FuzzLiveEnvelope(f *testing.F) {
 	n, err := NewNode(Config{ID: 1, Algorithm: core.CombinedPull})
 	if err != nil {
@@ -29,46 +30,62 @@ func FuzzLiveEnvelope(f *testing.F) {
 		Content: matching.Content{7},
 		Tags:    []ident.PatternSeq{{Pattern: 7, Seq: 1}},
 	}
-	valid := n.encodeEnvelope(nil, 1, ev, false)
+	valid := appendRecord(nil, 2, 1, ev, false)
+	heartbeat := appendRecord(nil, 2, 1, nil, false)
 	f.Add(valid)
-	f.Add(valid[:len(valid)-1]) // truncated payload
-	f.Add(valid[:3])            // truncated envelope
-	f.Add([]byte{1, 0, 0, 0, 1, 0, 0, 0, flagHeartbeat})
-	f.Add([]byte{1, 0, 0, 0, 1, 0, 0, 0, flagBatch, 0xff, 0xff}) // batch with lying frame length
+	f.Add(valid[:len(valid)-1]) // truncated message
+	f.Add(valid[:3])            // truncated header
+	f.Add(heartbeat)
+	f.Add([]byte{1, 0, 0, 0, 1, 0, 0, 0, 0, 0xff, 0xff}) // lying length
 	f.Add([]byte{})
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff})
 	// Input the core would trust: a negative pattern, an event from a
 	// far source, recovery traffic naming forged peers, and a raw event
 	// flagged out of band.
-	f.Add(n.encodeEnvelope(nil, 2, &wire.Subscribe{Pattern: -1}, false))
+	f.Add(appendRecord(nil, 2, 1, &wire.Subscribe{Pattern: -1}, false))
 	far := *ev
 	far.ID.Source = 1<<31 - 1
 	far.Route = []ident.NodeID{far.ID.Source}
-	f.Add(n.encodeEnvelope(nil, 2, &far, false))
-	f.Add(n.encodeEnvelope(nil, 1<<30, &wire.Request{Requester: 1 << 30, IDs: []ident.EventID{ev.ID}}, true))
-	f.Add(n.encodeEnvelope(nil, 1<<30, &wire.Retransmit{Responder: 1 << 30, Events: []*wire.Event{ev}}, true))
-	f.Add(n.encodeEnvelope(nil, 2, ev, true))
+	f.Add(appendRecord(nil, 2, 1, &far, false))
+	f.Add(appendRecord(nil, 1<<30, 1, &wire.Request{Requester: 1 << 30, IDs: []ident.EventID{ev.ID}}, true))
+	f.Add(appendRecord(nil, 1<<30, 1, &wire.Retransmit{Responder: 1 << 30, Events: []*wire.Event{ev}}, true))
+	f.Add(appendRecord(nil, 2, 1, ev, true))
+	// Several records in one datagram: all for the node, one for an
+	// unhosted node in the middle, and a lying length after a valid one.
+	f.Add(appendRecord(appendRecord(append([]byte(nil), valid...), 3, 1, nil, false), 2, 1, &wire.Subscribe{Pattern: 7}, false))
+	f.Add(append(appendRecord(append([]byte(nil), heartbeat...), 2, 99, ev, false), valid...))
+	f.Add(append(append([]byte(nil), valid...), 2, 0, 0, 0, 1, 0, 0, 0, 0, 0x40, 0))
+	// A forged sequence tag 2^31 ahead: loss detection must not loop
+	// over the gap.
+	gap := *ev
+	gap.Tags = []ident.PatternSeq{{Pattern: 7, Seq: 1 << 31}}
+	f.Add(appendRecord(nil, 2, 1, &gap, false))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		n.handleDatagram(data) // must not panic
+		n.disp.route(data, nil) // must not panic
 	})
 }
 
+// TestLiveFaultMalformedCounted feeds a node's dispatcher broken and
+// stray datagrams: each is counted once, where it is caught, and none
+// is fatal.
 func TestLiveFaultMalformedCounted(t *testing.T) {
 	n, err := NewNode(Config{ID: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer n.Close()
-	n.handleDatagram([]byte{1, 2, 3})                               // short envelope
-	n.handleDatagram([]byte{1, 0, 0, 0, 1, 0, 0, 0, 0, 0xee, 0xbb}) // undecodable payload
-	n.handleDatagram([]byte{1, 0, 0, 0, 1, 0, 0, 0, flagHeartbeat}) // valid heartbeat
-	n.handleDatagram([]byte{1, 0, 0, 0, 9, 0, 0, 0, flagHeartbeat}) // another node's datagram
-	st := n.Stats()
-	if st.Malformed != 2 {
-		t.Fatalf("Malformed = %d, want 2", st.Malformed)
+	d := n.disp
+	d.route([]byte{1, 2, 3}, nil)                                     // short record
+	d.route([]byte{1, 0, 0, 0, 1, 0, 0, 0, 0, 2, 0, 0xee, 0xbb}, nil) // undecodable message
+	d.route([]byte{1, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0}, nil)             // valid heartbeat
+	d.route([]byte{1, 0, 0, 0, 9, 0, 0, 0, 0, 0, 0}, nil)             // another node's record
+	n.handleRecord(record{from: 1, to: 9})                            // handed to the wrong node
+	st, ds := n.Stats(), d.Stats()
+	if st.Malformed != 1 || ds.Malformed != 1 {
+		t.Fatalf("Malformed = %d at the node and %d at the dispatcher, want 1 and 1", st.Malformed, ds.Malformed)
 	}
-	if st.Misrouted != 1 {
-		t.Fatalf("Misrouted = %d, want 1", st.Misrouted)
+	if st.Misrouted != 1 || ds.Misrouted != 1 {
+		t.Fatalf("Misrouted = %d at the node and %d at the dispatcher, want 1 and 1", st.Misrouted, ds.Misrouted)
 	}
 }
 
@@ -137,7 +154,7 @@ func TestLiveFaultDetectorSuspectsAndRevives(t *testing.T) {
 	}
 
 	// Any traffic from the suspect revives it.
-	n.handleDatagram([]byte{2, 0, 0, 0, 1, 0, 0, 0, flagHeartbeat})
+	n.disp.route([]byte{2, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0}, nil) // a heartbeat record
 	if len(n.SuspectedNeighbors()) != 0 {
 		t.Fatal("neighbor still suspected after it spoke")
 	}

@@ -95,14 +95,15 @@ func (c *mmsgConn) readBatch(ds []dgram) (int, error) {
 }
 
 func (c *mmsgConn) writeBatch(ds []dgram) (int, error) {
-	sent := 0
-	for sent < len(ds) {
-		k := len(ds) - sent
+	next, sent := 0, 0
+	var first error
+	for next < len(ds) {
+		k := len(ds) - next
 		if k > len(c.whdrs) {
 			k = len(c.whdrs)
 		}
 		for i := 0; i < k; i++ {
-			d := &ds[sent+i]
+			d := &ds[next+i]
 			c.wiovs[i].Base = &d.b[0]
 			c.wiovs[i].SetLen(len(d.b))
 			namelen := putSockaddr(&c.wnames[i], d.to)
@@ -123,14 +124,21 @@ func (c *mmsgConn) writeBatch(ds []dgram) (int, error) {
 			return sent, err
 		}
 		if operr != nil {
-			return sent, operr
+			// sendmmsg fails only when its first datagram does (a later
+			// failure cuts the count short instead): skip that one.
+			if first == nil {
+				first = operr
+			}
+			next++
+			continue
 		}
 		if n <= 0 {
-			return sent, nil
+			return sent, first
 		}
+		next += n
 		sent += n
 	}
-	return sent, nil
+	return sent, first
 }
 
 func (c *mmsgConn) localAddr() *net.UDPAddr { return c.conn.LocalAddr().(*net.UDPAddr) }

@@ -183,9 +183,9 @@ type Stats struct {
 	EventsSent     uint64
 	Served         uint64
 	DroppedInject  uint64
-	// Malformed counts datagrams dropped because they were too short,
-	// failed to decode, or failed the ingress guard — counted, never
-	// fatal. Misrouted counts well-formed datagrams whose destination
+	// Malformed counts records dropped because their message failed to
+	// decode or failed the ingress guard — counted, never fatal.
+	// Misrouted counts records handed to this node whose destination
 	// slot names another node.
 	Malformed uint64
 	Misrouted uint64
@@ -527,104 +527,85 @@ func (n *Node) Publish(content matching.Content) ident.EventID {
 // the kernel's time base.
 func (n *Node) now() time.Duration { return time.Since(n.start) }
 
-// envelope layout: 4 bytes sender ID, 4 bytes destination ID, 1 byte
-// flags, then the payload. The destination slot is how a dispatcher
-// sharing one socket among thousands of hosted nodes routes each
-// datagram to its node. A heartbeat envelope carries no payload: it is
-// exactly envelopeLen bytes with the heartbeat flag set. A batch
-// envelope's payload is a sequence of length-prefixed wire messages
-// (wire.AppendFrame/NextFrame) sharing one sender, destination, and
-// OOB flag.
+// A datagram is a sequence of records, each one message between two
+// nodes: 4 bytes sender ID, 4 bytes destination ID, 1 byte flags, a
+// 2-byte message length (a wire frame), then the encoded message. The
+// destination slot is how a dispatcher sharing one socket among
+// thousands of hosted nodes hands each record to its node, and it lets
+// the records of every node behind one socket share a datagram. A
+// heartbeat is a record of length 0: no wire message encodes to zero
+// bytes.
 const (
-	envelopeLen   = 9
-	flagOOB       = 1 << 0 // message arrived out of band (not over a tree link)
-	flagHeartbeat = 1 << 1 // liveness-only datagram, no payload
-	flagBatch     = 1 << 2 // payload is a sequence of framed messages
+	envelopeLen  = 9                                // sender, destination, flags
+	recordHeader = envelopeLen + wire.FrameOverhead // bytes before the message
+	flagOOB      = 1 << 0                           // message sent out of band (not over a tree link)
 )
 
-// putEnvelope writes the envelope header into b[:envelopeLen].
-func putEnvelope(b []byte, from, to ident.NodeID, flags byte) {
-	binary.LittleEndian.PutUint32(b, uint32(from))
-	binary.LittleEndian.PutUint32(b[4:], uint32(to))
-	b[8] = flags
+// record is one parsed record. msg aliases the datagram's buffer and is
+// empty for a heartbeat.
+type record struct {
+	from, to ident.NodeID
+	flags    byte
+	msg      []byte
 }
 
-// appendEnvelope appends the envelope header onto buf.
-func appendEnvelope(buf []byte, from, to ident.NodeID, flags byte) []byte {
+// appendRecord appends one record onto buf; a nil msg is a heartbeat.
+// The caller ensures msg's encoding fits in wire.MaxFrame.
+func appendRecord(buf []byte, from, to ident.NodeID, msg wire.Message, oob bool) []byte {
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(from))
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(to))
-	return append(buf, flags)
-}
-
-// encodeEnvelope encodes msg in an envelope from the given sender to
-// this node — the shape handleDatagram accepts. Tests use it to
-// synthesize valid datagrams.
-func (n *Node) encodeEnvelope(buf []byte, from ident.NodeID, msg wire.Message, oob bool) []byte {
 	var flags byte
 	if oob {
 		flags = flagOOB
 	}
-	buf = appendEnvelope(buf[:0], from, n.cfg.ID, flags)
-	return msg.Append(buf)
+	buf = append(buf, flags)
+	if msg == nil {
+		return append(buf, 0, 0)
+	}
+	return wire.AppendFrame(buf, msg)
+}
+
+// nextRecord splits the first record off buf. A header or message cut
+// short by the end of buf is wire.ErrTruncated.
+func nextRecord(buf []byte) (r record, rest []byte, err error) {
+	if len(buf) < envelopeLen {
+		return r, nil, wire.ErrTruncated
+	}
+	r.from = ident.NodeID(binary.LittleEndian.Uint32(buf))
+	r.to = ident.NodeID(binary.LittleEndian.Uint32(buf[4:]))
+	r.flags = buf[8]
+	r.msg, rest, err = wire.NextFrame(buf[envelopeLen:])
+	return r, rest, err
 }
 
 func closing(err error) bool {
 	return errors.Is(err, net.ErrClosed)
 }
 
-// handleDatagram parses and dispatches one raw datagram. It must never
-// panic on adversarial input: anything that does not parse or fails the
-// ingress guard is counted as malformed and dropped, like real UDP
-// software. The dispatcher's route calls it; tests fuzz it without a
-// socket.
-func (n *Node) handleDatagram(buf []byte) {
-	if len(buf) < envelopeLen {
-		n.stats.malformed.Add(1)
-		return
-	}
-	from := ident.NodeID(binary.LittleEndian.Uint32(buf))
-	dest := ident.NodeID(binary.LittleEndian.Uint32(buf[4:]))
-	flags := buf[8]
-	if dest != n.cfg.ID {
+// handleRecord dispatches one record addressed to this node. It must
+// never panic on adversarial input: a message that does not decode or
+// fails the ingress guard is counted as malformed and dropped, like
+// real UDP software. The dispatcher's route calls it; tests call it
+// without a socket.
+func (n *Node) handleRecord(r record) {
+	if r.to != n.cfg.ID {
 		n.stats.misrouted.Add(1)
 		return
 	}
-	n.observePeer(from)
-	if flags&flagHeartbeat != 0 {
-		return // liveness only, no payload to decode
+	n.observePeer(r.from)
+	if len(r.msg) == 0 {
+		return // heartbeat: liveness only
 	}
-	oob := flags&flagOOB != 0
-	payload := buf[envelopeLen:]
+	oob := r.flags&flagOOB != 0
 	n.lock()
 	defer n.unlock()
-	if flags&flagBatch == 0 {
-		n.receiveLocked(from, payload, oob)
-		return
-	}
-	for len(payload) > 0 {
-		frame, rest, err := wire.NextFrame(payload)
-		if err != nil {
-			n.stats.malformed.Add(1)
-			return
-		}
-		if !n.receiveLocked(from, frame, oob) {
-			return
-		}
-		payload = rest
-	}
-}
-
-// receiveLocked decodes one message and hands it to the core; it
-// reports false when the message was malformed (and counted).
-func (n *Node) receiveLocked(from ident.NodeID, b []byte, oob bool) bool {
-	msg, err := wire.Decode(b)
+	msg, err := wire.Decode(r.msg)
 	if err != nil || !n.admissible(msg, oob) {
 		n.stats.malformed.Add(1)
-		return false
+		return
 	}
 	n.ingressLocked(msg)
-	n.ps.HandleMessage(from, msg, oob)
-	return true
+	n.ps.HandleMessage(r.from, msg, oob)
 }
 
 // observePeer feeds the failure detector: any traffic from a tree

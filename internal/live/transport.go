@@ -12,7 +12,7 @@ import (
 // The live transport has two layers. packetConn is the socket layer:
 // read and write *batches* of datagrams in one call, so a dispatcher
 // hosting thousands of nodes pays one syscall per batch instead of one
-// per packet. On Linux it is backed by recvmmsg/sendmmsg (batch_linux);
+// per packet. On Linux it is backed by recvmmsg/sendmmsg (mmsg_linux.go);
 // everywhere else by a portable stdlib fallback that degrades to one
 // datagram per call. transport is the node layer: how one live.Node
 // emits messages. Its one socket implementation is hostedTransport
@@ -31,7 +31,10 @@ type packetConn interface {
 	// to len(ds) entries, re-slicing each entry's b to the payload; it
 	// returns the number filled.
 	readBatch(ds []dgram) (int, error)
-	// writeBatch transmits ds in order, returning how many were sent.
+	// writeBatch transmits ds in order, returning how many were sent
+	// and the first error. A datagram the kernel refuses (too large,
+	// say) is skipped and the rest are still sent; only a closed socket
+	// ends the batch early.
 	writeBatch(ds []dgram) (int, error)
 	localAddr() *net.UDPAddr
 	close() error
@@ -55,12 +58,21 @@ func (c *stdConn) readBatch(ds []dgram) (int, error) {
 }
 
 func (c *stdConn) writeBatch(ds []dgram) (int, error) {
+	sent := 0
+	var first error
 	for i := range ds {
 		if _, err := c.conn.WriteToUDPAddrPort(ds[i].b, ds[i].to); err != nil {
-			return i, err
+			if closing(err) {
+				return sent, err
+			}
+			if first == nil {
+				first = err
+			}
+			continue
 		}
+		sent++
 	}
-	return len(ds), nil
+	return sent, first
 }
 
 func (c *stdConn) localAddr() *net.UDPAddr { return c.conn.LocalAddr().(*net.UDPAddr) }
@@ -68,20 +80,21 @@ func (c *stdConn) close() error            { return c.conn.Close() }
 
 // transport is how a node transmits. On sockets that is
 // hostedTransport: sends enqueue on the dispatcher shard's ring, where
-// the writer coalesces messages into batched datagrams. Tests record a
+// the writer packs them as records into one datagram per destination
+// socket. Tests record a
 // node's sends through their own implementation.
 type transport interface {
-	// sendMsg envelopes msg from one node to another and transmits it
+	// sendMsg transmits msg from one node to another as one record
 	// (possibly coalesced and deferred, per implementation).
 	sendMsg(from, to ident.NodeID, addr netip.AddrPort, msg wire.Message, oob bool)
-	// sendHeartbeat transmits a payload-free liveness envelope.
+	// sendHeartbeat transmits an empty liveness record.
 	sendHeartbeat(from, to ident.NodeID, addr netip.AddrPort)
 	// localAddr is the address peers use to reach this node.
 	localAddr() *net.UDPAddr
 }
 
-// sendBufPool recycles datagram encode buffers (envelope + payload,
-// sized for a coalesced datagram). Buffers grown past 64 KB by an
+// sendBufPool recycles datagram encode buffers (sized for a coalesced
+// datagram of records). Buffers grown past 64 KB by an
 // oversized retransmit batch are dropped rather than pinned.
 var sendBufPool = sync.Pool{
 	New: func() any {

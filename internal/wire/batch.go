@@ -5,15 +5,16 @@ import (
 )
 
 // Batch framing packs several messages into one datagram: each message
-// is preceded by a 2-byte little-endian length. The live transport uses
-// it to coalesce the burst of messages a dispatcher emits toward one
-// destination per gossip round — digest plus events plus requests —
-// into a single send, amortizing the envelope and the syscall.
+// is preceded by a 2-byte little-endian length. The live transport
+// frames the message of every record with it, so the records a
+// dispatcher emits toward every node behind one socket share a single
+// send, amortizing the syscall.
 //
 // A frame length is bounded by the same u16 discipline as every other
-// count in the codec; a message whose encoding exceeds MaxFrame must
-// travel alone in an unframed datagram (UDP caps the payload below 64K
-// anyway, so the bound costs nothing that the network would not).
+// count in the codec; a message whose encoding exceeds MaxFrame cannot
+// be framed, and the live transport drops it (UDP caps the payload
+// below 64K anyway, so the bound costs nothing that the network would
+// not).
 
 // FrameOverhead is the per-message framing cost in bytes.
 const FrameOverhead = 2
