@@ -9,7 +9,7 @@
 // each buffered event to its slot, so no operation hashes through a Go
 // map. The slab and the table grow with the content, never past what β
 // needs: a 10k-node run builds thousands of caches that stay far below
-// β, and a Reset-recycled cache keeps the storage it grew.
+// β.
 package cache
 
 import (
@@ -88,18 +88,6 @@ type Cache struct {
 // New returns a cache holding at most capacity events under the given
 // policy. rng is required by RandomPolicy and may be nil otherwise.
 func New(capacity int, policy Policy, rng *rand.Rand) *Cache {
-	c := &Cache{}
-	c.Reset(capacity, policy, rng)
-	return c
-}
-
-// Reset empties the cache and re-targets it at a new capacity, policy,
-// and rng, reusing the storage the previous configuration grew.
-// Counters restart from zero and any OnEvict callback is dropped. The
-// validation rules match New. Sweep workers use this to recycle one
-// cache across many engine lifetimes instead of reallocating β-sized
-// tables per run.
-func (c *Cache) Reset(capacity int, policy Policy, rng *rand.Rand) {
 	if capacity < 1 {
 		panic(fmt.Sprintf("cache: capacity %d < 1", capacity))
 	}
@@ -112,16 +100,7 @@ func (c *Cache) Reset(capacity int, policy Policy, rng *rand.Rand) {
 	default:
 		panic(fmt.Sprintf("cache: unknown policy %d", int(policy)))
 	}
-	c.capacity, c.policy, c.rng = capacity, policy, rng
-	c.index.Clear()
-	clear(c.slots) // drop the event pointers
-	c.slots = c.slots[:0]
-	c.free = c.free[:0]
-	c.order = c.order[:0]
-	c.head = 0
-	c.keys = c.keys[:0]
-	c.tick, c.evicted, c.inserted = 0, 0, 0
-	c.onEvict = nil
+	return &Cache{capacity: capacity, policy: policy, rng: rng}
 }
 
 // SetOnEvict installs a callback invoked for every evicted event.

@@ -55,8 +55,7 @@ type mapCache struct {
 // newMapCache returns a cache holding at most capacity events under the given
 // policy. rng is required by RandomPolicy and may be nil otherwise.
 // The maps start empty and grow with the content: a 10k-node run builds
-// thousands of caches that stay far below β, and a Reset-recycled cache
-// keeps the buckets it grew.
+// thousands of caches that stay far below β.
 func newMapCache(capacity int, policy Policy, rng *rand.Rand) *mapCache {
 	if capacity < 1 {
 		panic(fmt.Sprintf("cache: capacity %d < 1", capacity))
@@ -79,41 +78,6 @@ func newMapCache(capacity int, policy Policy, rng *rand.Rand) *mapCache {
 		panic(fmt.Sprintf("cache: unknown policy %d", int(policy)))
 	}
 	return c
-}
-
-// Reset empties the cache and re-targets it at a new capacity, policy,
-// and rng, reusing the maps and slices the previous configuration grew.
-// Counters restart from zero and any OnEvict callback is dropped. The
-// validation rules match New. Sweep workers use this to recycle one
-// cache across many engine lifetimes instead of reallocating β-sized
-// tables per run.
-func (c *mapCache) Reset(capacity int, policy Policy, rng *rand.Rand) {
-	if capacity < 1 {
-		panic(fmt.Sprintf("cache: capacity %d < 1", capacity))
-	}
-	switch policy {
-	case RandomPolicy:
-		if rng == nil {
-			panic("cache: RandomPolicy requires an rng")
-		}
-		if c.pos == nil {
-			c.keys = make([]ident.EventID, 0, capacity)
-			c.pos = make(map[ident.EventID]int)
-		}
-	case FIFOPolicy, LRUPolicy:
-	default:
-		panic(fmt.Sprintf("cache: unknown policy %d", int(policy)))
-	}
-	c.capacity, c.policy, c.rng = capacity, policy, rng
-	clear(c.slots)
-	c.order = c.order[:0]
-	c.head = 0
-	c.keys = c.keys[:0]
-	if c.pos != nil {
-		clear(c.pos)
-	}
-	c.tick, c.evicted, c.inserted = 0, 0, 0
-	c.onEvict = nil
 }
 
 // SetOnEvict installs a callback invoked for every evicted event.
@@ -267,9 +231,9 @@ func newCountingRand(seed int64) (*rand.Rand, *countingSource) {
 }
 
 // TestCacheMatchesMapOracle drives the slab cache and the map-backed
-// cache it replaced with the same random streams of Put, re-Put, Get,
-// Has and Reset (switching policy and capacity) under all three
-// policies, and after every operation compares Len, the counters, the
+// cache it replaced with the same random streams of Put, re-Put, Get
+// and Has under all three policies, rebuilding both at a new policy
+// and capacity now and then, and after every operation compares Len, the counters, the
 // answers of Get and Has, the sequence of evicted events and the number
 // of draws from each cache's rng — the same draws pick the same victims
 // only if both caches keep identical eviction state.
@@ -325,8 +289,8 @@ func TestCacheMatchesMapOracle(t *testing.T) {
 						rs := ops.Int63()
 						rngC, srcC = newCountingRand(rs)
 						rngO, srcO = newCountingRand(rs)
-						c.Reset(capacity, policy, rngC)
-						o.Reset(capacity, policy, rngO)
+						c = New(capacity, policy, rngC)
+						o = newMapCache(capacity, policy, rngO)
 						hook()
 					}
 					if c.Len() != o.Len() || c.Evicted() != o.Evicted() || c.Inserted() != o.Inserted() {

@@ -389,7 +389,7 @@ func (c *Checker) Err() error {
 // Finish runs the end-of-run checks — final topology shape, engine
 // buffer audits, and the conservation reconciliation against tracker
 // (which may be nil) — and returns the run's verdict. Call it after
-// the kernel drained, before the scenario releases pooled state.
+// the kernel drained.
 // The reconciliation needs only Totals(), which both metrics modes
 // report exactly, so it works against either tracker implementation.
 func (c *Checker) Finish(tracker metrics.Tracker) error {

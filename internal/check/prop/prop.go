@@ -134,9 +134,8 @@ func (c Case) Algorithms() []core.Algorithm {
 // Run executes the case under every algorithm and returns the first
 // violation (a *check.Error wrapped with the algorithm).
 func Run(c Case) error {
-	var r scenario.Runner
 	for _, alg := range c.Algorithms() {
-		if _, err := r.Run(c.Params(alg)); err != nil {
+		if _, err := scenario.Run(c.Params(alg)); err != nil {
 			return fmt.Errorf("case [%s] algorithm %s: %w", c, alg, err)
 		}
 	}

@@ -65,7 +65,6 @@ func TestAdaptiveCalmMetamorphicProperty(t *testing.T) {
 		cases = 2
 	}
 	rng := rand.New(rand.NewSource(515))
-	var r scenario.Runner
 	for i := 0; i < cases; i++ {
 		c := Generate(rng)
 		c.LossRate, c.OOBLossRate, c.ChurnRate, c.Reconfig = 0, 0, 0, 0
@@ -73,7 +72,7 @@ func TestAdaptiveCalmMetamorphicProperty(t *testing.T) {
 		t.Logf("case %d: %s", i, c)
 		for _, alg := range []core.Algorithm{core.CombinedPull, core.Hybrid} {
 			p := c.Params(alg)
-			res, err := r.Run(p)
+			res, err := scenario.Run(p)
 			if err != nil {
 				t.Fatalf("case [%s] %s: calm checked run failed: %v", c, alg, err)
 			}

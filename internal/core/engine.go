@@ -106,10 +106,6 @@ type Engine struct {
 	idScratch   []ident.EventID
 	evScratch   []*wire.Event
 	wantScratch []wire.LostEntry
-
-	// pool, when non-nil, is where Release returns the scratch buffers
-	// for reuse by a later engine on the same goroutine.
-	pool *ScratchPool
 }
 
 var _ pubsub.Recovery = (*Engine)(nil)
@@ -117,15 +113,6 @@ var _ pubsub.Recovery = (*Engine)(nil)
 // NewEngine builds a recovery engine for node. The engine installs
 // itself as the node's Recovery hook. Use Start to begin gossiping.
 func NewEngine(node *pubsub.Node, cfg Config) (*Engine, error) {
-	return NewEngineIn(node, cfg, nil)
-}
-
-// NewEngineIn is NewEngine with a scratch pool: the engine's reusable
-// round buffers are acquired from pool (when non-nil) and handed back
-// by Release, so a sweep worker building engines run after run stops
-// re-growing them from nil. The pool must belong to the goroutine that
-// runs the engine.
-func NewEngineIn(node *pubsub.Node, cfg Config, pool *ScratchPool) (*Engine, error) {
 	cfg, err := cfg.Normalize()
 	if err != nil {
 		return nil, err
@@ -151,7 +138,8 @@ func NewEngineIn(node *pubsub.Node, cfg Config, pool *ScratchPool) (*Engine, err
 			Interval: cfg.GossipInterval,
 		},
 
-		pool: pool,
+		buf:  cache.New(cfg.BufferSize, cfg.BufferPolicy, rng),
+		lost: NewLostBuffer(cfg.LostCapacity, cfg.LostTTL),
 	}
 	if cfg.Adapt != nil {
 		e.ctrl = adapt.New(cfg.Adapt.Normalized(cfg.GossipInterval), e.knobs, cfg.Algorithm == Hybrid)
@@ -159,54 +147,9 @@ func NewEngineIn(node *pubsub.Node, cfg Config, pool *ScratchPool) (*Engine, err
 		e.lastLinkEpoch = node.LinkEpoch()
 		e.lastObserveAt = k.Now()
 	}
-	if pool != nil {
-		// Recycle the previous engine's structures: the cache and Lost
-		// buffer are emptied and re-targeted at this config, the rows and
-		// the pending table come back cleared but with their storage
-		// intact. Behavior is identical to freshly built state — nothing
-		// observable survives a Reset/clear.
-		s := pool.get()
-		e.patScratch, e.srcScratch, e.nbScratch = s.pat, s.src, s.nb
-		e.idScratch, e.evScratch, e.wantScratch = s.id, s.ev, s.want
-		e.buf, e.lost = s.buf, s.lost
-		e.patRows, e.tagRows = s.patRows, s.tagRows
-		e.high, e.routes, e.pending = s.high, s.routes, s.pending
-	}
-	if e.buf != nil {
-		e.buf.Reset(cfg.BufferSize, cfg.BufferPolicy, rng)
-	} else {
-		e.buf = cache.New(cfg.BufferSize, cfg.BufferPolicy, rng)
-	}
-	if e.lost != nil {
-		e.lost.Reset(cfg.LostCapacity, cfg.LostTTL)
-	} else {
-		e.lost = NewLostBuffer(cfg.LostCapacity, cfg.LostTTL)
-	}
 	e.buf.SetOnEvict(e.unindex)
 	node.SetRecovery(e)
 	return e, nil
-}
-
-// Release returns the engine's scratch buffers to the pool it was built
-// with. The engine must not be used afterwards. A no-op for engines
-// built without a pool.
-func (e *Engine) Release() {
-	if e.pool == nil {
-		return
-	}
-	e.pool.put(engineScratch{
-		pat: e.patScratch, src: e.srcScratch, nb: e.nbScratch,
-		id: e.idScratch, ev: e.evScratch, want: e.wantScratch,
-		buf: e.buf, lost: e.lost,
-		patRows: e.patRows, tagRows: e.tagRows,
-		high: e.high, routes: e.routes, pending: e.pending,
-	})
-	e.patScratch, e.srcScratch, e.nbScratch = nil, nil, nil
-	e.idScratch, e.evScratch, e.wantScratch = nil, nil, nil
-	e.buf, e.lost = nil, nil
-	e.patRows, e.tagRows = nil, nil
-	e.high, e.routes, e.pending = highMarks{}, nil, ident.EventTable[sim.Time]{}
-	e.pool = nil
 }
 
 // Start begins periodic gossip rounds, desynchronized by a random

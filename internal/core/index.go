@@ -12,9 +12,7 @@ import (
 // order and search their entries by one packed integer key (tagKey).
 
 // growRows extends rows so that index i — a PatternID or NodeID — is
-// valid. Growth allocates a new array; pooled rows never shrink, so a
-// recycled engine indexes into the rows (and row capacity) earlier runs
-// grew.
+// valid. Growth allocates a new array; rows never shrink.
 func growRows[R any, I ident.PatternID | ident.NodeID](rows []R, i I) []R {
 	if int(i) < len(rows) {
 		return rows
@@ -99,16 +97,6 @@ func (r *patRow) own() {
 		r.ids = append(make([]ident.EventID, 0, len(r.ids)+len(r.ids)/4+4), r.ids...)
 		r.shared = false
 	}
-}
-
-// reset empties the row for a pooled engine. A shared row's array may
-// still sit in an in-flight message, so it is dropped, not reused.
-func (r *patRow) reset() {
-	if r.shared {
-		*r = patRow{}
-		return
-	}
-	r.ids = r.ids[:0]
 }
 
 // tagEnt is one pull-index entry: the buffered event (src, eseq) carries
@@ -207,18 +195,8 @@ func (h *highMarks) get(p ident.PatternID, src ident.NodeID) uint32 {
 func (h *highMarks) set(p ident.PatternID, src ident.NodeID, seq uint32) {
 	r, added := h.pats.Add(int32(p))
 	if added {
-		h.rows = grown(h.rows)
+		h.rows = append(h.rows, nil)
 	}
 	h.rows[r] = growRows(h.rows[r], src)
 	h.rows[r][src] = seq
-}
-
-// reset forgets every mark, keeping the rows for reuse by a pooled
-// engine.
-func (h *highMarks) reset() {
-	h.pats.Clear()
-	for _, row := range h.rows {
-		clear(row)
-	}
-	h.rows = h.rows[:0]
 }

@@ -198,7 +198,7 @@ func indexRig(t *testing.T, capacity int, policy cache.Policy, seed int64) (*rig
 	cfg.BufferSize = capacity
 	r := newRig(t, topology.NewLine(2), [][]ident.PatternID{{0}, {1}}, cfg)
 	e := r.engines[0]
-	e.buf.Reset(capacity, policy, rand.New(rand.NewSource(seed)))
+	e.buf = cache.New(capacity, policy, rand.New(rand.NewSource(seed)))
 	e.buf.SetOnEvict(e.unindex)
 	return r, e
 }
@@ -327,50 +327,5 @@ func TestPushDigestUnchangedByLaterMutations(t *testing.T) {
 	}
 	if got := e.pushDigest(pat32(5)); !slices.Equal(got, []ident.EventID{{Source: 1, Seq: 1}, {Source: 4, Seq: 1}, {Source: 6, Seq: 1}, {Source: 9, Seq: 1}}) {
 		t.Fatalf("current digest = %v", got)
-	}
-}
-
-// TestScratchPoolDropsSharedRows: a pooled engine must not write into a
-// row array a finished engine's digest still exposes, and must start as
-// empty as a fresh engine.
-func TestScratchPoolDropsSharedRows(t *testing.T) {
-	r := newRig(t, topology.NewLine(2), [][]ident.PatternID{{5}, {5}}, DefaultConfig(NoRecovery))
-	var pool ScratchPool
-	cfg := DefaultConfig(Hybrid)
-	old, err := NewEngineIn(r.nodes[0], cfg, &pool)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for seq := 1; seq <= 3; seq++ {
-		old.index(&wire.Event{
-			ID:      ident.EventID{Source: 2, Seq: uint32(seq)},
-			Content: content(5, 200),
-			Tags:    []ident.PatternSeq{{Pattern: 5, Seq: uint32(seq)}},
-		})
-	}
-	d := old.pushDigest(pat32(5))
-	want := slices.Clone(d)
-	old.Release()
-
-	e, err := NewEngineIn(r.nodes[0], cfg, &pool)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, p := range []ident.PatternID{5, 200} {
-		if got := e.pushDigest(p); got != nil {
-			t.Fatalf("pooled engine starts with digest(%v) = %v", p, got)
-		}
-	}
-	if rem := e.serve(1, []wire.LostEntry{le(2, 5, 1)}); len(rem) != 1 {
-		t.Fatal("pooled engine served a finished engine's event")
-	}
-	for seq := 1; seq <= 3; seq++ {
-		e.index(&wire.Event{ID: ident.EventID{Source: 1, Seq: uint32(seq)}, Content: content(5)})
-	}
-	if !slices.Equal(d, want) {
-		t.Fatalf("finished engine's digest changed to %v, was %v", d, want)
-	}
-	if err := e.AuditInvariants(r.k.Now()); err != nil {
-		t.Fatal(err)
 	}
 }

@@ -155,31 +155,6 @@ func (b *LostBuffer) Len() int { return b.n }
 // Cap returns the most entries the buffer holds.
 func (b *LostBuffer) Cap() int { return b.capacity }
 
-// Reset empties the buffer and re-targets it at a new capacity and TTL,
-// keeping the detection queue and row storage the previous run grew, so
-// a recycled buffer reaches its steady-state footprint once and stays
-// there across a whole parameter sweep. Previously returned snapshots
-// are unaffected (they are separate copies).
-func (b *LostBuffer) Reset(capacity int, ttl sim.Time) {
-	b.capacity, b.ttl = capacity, ttl
-	b.n = 0
-	b.queue = b.queue[:0]
-	b.head, b.exp = 0, 0
-	b.patIdx.Clear()
-	for i := range b.byPat {
-		b.byPat[i].items = b.byPat[i].items[:0]
-		b.byPat[i].snap = nil
-	}
-	b.byPat = b.byPat[:0]
-	b.srcIdx.Clear()
-	clear(b.bySrc)
-	b.bySrc = b.bySrc[:0]
-	b.all = nil
-	b.pats, b.srcs = nil, nil
-	b.patsStale, b.srcsStale = false, false
-	b.patSet = ident.PatternSet{}
-}
-
 // find returns e's pattern row (nil when the pattern has none) and the
 // position of e, or where e belongs, in it.
 func (b *LostBuffer) find(e wire.LostEntry) (*lostRow, int, bool) {
@@ -208,7 +183,7 @@ func (b *LostBuffer) Add(e wire.LostEntry, now sim.Time) {
 
 	r, added := b.patIdx.Add(int32(e.Pattern))
 	if added {
-		b.byPat = grown(b.byPat)
+		b.byPat = append(b.byPat, lostRow{})
 		b.byPat[r].pat = e.Pattern
 	}
 	row := &b.byPat[r]
@@ -226,7 +201,7 @@ func (b *LostBuffer) Add(e wire.LostEntry, now sim.Time) {
 
 	s, added := b.srcIdx.Add(int32(e.Source))
 	if added {
-		b.bySrc = grown(b.bySrc)
+		b.bySrc = append(b.bySrc, srcCount{})
 		b.bySrc[s].src = e.Source
 	}
 	sc := &b.bySrc[s]
@@ -238,16 +213,6 @@ func (b *LostBuffer) Add(e wire.LostEntry, now sim.Time) {
 	b.all = nil
 	b.n++
 	b.maybeCompact()
-}
-
-// grown extends rows by one element, recycling the element a Reset left
-// behind in the spare capacity (its storage emptied, not freed).
-func grown[R any](rows []R) []R {
-	if n := len(rows); n < cap(rows) {
-		return rows[:n+1]
-	}
-	var zero R
-	return append(rows, zero)
 }
 
 // dropAt removes entry i of row from the row and the source counts.

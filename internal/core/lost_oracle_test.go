@@ -109,33 +109,6 @@ func newMapLostBuffer(capacity int, ttl sim.Time) *mapLostBuffer {
 // have expired but were not yet swept).
 func (b *mapLostBuffer) Len() int { return len(b.entries) }
 
-// Reset empties the buffer and re-targets it at a new capacity and TTL,
-// keeping the entry map, detection queue, and digest-view slabs the
-// previous run grew. The per-pattern and per-source views are truncated
-// in place, never freed, so a recycled buffer reaches its steady-state
-// footprint once and stays there across a whole parameter sweep.
-// Previously returned snapshots are unaffected (they are separate
-// clones).
-func (b *mapLostBuffer) Reset(capacity int, ttl sim.Time) {
-	b.capacity, b.ttl = capacity, ttl
-	clear(b.entries)
-	b.queue = b.queue[:0]
-	b.head, b.exp = 0, 0
-	b.all.items = b.all.items[:0]
-	b.all.snap = nil
-	for _, v := range b.byPat {
-		v.items = v.items[:0]
-		v.snap = nil
-	}
-	for _, v := range b.bySrc {
-		v.items = v.items[:0]
-		v.snap = nil
-	}
-	b.pats, b.srcs = nil, nil
-	b.patsStale, b.srcsStale = false, false
-	b.patSet = ident.PatternSet{}
-}
-
 // Add records a newly detected loss. Re-detecting an outstanding entry
 // is a no-op. Detection times must be non-decreasing across Adds (both
 // the kernel clock and the live node's monotonic clock guarantee this);
@@ -357,12 +330,13 @@ func (b *mapLostBuffer) Sources(now sim.Time) []ident.NodeID {
 
 // TestLostBufferMatchesMapOracle drives the row-based Lost buffer and
 // the map-backed one it replaced with the same random streams of Add
-// (fresh and duplicate), Remove, Has, DetectedAt, every digest read and
-// Reset, under TTL expiry and capacity eviction, and compares every
-// answer and Len after every operation. Every snapshot handed out must
-// still read as it did when it was handed out at the end. As in a real
-// run, an entry that has left the buffer is never detected again (until
-// a Reset).
+// (fresh and duplicate), Remove, Has, DetectedAt and every digest read,
+// under TTL expiry and capacity eviction, rebuilding both at a new
+// capacity and TTL now and then, and compares every answer and Len
+// after every operation. Every snapshot handed out must still read as
+// it did when it was handed out at the end. As in a real run, an entry
+// that has left the buffer is never detected again (until the buffers
+// are rebuilt).
 func TestLostBufferMatchesMapOracle(t *testing.T) {
 	srcs := []ident.NodeID{ident.None, 0, 1, 2, 5, 1 << 30}
 	pats := []ident.PatternID{0, 3, 127, 128, 300}
@@ -373,7 +347,7 @@ func TestLostBufferMatchesMapOracle(t *testing.T) {
 			capacity, ttl := 8+rng.Intn(40), sim.Time(20+rng.Intn(60))
 			b, o := NewLostBuffer(capacity, ttl), newMapLostBuffer(capacity, ttl)
 			var now sim.Time
-			used := make(map[wire.LostEntry]bool) // ever added since the last Reset
+			used := make(map[wire.LostEntry]bool) // ever added since the last rebuild
 			nextSeq := uint32(1)
 			draw := func() wire.LostEntry {
 				return wire.LostEntry{Source: srcs[rng.Intn(len(srcs))], Pattern: pats[rng.Intn(len(pats))], Seq: uint32(1 + rng.Intn(int(nextSeq)))}
@@ -444,8 +418,7 @@ func TestLostBufferMatchesMapOracle(t *testing.T) {
 					}
 				default:
 					capacity, ttl = 8+rng.Intn(40), sim.Time(rng.Intn(80))
-					b.Reset(capacity, ttl)
-					o.Reset(capacity, ttl)
+					b, o = NewLostBuffer(capacity, ttl), newMapLostBuffer(capacity, ttl)
 					clear(used)
 				}
 				if b.Len() != o.Len() {

@@ -26,12 +26,11 @@ func xScale(opt Options) ([]Figure, error) {
 	}
 
 	series := make(map[string][]Point) // metric/algorithm -> points
-	var r scenario.Runner
 	for _, n := range ns {
 		for _, alg := range algos {
 			p := scaleParams(opt, n, alg)
 			start := time.Now()
-			res, err := r.Run(p)
+			res, err := scenario.Run(p)
 			if err != nil {
 				return nil, err
 			}

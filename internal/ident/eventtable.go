@@ -127,9 +127,3 @@ func (t *EventTable[V]) resize(size int) {
 		}
 	}
 }
-
-// Clear removes every entry, keeping the array for reuse.
-func (t *EventTable[V]) Clear() {
-	clear(t.slots)
-	t.n = 0
-}

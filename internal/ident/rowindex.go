@@ -87,10 +87,3 @@ func (x *RowIndex) grow(n int) {
 	}
 	x.dense, x.far = dense, keep
 }
-
-// Clear forgets every row, keeping the dense slice for reuse.
-func (x *RowIndex) Clear() {
-	clear(x.dense)
-	x.far = x.far[:0]
-	x.rows = 0
-}

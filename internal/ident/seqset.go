@@ -54,27 +54,11 @@ func (s *SeqSet) Has(id EventID) bool {
 // Len returns the number of elements.
 func (s *SeqSet) Len() int { return s.n }
 
-// Clear empties the set in place, keeping the rows' backing arrays for
-// reuse by the sources a later run adds.
-func (s *SeqSet) Clear() {
-	s.idx.Clear()
-	for i := range s.rows {
-		s.rows[i].words = s.rows[i].words[:0]
-	}
-	s.rows = s.rows[:0]
-	s.n = 0
-}
-
-// row returns src's bitmap, adding an empty one (recycling a cleared
-// row's backing array) on first use.
+// row returns src's bitmap, adding an empty one on first use.
 func (s *SeqSet) row(src NodeID) *seqRow {
 	i, added := s.idx.Add(int32(src))
 	if added {
-		if i < cap(s.rows) {
-			s.rows = s.rows[:i+1]
-		} else {
-			s.rows = append(s.rows, seqRow{})
-		}
+		s.rows = append(s.rows, seqRow{})
 	}
 	return &s.rows[i]
 }

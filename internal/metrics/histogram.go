@@ -39,15 +39,6 @@ func NewLatencyHistogram() *LatencyHistogram {
 	}
 }
 
-// Reset empties the histogram in place, keeping its bucket slab.
-func (h *LatencyHistogram) Reset() {
-	clear(h.counts)
-	h.total = 0
-	h.sum = 0
-	h.min = math.MaxInt64
-	h.max = 0
-}
-
 func bucketOf(d sim.Time) int {
 	if d <= bucketBase {
 		return 0

@@ -72,23 +72,6 @@ func NewDeliveryTracker(now func() sim.Time) *DeliveryTracker {
 	}
 }
 
-// Reset empties the tracker for a new run, keeping the record slab,
-// sequence rows, and histogram slabs the previous run grew. now
-// replaces the virtual-time source (pass nil to disable latency
-// histograms).
-func (t *DeliveryTracker) Reset(now func() sim.Time) {
-	t.records = t.records[:0]
-	t.srcs.Clear()
-	for i := range t.seqs {
-		t.seqs[i].pos = t.seqs[i].pos[:0]
-	}
-	t.seqs = t.seqs[:0]
-	t.now = now
-	t.totalExpected, t.totalDelivered, t.totalRecovered = 0, 0, 0
-	t.routedLatency.Reset()
-	t.recoveryLatency.Reset()
-}
-
 // RoutedLatency returns the publish→delivery latency statistics of
 // normally routed deliveries.
 func (t *DeliveryTracker) RoutedLatency() LatencyStats { return t.routedLatency }

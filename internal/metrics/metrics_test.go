@@ -197,7 +197,8 @@ func TestTimeSeriesUnsortedPublishes(t *testing.T) {
 // that map an event to its record against a map-based model: random
 // publishes — ascending, out of order and below a row's base, from
 // dense, negative and huge sources, re-publishing known IDs — and
-// deliveries of published and unknown events, over two Reset rounds.
+// deliveries of published and unknown events, over two rounds, each
+// on a fresh tracker.
 // Per-event accounting is compared through windows of width one
 // publish-time unit, which isolate each record.
 func TestDeliveryTrackerRowsMatchMap(t *testing.T) {
@@ -206,9 +207,9 @@ func TestDeliveryTrackerRowsMatchMap(t *testing.T) {
 		exp, del, recv uint64
 	}
 	rng := rand.New(rand.NewSource(1))
-	d := NewDeliveryTracker(nil)
 	srcs := []ident.NodeID{ident.None, 0, 1, 9, 1 << 30}
 	for round := 0; round < 2; round++ {
+		d := NewDeliveryTracker(nil)
 		ref := make(map[ident.EventID]*rec)
 		var order []ident.EventID
 		for op := 0; op < 3000; op++ {
@@ -247,6 +248,5 @@ func TestDeliveryTrackerRowsMatchMap(t *testing.T) {
 		if _, gotDel, gotRecv := d.Totals(); gotDel < del || gotRecv < recv {
 			t.Fatalf("round %d: totals %d/%d below the live records' %d/%d", round, gotDel, gotRecv, del, recv)
 		}
-		d.Reset(nil)
 	}
 }

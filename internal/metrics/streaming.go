@@ -131,39 +131,17 @@ func NewStreamingTracker(cfg StreamingConfig) *StreamingTracker {
 		n = defaultRingBuckets
 	}
 	t := &StreamingTracker{
+		width:           cfg.BucketWidth,
 		ring:            make([]streamCell, n),
+		evicted:         streamCell{abs: -1},
+		now:             cfg.Now,
 		routedLatency:   NewLatencyReservoir(cfg.ReservoirCap, sim.DeriveSeed(cfg.Seed, 'r')),
 		recoveryLatency: NewLatencyReservoir(cfg.ReservoirCap, sim.DeriveSeed(cfg.Seed, 'c')),
 	}
-	t.reset(cfg)
-	return t
-}
-
-// Reset empties the tracker for a new run, keeping the ring and
-// reservoir slabs. The bucket width may change between runs.
-func (t *StreamingTracker) Reset(cfg StreamingConfig) {
-	if cfg.BucketWidth <= 0 {
-		panic("metrics: streaming tracker needs a positive bucket width")
-	}
-	if n := cfg.RingBuckets; n > 0 && n != len(t.ring) {
-		t.ring = make([]streamCell, n)
-	}
-	t.reset(cfg)
-}
-
-func (t *StreamingTracker) reset(cfg StreamingConfig) {
-	t.width = cfg.BucketWidth
 	for i := range t.ring {
 		t.ring[i] = streamCell{abs: -1}
 	}
-	t.maxAbs = 0
-	t.haveBase = false
-	t.evicted = streamCell{abs: -1}
-	t.late = 0
-	t.totalExpected, t.totalDelivered, t.totalRecovered = 0, 0, 0
-	t.now = cfg.Now
-	t.routedLatency.Reset(sim.DeriveSeed(cfg.Seed, 'r'))
-	t.recoveryLatency.Reset(sim.DeriveSeed(cfg.Seed, 'c'))
+	return t
 }
 
 // cell returns the ring cell for absolute bucket abs, advancing the

@@ -294,27 +294,3 @@ func TestStreamingTimeSeriesGrouping(t *testing.T) {
 	}()
 	s.TimeSeries(width + 1)
 }
-
-func TestStreamingResetReuse(t *testing.T) {
-	s := NewStreamingTracker(StreamingConfig{BucketWidth: time.Second, RingBuckets: 8, Seed: 3})
-	for i := 0; i < 20; i++ {
-		at := sim.Time(i) * time.Second
-		s.OnPublish(eid(0, i+1), 1, at)
-		s.OnDeliver(1, evtAt(0, i+1, at), false)
-	}
-	s.Reset(StreamingConfig{BucketWidth: 500 * time.Millisecond, RingBuckets: 8, Seed: 3})
-	if exp, del, rec := s.Totals(); exp != 0 || del != 0 || rec != 0 {
-		t.Fatal("reset tracker reports stale totals")
-	}
-	if s.LateDeliveries() != 0 {
-		t.Fatal("reset tracker reports stale late deliveries")
-	}
-	s.OnPublish(eid(0, 1), 1, 0)
-	s.OnDeliver(1, evtAt(0, 1, 0), false)
-	if got := s.Rate(0, time.Second); !approx(got, 1) {
-		t.Fatalf("Rate after reset = %v, want 1", got)
-	}
-	if pts := s.TimeSeries(500 * time.Millisecond); len(pts) != 1 {
-		t.Fatalf("time series after reset = %d buckets, want 1", len(pts))
-	}
-}

@@ -140,10 +140,6 @@ type Node struct {
 	received ident.SeqSet
 
 	recovery Recovery
-
-	// pool, when non-nil, is where Release returns this node for reuse
-	// by a later run on the same goroutine.
-	pool *NodePool
 }
 
 var _ network.Handler = (*Node)(nil)

@@ -30,9 +30,9 @@ const installParallelMin = 1 << 18
 // subs[i] lists the patterns node i subscribes to. For every subscriber
 // s of pattern p, every other node x gets a table entry (p → neighbor
 // of x on the path toward s), which is exactly the state subscription
-// forwarding converges to on a tree. The nodes must be new or freshly
-// recycled from a NodePool: the installer lays direction tables down,
-// it does not merge into rows a node already holds.
+// forwarding converges to on a tree. The nodes must be new: the
+// installer lays direction tables down, it does not merge into rows a
+// node already holds.
 //
 // The reference formulation — BFS from every subscriber, then touch
 // every node — is O(N²·πmax). This implementation computes the same
@@ -215,7 +215,7 @@ func (in *installer) bfsForest() {
 // append (a pattern first learned after the install) reallocates that
 // node's table out of the arena instead of running into its
 // neighbor's. The arena has no owner of its own: it lives as long as
-// some node still holds a slice of it, and Release drops those.
+// some node still holds a slice of it.
 func (in *installer) carveArena() {
 	n, rows := len(in.nodes), len(in.pats)
 	// The index is as wide as addDirRow would have grown it for the

@@ -530,56 +530,3 @@ func TestInstallArenaRegionsAreIsolated(t *testing.T) {
 		}
 	}
 }
-
-// TestPooledNodeDropsArenaAndReinstallsLikeFresh: Release must not
-// leave a pooled node holding a slice of the finished run's arena, and
-// a recycled node installed into a larger universe must be
-// indistinguishable from a fresh one.
-func TestPooledNodeDropsArenaAndReinstallsLikeFresh(t *testing.T) {
-	var pool NodePool
-	build := func(topo *topology.Tree, pool *NodePool) []*Node {
-		k := sim.New(1)
-		net := network.New(k, topo, network.DefaultConfig(), nil)
-		nodes := make([]*Node, topo.N())
-		for i := range nodes {
-			id := ident.NodeID(i)
-			nodes[i] = NewNodeIn(id, k, net, topo.Neighbors(id), Config{}, pool)
-		}
-		return nodes
-	}
-	rng := rand.New(rand.NewSource(3))
-	small, err := topology.New(60, 4, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	first := build(small, &pool)
-	InstallStableSubscriptions(small, first, randomSubs(rng, small.N(), 2, densePatterns(40)))
-	// Learned state on top of the installed tables, as a run leaves it.
-	first[3].addDir(900, first[3].Neighbors()[0])
-	first[4].OnNodeDown()
-	for _, nd := range first {
-		nd.Release()
-		if nd.dirIdx != nil || nd.dirRows != nil || nd.dirLen != nil {
-			t.Fatalf("released node %d still holds its direction table", nd.id)
-		}
-	}
-
-	big, err := topology.NewOverlay(topology.KindScaleFree, 60, 7, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	subs := randomSubs(rng, big.N(), 3, densePatterns(300))
-	reused := build(big, &pool)
-	if len(pool.free) != 0 {
-		t.Fatalf("%d nodes left in the pool: the second build did not recycle", len(pool.free))
-	}
-	InstallStableSubscriptions(big, reused, subs)
-	fresh := build(big, nil)
-	InstallStableSubscriptions(big, fresh, subs)
-	requireSameTables(t, reused, fresh, 1000)
-	for x := range fresh {
-		if len(reused[x].dirOver) != len(fresh[x].dirOver) {
-			t.Fatalf("node %d: %d spilled rows recycled, %d fresh", x, len(reused[x].dirOver), len(fresh[x].dirOver))
-		}
-	}
-}

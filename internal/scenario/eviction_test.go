@@ -120,34 +120,34 @@ func TestEvictionScaleFixedSeed(t *testing.T) {
 	})
 }
 
-// TestPooledRunnerMatchesFreshRun: engines and dispatchers recycled
-// through a Runner's pools — index rows, some still shared with the
-// previous run's in-flight digests, received-set bitmaps, caches — must
-// behave exactly like freshly built ones. One Runner replays legs of
-// different algorithms, overlays and policies back to back; each Result
-// must equal a fresh Run's bit for bit.
-func TestPooledRunnerMatchesFreshRun(t *testing.T) {
+// TestRunAllMatchesRun: a sweep's results must not depend on which
+// worker ran a job or what it ran before. RunAll over a mixed list —
+// overlays, algorithms, replacement policies, and one leg under node
+// churn with self-stabilizing repair — must equal a Run of each element
+// bit for bit.
+func TestRunAllMatchesRun(t *testing.T) {
 	t.Parallel()
 	smallWorld := evictionParams(core.Hybrid, cache.FIFOPolicy)
 	smallWorld.Overlay = topology.KindSmallWorld
+	churn := overlayChurnParams(3, topology.KindScaleFree, RepairSelfStabilizing, core.CombinedPull)
 	legs := []Params{
 		smallWorld,
 		evictionParams(core.Push, cache.LRUPolicy),
+		churn,
 		evictionParams(core.CombinedPull, cache.RandomPolicy),
 		evictionParams(core.Hybrid, cache.FIFOPolicy),
 	}
-	var runner Runner
+	swept, err := RunAll(legs)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for i, p := range legs {
-		pooled, err := runner.Run(p)
+		single, err := Run(p)
 		if err != nil {
 			t.Fatal(err)
 		}
-		fresh, err := Run(p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(pooled, fresh) {
-			t.Errorf("leg %d (%v): pooled run differs from a fresh run:\npooled: %v\n fresh: %v", i, p.Algorithm, pinOf(pooled), pinOf(fresh))
+		if !reflect.DeepEqual(swept[i], single) {
+			t.Errorf("leg %d (%v): RunAll result differs from Run:\nRunAll: %v\n   Run: %v", i, p.Algorithm, pinOf(swept[i]), pinOf(single))
 		}
 	}
 }

@@ -31,12 +31,11 @@ func churnParams() Params {
 // same seed + same fault plan → bit-identical results, run after run.
 func TestChurnFaultPlanDeterministicReplay(t *testing.T) {
 	p := churnParams()
-	var r1, r2 Runner
-	a, err := r1.Run(p)
+	a, err := Run(p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := r2.Run(p)
+	b, err := Run(p)
 	if err != nil {
 		t.Fatal(err)
 	}

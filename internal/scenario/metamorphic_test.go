@@ -65,7 +65,6 @@ func TestLossMonotonicallyDegradesDelivery(t *testing.T) {
 	const tolerance = 0.005
 
 	means := make([]float64, len(epsilons))
-	var r Runner
 	for i, eps := range epsilons {
 		sum := 0.0
 		for _, seed := range seeds {
@@ -79,7 +78,7 @@ func TestLossMonotonicallyDegradesDelivery(t *testing.T) {
 			p.Algorithm = core.NoRecovery
 			p.Gossip = core.DefaultConfig(core.NoRecovery)
 			p.Network.LossRate = eps
-			res, err := r.Run(p)
+			res, err := Run(p)
 			if err != nil {
 				t.Fatal(err)
 			}

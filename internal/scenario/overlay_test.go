@@ -47,10 +47,9 @@ func TestOverlayChurnConvergenceMatrix(t *testing.T) {
 		kind := kind
 		t.Run(kind.String(), func(t *testing.T) {
 			t.Parallel()
-			var r Runner
 			for _, alg := range core.Algorithms() {
 				for _, seed := range seeds {
-					res, err := r.Run(overlayChurnParams(seed, kind, RepairSelfStabilizing, alg))
+					res, err := Run(overlayChurnParams(seed, kind, RepairSelfStabilizing, alg))
 					if err != nil {
 						t.Fatalf("seed=%d alg=%s: %v", seed, alg, err)
 					}
@@ -73,10 +72,9 @@ func TestOverlayChurnConvergenceMatrix(t *testing.T) {
 // oracle baseline: the injector's omniscient healing must satisfy the
 // same convergence monitor.
 func TestOverlayChurnOracleConvergence(t *testing.T) {
-	var r Runner
 	for _, kind := range topology.Kinds() {
 		for _, seed := range []int64{1, 2, 3} {
-			res, err := r.Run(overlayChurnParams(seed, kind, RepairOracle, core.CombinedPull))
+			res, err := Run(overlayChurnParams(seed, kind, RepairOracle, core.CombinedPull))
 			if err != nil {
 				t.Fatalf("%v seed=%d: %v", kind, seed, err)
 			}
@@ -138,12 +136,11 @@ func TestOverlayChurnFixedSeed(t *testing.T) {
 			crashes: 2, restarts: 2, kernel: 32001,
 		},
 	}
-	var r Runner
 	for i := range pins {
 		pin := &pins[i]
 		p := overlayChurnParams(7, pin.kind, RepairOracle, core.CombinedPull)
 		p.Check = nil
-		res, err := r.Run(p)
+		res, err := Run(p)
 		if err != nil {
 			t.Fatalf("%v: %v", pin.kind, err)
 		}
@@ -227,12 +224,11 @@ func TestSelfStabilizingDeterministicReplay(t *testing.T) {
 	for _, kind := range topology.Kinds() {
 		p := overlayChurnParams(5, kind, RepairSelfStabilizing, core.CombinedPull)
 		p.Check = nil
-		var r1, r2 Runner
-		a, err := r1.Run(p)
+		a, err := Run(p)
 		if err != nil {
 			t.Fatalf("%v: %v", kind, err)
 		}
-		b, err := r2.Run(p)
+		b, err := Run(p)
 		if err != nil {
 			t.Fatalf("%v: %v", kind, err)
 		}

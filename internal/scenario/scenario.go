@@ -415,57 +415,32 @@ type Result struct {
 	KernelEvents uint64
 }
 
-// runState is the per-worker reusable part of a run: the simulation
-// kernel (whose event slab, heap, and free-list capacity survive
-// Reset), the engine scratch pool, the dispatcher pool, the delivery
-// tracker, and the receiver-count stamp array. One goroutine owns a
-// runState at a time; Kernel.Reset bumps every slot generation and the
-// pools hand back fully cleared state, so reuse cannot alias state
-// between runs and every run stays deterministic under its seed. The
-// zero value is ready.
-type runState struct {
-	k         *sim.Kernel
-	pool      core.ScratchPool
-	nodes     pubsub.NodePool
-	tracker   *metrics.DeliveryTracker
-	streaming *metrics.StreamingTracker
-	stamp     []uint32 // countReceivers dedup marks, indexed by NodeID
-	gen       uint32   // current stamp generation
+// receiverCounter counts a publish's expected receivers. Its stamp
+// array marks each subscriber once per call, so counting needs no
+// per-publish map.
+type receiverCounter struct {
+	stamp []uint32 // dedup marks, indexed by NodeID
+	gen   uint32   // current stamp generation
 }
 
-// kernel returns a kernel seeded with seed, recycling the previous
-// run's allocation when there is one.
-func (st *runState) kernel(seed int64) *sim.Kernel {
-	if st.k == nil {
-		st.k = sim.New(seed)
-	} else {
-		st.k.Reset(seed)
-	}
-	return st.k
-}
-
-// countReceivers returns how many dispatchers other than the publisher
-// subscribe to at least one pattern of the content. A node is counted
-// once per call via the stamp array — no per-publish map.
+// count returns how many dispatchers other than the publisher
+// subscribe to at least one pattern of the content.
 // down, when non-nil, excludes currently crashed subscribers: a down
 // dispatcher is not expected to receive anything published during its
 // outage (the paper's metric only counts deliveries a fully reliable
 // scenario would produce, and a reliable system does not deliver to a
 // dead process).
-func (st *runState) countReceivers(subIndex *pubsub.SubscriberIndex, c matching.Content, publisher ident.NodeID, n int, down func(ident.NodeID) bool) int {
-	if len(st.stamp) < n {
-		st.stamp = append(st.stamp, make([]uint32, n-len(st.stamp))...)
-	}
-	st.gen++
-	if st.gen == 0 { // generation wrap: old marks could collide
-		clear(st.stamp)
-		st.gen = 1
+func (rc *receiverCounter) count(subIndex *pubsub.SubscriberIndex, c matching.Content, publisher ident.NodeID, down func(ident.NodeID) bool) int {
+	rc.gen++
+	if rc.gen == 0 { // generation wrap: old marks could collide
+		clear(rc.stamp)
+		rc.gen = 1
 	}
 	count := 0
 	for _, p := range c {
 		for _, s := range subIndex.Subscribers(p) {
-			if s != publisher && st.stamp[s] != st.gen && (down == nil || !down(s)) {
-				st.stamp[s] = st.gen
+			if s != publisher && rc.stamp[s] != rc.gen && (down == nil || !down(s)) {
+				rc.stamp[s] = rc.gen
 				count++
 			}
 		}
@@ -473,34 +448,14 @@ func (st *runState) countReceivers(subIndex *pubsub.SubscriberIndex, c matching.
 	return count
 }
 
-// Run executes one simulation.
+// Run executes one simulation. Every run builds its state fresh and
+// drops it when it returns.
 func Run(p Params) (Result, error) {
-	var st runState
-	return runWith(p, &st)
-}
-
-// Runner executes simulations sequentially while reusing run state
-// (kernel slab, engine scratch, stamp arrays) across them — what each
-// RunAll worker does internally. Results are identical to Run: state
-// reuse never leaks between runs (kernel Reset bumps every slot
-// generation) and each run is deterministic under its seed. A Runner
-// must not be shared between goroutines. The zero value is ready.
-type Runner struct {
-	st runState
-}
-
-// Run executes one simulation on the reusable state.
-func (r *Runner) Run(p Params) (Result, error) {
-	return runWith(p, &r.st)
-}
-
-// runWith executes one simulation on the given reusable state.
-func runWith(p Params, st *runState) (Result, error) {
 	p, err := p.normalize()
 	if err != nil {
 		return Result{}, err
 	}
-	k := st.kernel(p.Seed)
+	k := sim.New(p.Seed)
 	topoRNG := k.NewStream(0x746f706f) // "topo"
 	topo, err := topology.NewOverlay(p.Overlay, p.N, p.MaxDegree, topoRNG)
 	if err != nil {
@@ -577,19 +532,9 @@ func runWith(p Params, st *runState) (Result, error) {
 			BucketWidth: p.BucketWidth,
 			RingBuckets: ring,
 		}
-		if st.streaming == nil {
-			st.streaming = metrics.NewStreamingTracker(cfg)
-		} else {
-			st.streaming.Reset(cfg)
-		}
-		tracker = st.streaming
+		tracker = metrics.NewStreamingTracker(cfg)
 	} else {
-		if st.tracker == nil {
-			st.tracker = metrics.NewDeliveryTracker(k.Now)
-		} else {
-			st.tracker.Reset(k.Now)
-		}
-		tracker = st.tracker
+		tracker = metrics.NewDeliveryTracker(k.Now)
 	}
 
 	onDeliver := tracker.OnDeliver
@@ -638,7 +583,7 @@ func runWith(p Params, st *runState) (Result, error) {
 	nodes := make([]*pubsub.Node, p.N)
 	for i := range nodes {
 		id := ident.NodeID(i)
-		nodes[i] = pubsub.NewNodeIn(id, k, nw, topo.Neighbors(id), pcfg, &st.nodes)
+		nodes[i] = pubsub.NewNode(id, k, nw, topo.Neighbors(id), pcfg)
 	}
 
 	// Stable subscription state (paper Sec. IV-A): πmax distinct
@@ -671,7 +616,7 @@ func runWith(p Params, st *runState) (Result, error) {
 	engines := make([]*core.Engine, 0, p.N)
 	if p.Algorithm != core.NoRecovery {
 		for _, n := range nodes {
-			e, err := core.NewEngineIn(n, p.Gossip, &st.pool)
+			e, err := core.NewEngine(n, p.Gossip)
 			if err != nil {
 				return Result{}, fmt.Errorf("scenario: building engine: %w", err)
 			}
@@ -744,6 +689,7 @@ func runWith(p Params, st *runState) (Result, error) {
 		if p.FaultPlan != nil {
 			down = inj.IsDown
 		}
+		receivers := receiverCounter{stamp: make([]uint32, p.N)}
 		pubs := len(nodes)
 		if p.Publishers > 0 && p.Publishers < pubs {
 			pubs = p.Publishers
@@ -790,7 +736,7 @@ func runWith(p Params, st *runState) (Result, error) {
 					content = wu.RandomContent(wlRNG)
 				}
 				ev := node.Publish(content, p.PayloadBytes)
-				expected := st.countReceivers(subIndex, content, node.ID(), p.N, down)
+				expected := receivers.count(subIndex, content, node.ID(), down)
 				tracker.OnPublish(ev.ID, expected, k.Now())
 				if chk != nil {
 					chk.OnPublish(node.ID(), ev, expected)
@@ -824,8 +770,7 @@ func runWith(p Params, st *runState) (Result, error) {
 		e.Stop()
 	}
 	if chk != nil {
-		// Verdict before any pooled state is released: the audits walk
-		// live engine buffers.
+		// The audits walk the engines' buffers as the run left them.
 		if err := chk.Finish(tracker); err != nil {
 			return Result{}, err
 		}
@@ -877,13 +822,17 @@ func runWith(p Params, st *runState) (Result, error) {
 		if as, ok := e.AdaptStats(); ok {
 			res.Adapt.Merge(as)
 		}
-		e.Release()
-	}
-	for _, n := range nodes {
-		n.Release()
 	}
 	return res, nil
 }
+
+// Runner runs simulations one after another; its Run is Run and it
+// shares no state between runs. It is kept for benchmark/sim.go, which
+// runs the legs of a workload through one. The zero value is ready.
+type Runner struct{}
+
+// Run executes one simulation; see Run.
+func (Runner) Run(p Params) (Result, error) { return Run(p) }
 
 // traceObserver adapts a trace ring to the network.Observer interface.
 type traceObserver struct {

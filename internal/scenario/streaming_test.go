@@ -48,17 +48,16 @@ func quantilesWithin(t *testing.T, label string, e, s sim.Time, tol float64) {
 func TestStreamingMatchesExact(t *testing.T) {
 	algos := []core.Algorithm{core.NoRecovery, core.Push, core.CombinedPull}
 	seeds := []int64{1, 7}
-	var exactR, streamR Runner
 	for _, alg := range algos {
 		for _, seed := range seeds {
 			t.Run(fmt.Sprintf("%v/seed%d", alg, seed), func(t *testing.T) {
 				p := diffParams(alg, seed)
-				e, err := exactR.Run(p)
+				e, err := Run(p)
 				if err != nil {
 					t.Fatal(err)
 				}
 				p.MetricsMode = MetricsStreaming
-				s, err := streamR.Run(p)
+				s, err := Run(p)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -34,12 +34,8 @@ func RunAll(params []Params) ([]Result, error) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			// Per-worker reusable run state: the kernel slab and engine
-			// scratch grown by early jobs serve every later job on this
-			// worker, so a long sweep stops paying per-run warm-up.
-			var st runState
 			for i := range jobs {
-				results[i], errs[i] = runWith(params[i], &st)
+				results[i], errs[i] = Run(params[i])
 			}
 		}()
 	}

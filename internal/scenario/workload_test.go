@@ -129,12 +129,11 @@ func TestSubChurnFixedSeedMetrics(t *testing.T) {
 func TestSubChurnUnderFaultPlan(t *testing.T) {
 	p := churnParams()
 	p.Workload = Workload{SubChurnRate: 25}
-	var r1, r2 Runner
-	a, err := r1.Run(p)
+	a, err := Run(p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := r2.Run(p)
+	b, err := Run(p)
 	if err != nil {
 		t.Fatal(err)
 	}

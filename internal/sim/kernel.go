@@ -111,32 +111,6 @@ func New(seed int64) *Kernel {
 	}
 }
 
-// Reset returns the kernel to the state New(seed) would produce while
-// keeping the slab, heap, and free-list capacity. A parameter sweep
-// reuses one kernel per worker across runs, so later runs skip the
-// slab warm-up of earlier ones. Every slot generation is bumped, so
-// Cancelers held across a Reset are invalidated rather than aliased.
-func (k *Kernel) Reset(seed int64) {
-	for i := range k.slab {
-		k.slab[i].gen++
-		k.slab[i].fn = nil
-		k.slab[i].sched = false
-		k.slab[i].dead = false
-	}
-	k.free = k.free[:0]
-	for i := len(k.slab) - 1; i >= 0; i-- {
-		k.free = append(k.free, int32(i))
-	}
-	k.heap = k.heap[:0]
-	k.now = 0
-	k.seq = 0
-	k.dead = 0
-	k.processed = 0
-	k.stopped = false
-	k.seed = seed
-	k.rng = rand.New(rand.NewSource(seed))
-}
-
 // Now returns the current virtual time.
 func (k *Kernel) Now() Time { return k.now }
 

@@ -118,52 +118,3 @@ func TestKernelStressOracle(t *testing.T) {
 		}
 	}
 }
-
-// TestKernelResetReuse checks that a Reset kernel replays a schedule
-// identically to a fresh one (slot identity must be invisible) and
-// that Cancelers held across the Reset are dead.
-func TestKernelResetReuse(t *testing.T) {
-	run := func(k *sim.Kernel) []int {
-		var fired []int
-		for i := 0; i < 50; i++ {
-			id := i
-			at := sim.Time((i * 37 % 11)) * time.Millisecond
-			c := k.At(at, func() { fired = append(fired, id) })
-			if i%5 == 0 {
-				c.Cancel()
-			}
-		}
-		k.RunAll()
-		return fired
-	}
-
-	fresh := sim.New(7)
-	want := run(fresh)
-
-	reused := sim.New(7)
-	_ = run(reused)
-	var stale []sim.Canceler
-	for i := 0; i < 8; i++ {
-		stale = append(stale, reused.At(time.Second, func() {}))
-	}
-	reused.Reset(7)
-	if reused.Pending() != 0 || reused.Now() != 0 {
-		t.Fatalf("Reset left Pending=%d Now=%v", reused.Pending(), reused.Now())
-	}
-	got := run(reused)
-	if !slices.Equal(got, want) {
-		t.Fatalf("reset kernel fired %v, fresh kernel fired %v", got, want)
-	}
-	// Stale cancelers from before the Reset must not touch the new run.
-	reused.Reset(7)
-	for _, c := range stale {
-		c.Cancel()
-	}
-	got = run(reused)
-	if !slices.Equal(got, want) {
-		t.Fatalf("after stale cancels, reset kernel fired %v, want %v", got, want)
-	}
-	if fresh.Seed() != reused.Seed() {
-		t.Fatalf("seeds diverged: %d vs %d", fresh.Seed(), reused.Seed())
-	}
-}
