@@ -34,7 +34,8 @@ func (e *Engine) AuditInvariants(now sim.Time) error {
 // buffered events imply — together, the rows index exactly the buffer.
 func (e *Engine) auditIndex() error {
 	pats := 0
-	for p, r := range e.patRows {
+	for k, r := range e.patRows.rows {
+		p := e.patRows.pats[k]
 		for i, id := range r.ids {
 			if i > 0 && !r.ids[i-1].Less(id) {
 				return fmt.Errorf("push index row %d out of order at %d: %v !< %v", p, i, r.ids[i-1], id)
@@ -46,7 +47,8 @@ func (e *Engine) auditIndex() error {
 		pats += len(r.ids)
 	}
 	tags := 0
-	for p, r := range e.tagRows {
+	for k, r := range e.tagRows.rows {
+		p := e.tagRows.pats[k]
 		for i, t := range r {
 			if i > 0 && r[i-1].key() >= t.key() {
 				return fmt.Errorf("pull index row %d out of order at %d: %+v !< %+v", p, i, r[i-1], t)
@@ -96,21 +98,22 @@ func (e *Engine) auditIndex() error {
 
 // pushIndexed reports whether pattern p's push row holds id.
 func (e *Engine) pushIndexed(p ident.PatternID, id ident.EventID) bool {
-	if int(p) >= len(e.patRows) {
+	r := e.patRows.row(p)
+	if r == nil {
 		return false
 	}
-	ids := e.patRows[p].ids
-	i := e.patRows[p].search(idKey(id))
-	return i < len(ids) && ids[i] == id
+	i := r.search(idKey(id))
+	return i < len(r.ids) && r.ids[i] == id
 }
 
 // tagIndexed reports whether pattern p's pull row maps (src, pseq) to the
 // event sequence eseq.
 func (e *Engine) tagIndexed(p ident.PatternID, src ident.NodeID, pseq, eseq uint32) bool {
-	if int(p) >= len(e.tagRows) {
+	rp := e.tagRows.row(p)
+	if rp == nil {
 		return false
 	}
-	r := e.tagRows[p]
+	r := *rp
 	i := r.seek(0, tagKey(src, pseq))
 	return i < len(r) && r[i].src == src && r[i].pseq == pseq && r[i].eseq == eseq
 }

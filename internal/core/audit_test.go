@@ -181,39 +181,41 @@ func TestEngineAuditDetectsIndexCorruption(t *testing.T) {
 		{
 			name: "push-row-out-of-order",
 			corrupt: func(e *Engine) {
-				ids := e.patRows[5].ids
+				ids := e.patRows.row(5).ids
 				ids[0], ids[1] = ids[1], ids[0]
 			},
 			want: "push index row 5 out of order",
 		},
 		{
 			name:    "push-row-duplicate",
-			corrupt: func(e *Engine) { e.patRows[200].ids[1] = e.patRows[200].ids[0] },
+			corrupt: func(e *Engine) { r := e.patRows.row(200); r.ids[1] = r.ids[0] },
 			want:    "push index row 200 out of order",
 		},
 		{
 			name: "push-row-unbuffered-event",
 			corrupt: func(e *Engine) {
-				e.patRows[5].ids = append(e.patRows[5].ids, ident.EventID{Source: 9, Seq: 9})
+				r := e.patRows.row(5)
+				r.ids = append(r.ids, ident.EventID{Source: 9, Seq: 9})
 			},
 			want: "not buffered",
 		},
 		{
 			name:    "push-row-missing-event",
-			corrupt: func(e *Engine) { e.patRows[200].ids = e.patRows[200].ids[1:] },
+			corrupt: func(e *Engine) { r := e.patRows.row(200); r.ids = r.ids[1:] },
 			want:    "missing from push index row",
 		},
 		{
 			name: "push-row-foreign-event",
 			corrupt: func(e *Engine) {
-				e.patRows[200].ids = append(e.patRows[200].ids, buffered)
+				r := e.patRows.row(200)
+				r.ids = append(r.ids, buffered)
 			},
 			want: "push index rows hold 10 entries, the buffered events imply 9",
 		},
 		{
 			name: "pull-row-out-of-order",
 			corrupt: func(e *Engine) {
-				r := e.tagRows[5]
+				r := *e.tagRows.row(5)
 				r[1], r[2] = r[2], r[1]
 			},
 			want: "pull index row 5 out of order",
@@ -221,24 +223,26 @@ func TestEngineAuditDetectsIndexCorruption(t *testing.T) {
 		{
 			name: "pull-row-unbuffered-event",
 			corrupt: func(e *Engine) {
-				e.tagRows[200] = append(e.tagRows[200], tagEnt{src: 9, pseq: 1, eseq: 9})
+				r := e.tagRows.row(200)
+				*r = append(*r, tagEnt{src: 9, pseq: 1, eseq: 9})
 			},
 			want: "not buffered",
 		},
 		{
 			name:    "pull-row-wrong-event",
-			corrupt: func(e *Engine) { e.tagRows[5][0].eseq = 2 },
+			corrupt: func(e *Engine) { (*e.tagRows.row(5))[0].eseq = 2 },
 			want:    "missing from pull index row",
 		},
 		{
 			name:    "pull-row-missing-entry",
-			corrupt: func(e *Engine) { e.tagRows[200].deleteAt(0) },
+			corrupt: func(e *Engine) { e.tagRows.row(200).deleteAt(0) },
 			want:    "missing from pull index row",
 		},
 		{
 			name: "pull-row-foreign-entry",
 			corrupt: func(e *Engine) {
-				e.tagRows[200] = append(e.tagRows[200], tagEnt{src: buffered.Source, pseq: 7, eseq: buffered.Seq})
+				r := e.tagRows.row(200)
+				*r = append(*r, tagEnt{src: buffered.Source, pseq: 7, eseq: buffered.Seq})
 			},
 			want: "pull index rows hold 10 entries, the buffered events imply 9",
 		},

@@ -45,8 +45,8 @@ type Engine struct {
 	buf *cache.Cache
 	// patRows (push) and tagRows (pull) index the buffered events by
 	// pattern; see index.go.
-	patRows []patRow
-	tagRows []tagRow
+	patRows patternRows[patRow]
+	tagRows patternRows[tagRow]
 
 	lost *LostBuffer
 	// high holds the loss-detection high-water marks; routes the latest
@@ -255,14 +255,12 @@ func (e *Engine) index(ev *wire.Event) {
 	e.buf.Put(ev)
 	if e.needPatIdx {
 		for _, p := range ev.Content {
-			e.patRows = growRows(e.patRows, p)
-			e.patRows[p].add(ev.ID)
+			e.patRows.add(p).add(ev.ID)
 		}
 	}
 	if e.needTagIdx {
 		for _, t := range ev.Tags {
-			e.tagRows = growRows(e.tagRows, t.Pattern)
-			e.tagRows[t.Pattern].put(ev.ID.Source, t.Seq, ev.ID.Seq)
+			e.tagRows.add(t.Pattern).put(ev.ID.Source, t.Seq, ev.ID.Seq)
 		}
 	}
 }
@@ -271,15 +269,15 @@ func (e *Engine) index(ev *wire.Event) {
 func (e *Engine) unindex(ev *wire.Event) {
 	if e.needPatIdx {
 		for _, p := range ev.Content {
-			if int(p) < len(e.patRows) {
-				e.patRows[p].remove(ev.ID)
+			if r := e.patRows.row(p); r != nil {
+				r.remove(ev.ID)
 			}
 		}
 	}
 	if e.needTagIdx {
 		for _, t := range ev.Tags {
-			if int(t.Pattern) < len(e.tagRows) {
-				e.tagRows[t.Pattern].del(ev.ID.Source, t.Seq)
+			if r := e.tagRows.row(t.Pattern); r != nil {
+				r.del(ev.ID.Source, t.Seq)
 			}
 		}
 	}
@@ -449,10 +447,11 @@ func (e *Engine) gossipPush() bool {
 // pushDigest returns the positive digest of the buffered events matching
 // p: an immutable view that may be embedded in messages (see patRow).
 func (e *Engine) pushDigest(p ident.PatternID) []ident.EventID {
-	if int(p) >= len(e.patRows) {
+	r := e.patRows.row(p)
+	if r == nil {
 		return nil
 	}
-	return e.patRows[p].digest()
+	return r.digest()
 }
 
 // forwardPattern routes a pattern-labelled gossip message like an event
@@ -460,7 +459,8 @@ func (e *Engine) pushDigest(p ident.PatternID) []ident.EventID {
 // PForward (read from the coherent per-round knob snapshot).
 func (e *Engine) forwardPattern(msg wire.Message, p ident.PatternID, from ident.NodeID) bool {
 	sent := false
-	for _, nb := range e.node.InterestDirections(p) {
+	var buf pubsub.DirBuf
+	for _, nb := range e.node.InterestDirections(&buf, p) {
 		if nb == from {
 			continue
 		}
@@ -699,10 +699,7 @@ func (e *Engine) serve(gossiper ident.NodeID, wanted []wire.LostEntry) []wire.Lo
 	for _, w := range wanted {
 		key := tagKey(w.Source, w.Seq)
 		if w.Pattern != pat || key < last {
-			pat, pos, row = w.Pattern, 0, nil
-			if w.Pattern >= 0 && int(w.Pattern) < len(e.tagRows) {
-				row = &e.tagRows[w.Pattern]
-			}
+			pat, pos, row = w.Pattern, 0, e.tagRows.row(w.Pattern)
 		}
 		last = key
 		if row == nil {

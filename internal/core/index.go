@@ -6,14 +6,42 @@ import (
 	"repro/internal/ident"
 )
 
-// The engine's two per-event indices are dense rows indexed by
-// PatternID, grown on demand in PatternSetCap steps (the rule of
-// pubsub.Node.patSeq), so neither probes a map on the event path. Both
-// order and search their entries by one packed integer key (tagKey).
+// The engine's two per-event indices hold one row per pattern the
+// engine indexed, reached through an ident.RowIndex (patternRows), so
+// neither probes a map on the event path and an engine's rows follow
+// the patterns it saw, not the largest pattern id. Both order and
+// search their entries by one packed integer key (tagKey).
 
-// growRows extends rows so that index i — a PatternID or NodeID — is
-// valid. Growth allocates a new array; rows never shrink.
-func growRows[R any, I ident.PatternID | ident.NodeID](rows []R, i I) []R {
+// patternRows holds one row per pattern, in order of first use.
+type patternRows[R any] struct {
+	idx  ident.RowIndex
+	pats []ident.PatternID // pats[i] is the pattern of rows[i]
+	rows []R
+}
+
+// row returns p's row, nil when p has none.
+func (t *patternRows[R]) row(p ident.PatternID) *R {
+	i, ok := t.idx.Row(int32(p))
+	if !ok {
+		return nil
+	}
+	return &t.rows[i]
+}
+
+// add returns p's row, creating an empty one when p has none.
+func (t *patternRows[R]) add(p ident.PatternID) *R {
+	i, added := t.idx.Add(int32(p))
+	if added {
+		var zero R
+		t.rows = append(t.rows, zero)
+		t.pats = append(t.pats, p)
+	}
+	return &t.rows[i]
+}
+
+// growRows extends rows so that index i — a NodeID — is valid, in
+// PatternSetCap steps. Growth allocates a new array; rows never shrink.
+func growRows[R any](rows []R, i ident.NodeID) []R {
 	if int(i) < len(rows) {
 		return rows
 	}
@@ -175,28 +203,22 @@ func (r tagRow) seek(from int, key uint64) int {
 
 // highMarks holds the loss-detection high-water marks, one per
 // (pattern, source): a row for each pattern the node has seen tagged
-// events of — its local patterns, a handful — reached through a
-// RowIndex, each row indexed by source.
-type highMarks struct {
-	pats ident.RowIndex
-	rows [][]uint32
-}
+// events of — its local patterns, a handful — each row indexed by
+// source.
+type highMarks struct{ patternRows[[]uint32] }
 
 // get returns the highest sequence number of pattern p seen from src,
 // 0 before the first.
 func (h *highMarks) get(p ident.PatternID, src ident.NodeID) uint32 {
-	r, ok := h.pats.Row(int32(p))
-	if !ok || int(src) >= len(h.rows[r]) {
+	r := h.row(p)
+	if r == nil || int(src) >= len(*r) {
 		return 0
 	}
-	return h.rows[r][src]
+	return (*r)[src]
 }
 
 func (h *highMarks) set(p ident.PatternID, src ident.NodeID, seq uint32) {
-	r, added := h.pats.Add(int32(p))
-	if added {
-		h.rows = append(h.rows, nil)
-	}
-	h.rows[r] = growRows(h.rows[r], src)
-	h.rows[r][src] = seq
+	r := h.add(p)
+	*r = growRows(*r, src)
+	(*r)[src] = seq
 }

@@ -243,8 +243,7 @@ func TestIndexRowsMatchMapOracle(t *testing.T) {
 							src := ident.NodeID(2 + s.rng.Intn(6))
 							p := indexPatterns[s.rng.Intn(len(indexPatterns))]
 							stale := wire.LostEntry{Source: src, Pattern: p, Seq: uint32(100000 + op)}
-							e.tagRows = growRows(e.tagRows, p)
-							e.tagRows[p].put(src, stale.Seq, stale.Seq)
+							e.tagRows.add(p).put(src, stale.Seq, stale.Seq)
 							oracle.tagIdx[stale] = ident.EventID{Source: src, Seq: stale.Seq}
 							wanted = slices.Insert(wanted, s.rng.Intn(len(wanted)+1), stale)
 						}

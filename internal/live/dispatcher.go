@@ -271,18 +271,19 @@ func (d *Dispatcher) route(buf []byte, hops []hop) []hop {
 
 // readLoop drains the shard socket in batches and routes each datagram.
 // Receive slots come from one long-lived slab sized batch × 64 KB, so
-// the steady state allocates nothing.
+// the steady state allocates nothing; after each batch only the slots
+// the read filled (and shortened) are restored to full length.
 func (s *shard) readLoop() {
 	defer s.d.wg.Done()
 	const slot = 64 << 10
 	batch := s.d.cfg.Batch
 	slab := make([]byte, batch*slot)
 	ds := make([]dgram, batch)
+	for i := range ds {
+		ds[i].b = slab[i*slot : (i+1)*slot : (i+1)*slot]
+	}
 	var hops []hop
 	for {
-		for i := range ds {
-			ds[i].b = slab[i*slot : (i+1)*slot]
-		}
 		n, err := s.pc.readBatch(ds)
 		if err != nil {
 			if closing(err) {
@@ -297,6 +298,7 @@ func (s *shard) readLoop() {
 		}
 		for i := 0; i < n; i++ {
 			hops = s.d.route(ds[i].b, hops)
+			ds[i].b = ds[i].b[:slot] // only the filled slots were shortened
 		}
 	}
 }
@@ -383,15 +385,24 @@ type hostedTransport struct {
 }
 
 func (t *hostedTransport) sendMsg(from, to ident.NodeID, addr netip.AddrPort, msg wire.Message, oob bool) {
-	select {
-	case t.sh.out <- outEntry{from: from, to: to, addr: addr, msg: msg, oob: oob}:
-	case <-t.sh.d.done:
-	}
+	t.enqueue(outEntry{from: from, to: to, addr: addr, msg: msg, oob: oob})
 }
 
 func (t *hostedTransport) sendHeartbeat(from, to ident.NodeID, addr netip.AddrPort) {
+	t.enqueue(outEntry{from: from, to: to, addr: addr})
+}
+
+// enqueue puts e on the ring. The common case, a ring with room, is a
+// plain non-blocking send; only a full ring pays for the select that
+// lets shutdown unblock the sender.
+func (t *hostedTransport) enqueue(e outEntry) {
 	select {
-	case t.sh.out <- outEntry{from: from, to: to, addr: addr}:
+	case t.sh.out <- e:
+		return
+	default:
+	}
+	select {
+	case t.sh.out <- e:
 	case <-t.sh.d.done:
 	}
 }

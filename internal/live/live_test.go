@@ -13,6 +13,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/ident"
 	"repro/internal/matching"
+	"repro/internal/pubsub"
 	"repro/internal/topology"
 	"repro/internal/wire"
 )
@@ -56,7 +57,8 @@ func waitRoutes(t *testing.T, c *Cluster, p ident.PatternID, subs ...ident.NodeI
 func (n *Node) routesToward(p ident.PatternID, hop ident.NodeID) bool {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	return slices.Contains(n.ps.InterestDirections(p), hop)
+	var buf pubsub.DirBuf
+	return slices.Contains(n.ps.InterestDirections(&buf, p), hop)
 }
 
 // newCluster starts a cluster on a default dispatcher.

@@ -38,7 +38,8 @@ type mmsgConn struct {
 	rc   syscall.RawConn
 
 	// Pre-allocated syscall scaffolding, sized to the batch; reused on
-	// every call so the steady state allocates nothing.
+	// every call so the steady state allocates nothing. The read side
+	// keeps each entry built for the buffer it last pointed at.
 	rhdrs []mmsghdr
 	riovs []syscall.Iovec
 	whdrs []mmsghdr
@@ -71,10 +72,16 @@ func (c *mmsgConn) readBatch(ds []dgram) (int, error) {
 	if k > len(c.rhdrs) {
 		k = len(c.rhdrs)
 	}
+	// The headers and iovecs persist across calls: the kernel writes
+	// only the received length and flags back, so an entry is rebuilt
+	// only when the caller hands a different buffer than last time.
 	for i := 0; i < k; i++ {
-		c.riovs[i].Base = &ds[i].b[0]
-		c.riovs[i].SetLen(len(ds[i].b))
-		c.rhdrs[i] = mmsghdr{hdr: syscall.Msghdr{Iov: &c.riovs[i], Iovlen: 1}}
+		b := ds[i].b
+		if iov := &c.riovs[i]; iov.Base != &b[0] || iov.Len != uint64(len(b)) {
+			iov.Base = &b[0]
+			iov.SetLen(len(b))
+			c.rhdrs[i] = mmsghdr{hdr: syscall.Msghdr{Iov: iov, Iovlen: 1}}
+		}
 	}
 	var n int
 	var operr error

@@ -32,7 +32,7 @@ func TestFaultCrashRejoinResync(t *testing.T) {
 	if got := len(r.nodes[2].Neighbors()); got != 0 {
 		t.Fatalf("crashed node keeps %d neighbors", got)
 	}
-	if dirs := r.nodes[2].InterestDirections(5); len(dirs) != 0 {
+	if dirs := r.nodes[2].dirs(5); len(dirs) != 0 {
 		t.Fatalf("crashed node keeps remote interest directions %v", dirs)
 	}
 
@@ -71,12 +71,12 @@ func TestFaultCrashRejoinResync(t *testing.T) {
 		t.Fatalf("rejoined subscriber got %d deliveries, want 1", got)
 	}
 	// ...and it relearned the component's interests over the new link.
-	if dirs := r.nodes[2].InterestDirections(5); len(dirs) != 1 || dirs[0] != 4 {
+	if dirs := r.nodes[2].dirs(5); len(dirs) != 1 || dirs[0] != 4 {
 		t.Fatalf("rejoined node's interest directions for 5 = %v, want [4]", dirs)
 	}
 	// The old position no longer routes through the corpse's ex-links.
 	for _, n := range []ident.NodeID{1, 3} {
-		for _, d := range r.nodes[n].InterestDirections(5) {
+		for _, d := range r.nodes[n].dirs(5) {
 			if d == 2 {
 				t.Fatalf("node %d still routes pattern 5 toward the crashed node's old link", n)
 			}

@@ -91,11 +91,13 @@ type Config struct {
 // tableSet) answer the per-event membership questions on the routing
 // path without map probes for every pattern identifier, while the
 // sorted localList stays the authoritative local set. The
-// interest-direction table is struct-of-arrays: dirIdx maps a pattern
-// to a fixed-stride row of the node-local dirRows arena, so a 100k-node
-// run carries one backing array per node instead of one heap slice per
-// (node, pattern) pair; rows wider than the stride (star hubs) spill
-// into dirOver.
+// interest-direction table is one uint16 cell per pattern: a row is an
+// ordered subset of at most four adjacency slots, encoded as a 3-bit
+// length and four 2-bit slot indices, so a 10,000-node run pays two
+// bytes per (node, pattern). Slots are stable: a neighbor keeps its
+// slot while linked, and a slot is freed only after every row naming
+// it was flushed, so no cell is ever re-coded. Rows a cell cannot
+// encode spill into dirOver as NodeIDs.
 type Node struct {
 	id  ident.NodeID
 	k   *sim.Kernel
@@ -107,15 +109,17 @@ type Node struct {
 	localSet  ident.PatternSet
 	localList []ident.PatternID // sorted; authoritative local set
 
-	// Interest-direction table. dirIdx[p] is the row number in dirRows
-	// (-1: no row yet); dirLen[row] is the live prefix length of the
-	// row's dirStride-entry window, or dirOverMark when the directions
-	// for that pattern overflowed into dirOver. tableSet mirrors which
-	// patterns have at least one direction so "any interest in p?" and
-	// table iteration are bit operations.
-	dirIdx   []int32
-	dirRows  []ident.NodeID
-	dirLen   []uint16
+	// slots is the adjacency-slot table the cells index: slots[i] is the
+	// neighbor in slot i, or ident.None for a free slot. A new neighbor
+	// takes the first free slot; OnLinkDown frees a slot only after its
+	// flush removed the neighbor from every row.
+	slots []ident.NodeID
+
+	// Interest-direction table. cells[p] encodes p's direction row (see
+	// cellLenBits); a cell of dirSpill means the row lives in dirOver.
+	// tableSet mirrors which patterns have at least one direction so
+	// "any interest in p?" and table iteration are bit operations.
+	cells    []uint16
 	dirOver  map[ident.PatternID][]ident.NodeID
 	tableSet ident.PatternSet
 
@@ -152,6 +156,7 @@ func NewNode(id ident.NodeID, k *sim.Kernel, net Net, neighbors []ident.NodeID, 
 		net:       net,
 		cfg:       cfg,
 		neighbors: append([]ident.NodeID(nil), neighbors...),
+		slots:     append([]ident.NodeID(nil), neighbors...),
 		recovery:  NopRecovery{},
 	}
 	net.Register(id, n)
@@ -231,30 +236,60 @@ func (n *Node) clearLocal(p ident.PatternID) bool {
 	return true
 }
 
-// dirStride is the width of one direction row in the dirRows arena.
-// It matches the default overlay degree bound; the rare wider rows
-// (star hubs in tests) overflow into the dirOver map.
+// dirStride is the widest row a cell encodes, and the number of slots
+// it can name. It matches the default overlay degree bound; the rare
+// wider rows (star hubs in tests) spill into dirOver.
 const dirStride = 4
 
-// dirOverMark is the dirLen sentinel for a row that overflowed.
-const dirOverMark = ^uint16(0)
+// A direction cell holds a row's length in its low three bits and the
+// row's slot indices, two bits each in row order, above them. A zero
+// cell is "no row"; the length dirSpill marks a row held in dirOver.
+const (
+	cellLenBits = 3
+	cellLenMask = 1<<cellLenBits - 1
+	dirSpill    = cellLenMask
+)
 
-// dirs returns the neighbors with remote interest in p. The slice is
-// owned by the node and must not be mutated.
-func (n *Node) dirs(p ident.PatternID) []ident.NodeID {
-	if p < 0 || int(p) >= len(n.dirIdx) {
+// DirBuf is caller-owned storage that InterestDirections decodes an
+// encoded row into. A caller keeps it on its own stack, so a re-entrant
+// forward cannot overwrite a row another forward is iterating.
+type DirBuf [dirStride]ident.NodeID
+
+// InterestDirections returns the neighbors with (remote) interest in p,
+// in forwarding order: decoded into buf, or, for a spilled row, the
+// node's own slice, valid until the row changes. Callers must not
+// mutate the result.
+func (n *Node) InterestDirections(buf *DirBuf, p ident.PatternID) []ident.NodeID {
+	if p < 0 || int(p) >= len(n.cells) {
 		return nil
 	}
-	row := n.dirIdx[p]
-	if row < 0 {
+	c := n.cells[p]
+	l := int(c & cellLenMask)
+	switch l {
+	case 0:
 		return nil
-	}
-	l := n.dirLen[row]
-	if l == dirOverMark {
+	case dirSpill:
 		return n.dirOver[p]
 	}
-	off := int(row) * dirStride
-	return n.dirRows[off : off+int(l) : off+dirStride]
+	for i := 0; i < l; i++ {
+		buf[i] = n.slots[c>>(cellLenBits+2*i)&3]
+	}
+	return buf[:l]
+}
+
+// hasDirs reports whether p has a direction row.
+func (n *Node) hasDirs(p ident.PatternID) bool {
+	return p >= 0 && int(p) < len(n.cells) && n.cells[p] != 0
+}
+
+// slotOf returns nb's adjacency slot, or -1 when nb is not a neighbor.
+func (n *Node) slotOf(nb ident.NodeID) int {
+	for i, x := range n.slots {
+		if x == nb {
+			return i
+		}
+	}
+	return -1
 }
 
 // addDir appends nb to p's direction row, keeping insertion order
@@ -268,64 +303,54 @@ func (n *Node) addDir(p ident.PatternID, nb ident.NodeID) {
 // addDirRow is addDir without the tableSet update, which the sweep
 // reference installer (setup_test.go) batches into one build per node.
 func (n *Node) addDirRow(p ident.PatternID, nb ident.NodeID) {
-	if int(p) >= len(n.dirIdx) {
-		// Grow the pattern->row index in coarse steps so a universe
-		// discovered pattern-by-pattern does not re-grow per pattern.
-		want := (int(p) + ident.PatternSetCap) &^ (ident.PatternSetCap - 1)
-		idx := make([]int32, want)
-		copy(idx, n.dirIdx)
-		for i := len(n.dirIdx); i < want; i++ {
-			idx[i] = -1
-		}
-		n.dirIdx = idx
+	if int(p) >= len(n.cells) {
+		// Grow the table in coarse steps so a universe discovered
+		// pattern-by-pattern does not re-grow per pattern.
+		cells := make([]uint16, (int(p)+ident.PatternSetCap)&^(ident.PatternSetCap-1))
+		copy(cells, n.cells)
+		n.cells = cells
 	}
-	row := n.dirIdx[p]
-	if row < 0 {
-		row = int32(len(n.dirLen))
-		n.dirIdx[p] = row
-		n.dirLen = append(n.dirLen, 0)
-		var zero [dirStride]ident.NodeID
-		n.dirRows = append(n.dirRows, zero[:]...)
-	}
-	switch l := n.dirLen[row]; {
-	case l == dirOverMark:
+	c := n.cells[p]
+	l := int(c & cellLenMask)
+	if l == dirSpill {
 		n.dirOver[p] = append(n.dirOver[p], nb)
-	case int(l) < dirStride:
-		n.dirRows[int(row)*dirStride+int(l)] = nb
-		n.dirLen[row] = l + 1
-	default:
-		// Row overflows the arena stride: move it to the spill map.
-		if n.dirOver == nil {
-			n.dirOver = make(map[ident.PatternID][]ident.NodeID)
-		}
-		off := int(row) * dirStride
-		n.dirOver[p] = append(append([]ident.NodeID(nil), n.dirRows[off:off+dirStride]...), nb)
-		n.dirLen[row] = dirOverMark
+		return
 	}
+	if s := n.slotOf(nb); l < dirStride && s >= 0 && s < dirStride {
+		n.cells[p] = c&^cellLenMask | uint16(l+1) | uint16(s)<<(cellLenBits+2*l)
+		return
+	}
+	// The row no longer fits a cell: move it to the spill map.
+	if n.dirOver == nil {
+		n.dirOver = make(map[ident.PatternID][]ident.NodeID)
+	}
+	var buf DirBuf
+	n.dirOver[p] = append(append(make([]ident.NodeID, 0, l+1), n.InterestDirections(&buf, p)...), nb)
+	n.cells[p] = dirSpill
 }
 
 // removeDir deletes nb from p's direction row, preserving the order of
 // the remaining entries; it reports whether nb was present.
 func (n *Node) removeDir(p ident.PatternID, nb ident.NodeID) bool {
-	if p < 0 || int(p) >= len(n.dirIdx) {
+	if !n.hasDirs(p) {
 		return false
 	}
-	row := n.dirIdx[p]
-	if row < 0 {
-		return false
-	}
-	if l := n.dirLen[row]; l != dirOverMark {
-		off := int(row) * dirStride
-		d := n.dirRows[off : off+int(l)]
-		for i, x := range d {
-			if x == nb {
-				copy(d[i:], d[i+1:])
-				n.dirLen[row] = l - 1
-				if l == 1 {
-					n.tableSet.Remove(p)
-				}
+	c := n.cells[p]
+	if l := int(c & cellLenMask); l != dirSpill {
+		for i := 0; i < l; i++ {
+			if n.slots[c>>(cellLenBits+2*i)&3] != nb {
+				continue
+			}
+			if l == 1 {
+				n.cells[p] = 0
+				n.tableSet.Remove(p)
 				return true
 			}
+			// Drop slot field i: the fields above it shift down one.
+			shift := cellLenBits + 2*i
+			low := c & (1<<shift - 1) &^ cellLenMask
+			n.cells[p] = low | c>>(shift+2)<<shift | uint16(l-1)
+			return true
 		}
 		return false
 	}
@@ -335,7 +360,7 @@ func (n *Node) removeDir(p ident.PatternID, nb ident.NodeID) bool {
 			d = append(d[:i], d[i+1:]...)
 			if len(d) == 0 {
 				delete(n.dirOver, p)
-				n.dirLen[row] = 0
+				n.cells[p] = 0
 				n.tableSet.Remove(p)
 			} else {
 				n.dirOver[p] = d
@@ -361,12 +386,6 @@ func (n *Node) KnownPatterns() []ident.PatternID {
 // invalidateKnown marks the KnownPatterns cache stale. Every mutation
 // of the local set or the interest table goes through it.
 func (n *Node) invalidateKnown() { n.known = nil }
-
-// InterestDirections returns the neighbors with (remote) interest in p.
-// The slice is owned by the node and must not be mutated.
-func (n *Node) InterestDirections(p ident.PatternID) []ident.NodeID {
-	return n.dirs(p)
-}
 
 // HasReceived reports whether the event was already delivered locally
 // (through routing or recovery) or published here.
@@ -395,7 +414,7 @@ func (n *Node) Publish(content matching.Content, payload uint16) *wire.Event {
 		PayloadLen:  payload,
 	}
 	for _, p := range content {
-		if n.IsLocal(p) || len(n.dirs(p)) > 0 {
+		if n.IsLocal(p) || n.hasDirs(p) {
 			if int(p) >= len(n.patSeq) {
 				grown := make([]uint32, (int(p)+ident.PatternSetCap)&^(ident.PatternSetCap-1))
 				copy(grown, n.patSeq)
@@ -421,8 +440,9 @@ func (n *Node) Publish(content matching.Content, payload uint16) *wire.Event {
 // the one it came from.
 func (n *Node) forward(ev *wire.Event, from ident.NodeID) {
 	sent := n.fwdScratch[:0]
+	var buf DirBuf
 	for _, p := range ev.Content {
-		for _, nb := range n.dirs(p) {
+		for _, nb := range n.InterestDirections(&buf, p) {
 			if nb == from || slices.Contains(sent, nb) {
 				continue
 			}
@@ -506,7 +526,8 @@ func (n *Node) advertisedTo(p ident.PatternID, nb ident.NodeID) bool {
 	if n.IsLocal(p) {
 		return true
 	}
-	for _, d := range n.dirs(p) {
+	var buf DirBuf
+	for _, d := range n.InterestDirections(&buf, p) {
 		if d != nb {
 			return true
 		}
@@ -555,7 +576,8 @@ func (n *Node) SetLocalInstant(ps []ident.PatternID) {
 // SetTableInstant installs a remote-interest direction without
 // propagation (scenario setup only).
 func (n *Node) SetTableInstant(p ident.PatternID, dir ident.NodeID) {
-	for _, x := range n.dirs(p) {
+	var buf DirBuf
+	for _, x := range n.InterestDirections(&buf, p) {
 		if x == dir {
 			return
 		}
@@ -567,7 +589,8 @@ func (n *Node) SetTableInstant(p ident.PatternID, dir ident.NodeID) {
 // addInterest records that neighbor from is interested in p and
 // re-propagates the subscription where it is news.
 func (n *Node) addInterest(p ident.PatternID, from ident.NodeID) {
-	for _, x := range n.dirs(p) {
+	var buf DirBuf
+	for _, x := range n.InterestDirections(&buf, p) {
 		if x == from {
 			return // duplicate advertisement
 		}
@@ -603,19 +626,30 @@ func (n *Node) OnLinkDown(nbr ident.NodeID) {
 	n.neighbors = removeNodeID(n.neighbors, nbr)
 	var stale []ident.PatternID
 	stale = n.tableSet.AppendTo(stale) // ascending == the sorted order used before
+	var buf DirBuf
 	for _, p := range stale {
-		if slices.Contains(n.dirs(p), nbr) {
+		if slices.Contains(n.InterestDirections(&buf, p), nbr) {
 			n.removeInterest(p, nbr)
 		}
+	}
+	// No row names nbr any more, so its slot can be handed out again.
+	if s := n.slotOf(nbr); s >= 0 {
+		n.slots[s] = ident.None
 	}
 }
 
 // OnLinkUp reacts to a new link toward nbr: the node advertises every
 // interest it holds (local, or learned from other directions), exactly
-// as a freshly issued subscription would propagate.
+// as a freshly issued subscription would propagate. nbr takes the first
+// free adjacency slot.
 func (n *Node) OnLinkUp(nbr ident.NodeID) {
 	n.linkEpoch++
 	n.neighbors = append(n.neighbors, nbr)
+	if s := n.slotOf(ident.None); s >= 0 {
+		n.slots[s] = nbr
+	} else {
+		n.slots = append(n.slots, nbr)
+	}
 	for _, p := range n.KnownPatterns() {
 		if n.advertisedTo(p, nbr) {
 			n.SendTree(nbr, &wire.Subscribe{Pattern: p})
@@ -632,9 +666,8 @@ func (n *Node) OnLinkUp(nbr ident.NodeID) {
 // when the node rejoins.
 func (n *Node) OnNodeDown() {
 	n.neighbors = n.neighbors[:0]
-	for i := range n.dirLen {
-		n.dirLen[i] = 0
-	}
+	n.slots = n.slots[:0]
+	clear(n.cells)
 	n.dirOver = nil
 	n.tableSet = ident.PatternSet{}
 	n.invalidateKnown()

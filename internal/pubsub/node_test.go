@@ -194,7 +194,7 @@ func tables(nodes []*Node) []map[ident.PatternID][]ident.NodeID {
 	for i, n := range nodes {
 		m := make(map[ident.PatternID][]ident.NodeID)
 		for _, p := range n.KnownPatterns() {
-			dirs := append([]ident.NodeID(nil), n.InterestDirections(p)...)
+			dirs := append([]ident.NodeID(nil), n.dirs(p)...)
 			sort.Slice(dirs, func(a, b int) bool { return dirs[a] < dirs[b] })
 			if len(dirs) > 0 {
 				m[p] = dirs
@@ -306,13 +306,13 @@ func TestUnsubscribeFlushesRoutes(t *testing.T) {
 	r := newRig(t, topo, Config{})
 	r.nodes[3].Subscribe(5)
 	r.run()
-	if dirs := r.nodes[0].InterestDirections(5); len(dirs) != 1 {
+	if dirs := r.nodes[0].dirs(5); len(dirs) != 1 {
 		t.Fatalf("node 0 has %d directions for 5, want 1", len(dirs))
 	}
 	r.nodes[3].Unsubscribe(5)
 	r.run()
 	for i, n := range r.nodes {
-		if len(n.InterestDirections(5)) != 0 {
+		if len(n.dirs(5)) != 0 {
 			t.Fatalf("node %d still routes pattern 5 after unsubscribe", i)
 		}
 	}

@@ -45,12 +45,12 @@ const installParallelMin = 1 << 18
 // keeping every fixed-seed run bit-identical.
 //
 // The sweep is node-major over blocks of installBlock patterns, and the
-// tables it fills are carved out of three run-wide arrays sized up
-// front (see carveArena), so the install costs what it writes rather
-// than what per-node append-doubling reallocates. Patterns are
-// independent lanes of the sweep and blocks write disjoint table slots,
-// so blocks run on up to GOMAXPROCS goroutines; the tables are the same
-// for every worker count.
+// direction cells it fills are carved out of one run-wide array sized
+// up front (see carveArena), so the install costs what it writes rather
+// than what per-node growth reallocates. Patterns are independent lanes
+// of the sweep and blocks write disjoint cells, so blocks run on up to
+// GOMAXPROCS goroutines; the tables are the same for every worker
+// count.
 func InstallStableSubscriptions(topo *topology.Tree, nodes []*Node, subs [][]ident.PatternID) {
 	installStable(topo, nodes, subs, runtime.GOMAXPROCS(0))
 }
@@ -63,7 +63,7 @@ func installStable(topo *topology.Tree, nodes []*Node, subs [][]ident.PatternID,
 		panic("pubsub: nodes/subs length must match topology size")
 	}
 	for i, nd := range nodes {
-		if len(nd.dirLen) != 0 {
+		if len(nd.cells) != 0 {
 			panic("pubsub: stable install on a node that already holds direction rows")
 		}
 		nd.SetLocalInstant(subs[i])
@@ -96,8 +96,8 @@ func installStable(topo *topology.Tree, nodes []*Node, subs [][]ident.PatternID,
 	}
 	wg.Wait()
 
-	// Rows wider than the arena stride live in the per-node spill map;
-	// maps are not written from the parallel phase.
+	// Rows a cell cannot encode live in the per-node spill map; maps are
+	// not written from the parallel phase.
 	for _, rows := range over {
 		for _, r := range rows {
 			nd := nodes[r.node]
@@ -112,9 +112,9 @@ func installStable(topo *topology.Tree, nodes []*Node, subs [][]ident.PatternID,
 	have := make([]ident.PatternID, 0, len(in.pats))
 	for _, nd := range nodes {
 		have = have[:0]
-		for r, l := range nd.dirLen {
-			if l != 0 {
-				have = append(have, in.pats[r])
+		for _, p := range in.pats {
+			if nd.cells[p] != 0 {
+				have = append(have, p)
 			}
 		}
 		nd.tableSet = ident.PatternSetFromAscending(have)
@@ -130,14 +130,10 @@ type installer struct {
 
 	// Subscribers grouped by pattern: pats lists the subscribed
 	// patterns ascending, and the subscribers of pats[r] are
-	// members[start[r]:start[r+1]] in ascending node order. A pattern's
-	// rank r is its row number on every node.
+	// members[start[r]:start[r+1]] in ascending node order.
 	pats    []ident.PatternID
 	start   []int32
 	members []ident.NodeID
-
-	// width is the length of every node's pattern→row index.
-	width int
 
 	// BFS forest of the overlay: order visits parents before children
 	// within each component (roots are the smallest ids); parent is -1
@@ -209,27 +205,21 @@ func (in *installer) bfsForest() {
 	}
 }
 
-// carveArena gives every node a direction table with one row per
-// subscribed pattern, cut from three run-wide pointer-free arrays. Each
-// node's slices are capacity-limited to its own region, so a later
-// append (a pattern first learned after the install) reallocates that
-// node's table out of the arena instead of running into its
-// neighbor's. The arena has no owner of its own: it lives as long as
-// some node still holds a slice of it.
+// carveArena gives every node a direction table with one cell per
+// pattern id up to the largest subscribed one, cut from one run-wide
+// pointer-free array. Each node's slice is capacity-limited to its own
+// region, so a later growth (a pattern beyond the installed universe)
+// reallocates that node's table out of the arena instead of running
+// into its neighbor's. The arena has no owner of its own: it lives as
+// long as some node still holds a slice of it.
 func (in *installer) carveArena() {
-	n, rows := len(in.nodes), len(in.pats)
-	// The index is as wide as addDirRow would have grown it for the
+	// The table is as wide as addDirRow would have grown it for the
 	// largest pattern.
-	width := (int(in.pats[rows-1]) + ident.PatternSetCap) &^ (ident.PatternSetCap - 1)
-	idx := make([]int32, n*width)
-	dirs := make([]ident.NodeID, n*rows*dirStride)
-	lens := make([]uint16, n*rows)
+	width := (int(in.pats[len(in.pats)-1]) + ident.PatternSetCap) &^ (ident.PatternSetCap - 1)
+	cells := make([]uint16, len(in.nodes)*width)
 	for x, nd := range in.nodes {
-		nd.dirIdx = idx[x*width : (x+1)*width : (x+1)*width]
-		nd.dirRows = dirs[x*rows*dirStride : (x+1)*rows*dirStride : (x+1)*rows*dirStride]
-		nd.dirLen = lens[x*rows : (x+1)*rows : (x+1)*rows]
+		nd.cells = cells[x*width : (x+1)*width : (x+1)*width]
 	}
-	in.width = width
 }
 
 // installScratch is one worker's sweep state, reused across its blocks.
@@ -238,19 +228,20 @@ type installScratch struct {
 	// block's j-th pattern in subtree(x); minUp the minimum outside it.
 	minDown, minUp []int32
 	// self has bit j set when the node itself subscribes to pattern j.
-	self []uint32
-	keys [][]int32 // per neighbor of the node being emitted: its key lanes
-	row  []keyedDir
+	self  []uint32
+	keys  [][]int32 // per neighbor of the node being emitted: its key lanes
+	slots []int     // per neighbor of the node being emitted: its adjacency slot
+	row   []keyedDir
 }
 
-// keyedDir is a direction with its rank key: the minimum subscriber id
-// on that side.
+// keyedDir is a direction with its rank key, the minimum subscriber id
+// on that side, and its index among the emitting node's neighbors.
 type keyedDir struct {
 	key int32
-	dir ident.NodeID
+	nb  int
 }
 
-// overRow is a direction row wider than dirStride, bound for dirOver.
+// overRow is a direction row no cell can encode, bound for dirOver.
 type overRow struct {
 	node    ident.NodeID
 	pattern ident.PatternID
@@ -268,10 +259,9 @@ func newInstallScratch(n int) *installScratch {
 // noSub is the "no subscriber on that side" minimum.
 const noSub = int32(1 << 30)
 
-// sweepBlock fills every node's rows for the patterns of rank
-// [b*installBlock, (b+1)*installBlock) and returns the rows that did
-// not fit the arena stride. It writes only those rows and the index
-// entries of the block's pattern-id range.
+// sweepBlock fills every node's cells for the patterns of rank
+// [b*installBlock, (b+1)*installBlock) and returns the rows no cell can
+// encode. It writes only the cells of the block's patterns.
 func (in *installer) sweepBlock(b int, s *installScratch) []overRow {
 	const B = installBlock
 	r0 := b * B
@@ -359,39 +349,27 @@ func (in *installer) sweepBlock(b int, s *installScratch) []overRow {
 		}
 	}
 
-	// The block owns the index entries from its first pattern up to the
-	// next block's first (the first block from 0, the last to the end).
-	lo, hi := 0, in.width
-	if b > 0 {
-		lo = int(pats[0])
-	}
-	if r0+B < len(in.pats) {
-		hi = int(in.pats[r0+B])
-	}
-
 	// Emit rows in ascending-minimum order, matching the reference
-	// subscriber sweep.
+	// subscriber sweep, as cells of the node's adjacency slots; a row
+	// no cell can encode is returned for dirOver.
 	var over []overRow
-	keys, row := s.keys, s.row
+	keys, slots, row := s.keys, s.slots, s.row
 	for x, nd := range in.nodes {
-		idx := nd.dirIdx[lo:hi]
-		for i := range idx {
-			idx[i] = -1
-		}
 		nbrs := in.topo.Neighbors(ident.NodeID(x))
-		keys = keys[:0]
+		keys, slots = keys[:0], slots[:0]
 		for _, y := range nbrs {
 			if int32(y) == in.parent[x] {
 				keys = append(keys, minUp[x*B:][:B])
 			} else {
 				keys = append(keys, minDown[int(y)*B:][:B])
 			}
+			slots = append(slots, nd.slotOf(y))
 		}
 		for j, p := range pats {
 			row = row[:0]
 			for i, k := range keys {
 				if k[j] < noSub {
-					row = append(row, keyedDir{k[j], nbrs[i]})
+					row = append(row, keyedDir{k[j], i})
 				}
 			}
 			if len(row) == 0 {
@@ -405,24 +383,24 @@ func (in *installer) sweepBlock(b int, s *installScratch) []overRow {
 					row[k], row[k-1] = row[k-1], row[k]
 				}
 			}
-			r := r0 + j
-			idx[int(p)-lo] = int32(r)
-			if len(row) > dirStride {
-				dirs := make([]ident.NodeID, len(row))
-				for i, e := range row {
-					dirs[i] = e.dir
-				}
-				nd.dirLen[r] = dirOverMark
-				over = append(over, overRow{ident.NodeID(x), p, dirs})
+			c, fits := uint16(len(row)), len(row) <= dirStride
+			for i, e := range row {
+				slot := slots[e.nb]
+				fits = fits && slot >= 0 && slot < dirStride
+				c |= uint16(slot&3) << (cellLenBits + 2*i)
+			}
+			if fits {
+				nd.cells[p] = c
 				continue
 			}
-			out := nd.dirRows[r*dirStride:][:dirStride]
+			dirs := make([]ident.NodeID, len(row))
 			for i, e := range row {
-				out[i] = e.dir
+				dirs[i] = nbrs[e.nb]
 			}
-			nd.dirLen[r] = uint16(len(row))
+			nd.cells[p] = dirSpill
+			over = append(over, overRow{ident.NodeID(x), p, dirs})
 		}
 	}
-	s.keys, s.row = keys, row
+	s.keys, s.slots, s.row = keys, slots, row
 	return over
 }

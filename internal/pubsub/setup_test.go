@@ -429,8 +429,8 @@ func TestInstallMatchesSweepReference(t *testing.T) {
 	}
 }
 
-// TestInstallIndependentOfWorkerCount: blocks write disjoint table
-// slots and share no mutable state, so the raw tables — not just what
+// TestInstallIndependentOfWorkerCount: blocks write disjoint cells and
+// share no mutable state, so the raw direction cells — not just what
 // dirs reads back — are the same on one goroutine and on four.
 func TestInstallIndependentOfWorkerCount(t *testing.T) {
 	for _, kind := range topology.Kinds() {
@@ -450,8 +450,8 @@ func TestInstallIndependentOfWorkerCount(t *testing.T) {
 		requireSameTables(t, four, one, pats[len(pats)-1])
 		for x := range one {
 			a, b := one[x], four[x]
-			if !slices.Equal(a.dirIdx, b.dirIdx) || !slices.Equal(a.dirRows, b.dirRows) || !slices.Equal(a.dirLen, b.dirLen) {
-				t.Fatalf("%v: node %d: raw tables differ between 1 and 4 workers", kind, x)
+			if !slices.Equal(a.cells, b.cells) {
+				t.Fatalf("%v: node %d: raw cells differ between 1 and 4 workers", kind, x)
 			}
 			if len(a.dirOver) != len(b.dirOver) {
 				t.Fatalf("%v: node %d: %d spilled rows with 1 worker, %d with 4", kind, x, len(a.dirOver), len(b.dirOver))
@@ -470,10 +470,11 @@ func tableSnapshot(n *Node, maxPat ident.PatternID) [][]ident.NodeID {
 }
 
 // TestInstallArenaRegionsAreIsolated: after the install every node's
-// table is a capacity-limited region of one shared arena. Growing one
-// node's table — a pattern it never had a row for, inside or beyond
-// the installed universe — must move that node out of the arena and
-// leave its neighbors' regions untouched.
+// table is a capacity-limited region of one shared arena. A row for a
+// pattern the node never had one for is written in place when the
+// pattern is inside the installed universe and moves the node's table
+// out of the arena when it is beyond it; either way the neighbors'
+// regions stay untouched.
 func TestInstallArenaRegionsAreIsolated(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	topo, err := topology.New(30, 4, rng)
@@ -508,14 +509,15 @@ func TestInstallArenaRegionsAreIsolated(t *testing.T) {
 		if x.dirs(tc.p) != nil {
 			t.Fatalf("%s: node %d already has a row for pattern %d", tc.name, tc.x, tc.p)
 		}
-		arenaLen := &x.dirLen[0]
-		if cap(x.dirLen) != len(x.dirLen) || cap(x.dirRows) != len(x.dirRows) || cap(x.dirIdx) != len(x.dirIdx) {
+		arena := &x.cells[0]
+		if cap(x.cells) != len(x.cells) {
 			t.Fatalf("%s: node %d's table is not capacity-limited to its region", tc.name, tc.x)
 		}
+		beyond := int(tc.p) >= len(x.cells)
 		nb := x.Neighbors()[0]
 		x.addDir(tc.p, nb)
-		if &x.dirLen[0] == arenaLen {
-			t.Fatalf("%s: node %d grew its table inside the shared arena", tc.name, tc.x)
+		if moved := &x.cells[0] != arena; moved != beyond {
+			t.Fatalf("%s: node %d's table left the arena: %v, want %v", tc.name, tc.x, moved, beyond)
 		}
 		before[tc.x][tc.p] = []ident.NodeID{nb}
 		for i, nd := range nodes {
