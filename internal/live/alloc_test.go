@@ -40,16 +40,16 @@ func TestAllocsPack(t *testing.T) {
 	a := netip.MustParseAddrPort("127.0.0.1:9")
 	b := netip.MustParseAddrPort("127.0.0.1:10")
 	msg := &wire.Subscribe{Pattern: 1}
-	onePair := make([]outEntry, 8)
+	onePair := make([]out, 8)
 	for i := range onePair {
-		onePair[i] = outEntry{from: 1, to: 2, addr: a, msg: msg}
+		onePair[i] = out{from: 1, to: 2, addr: a, msg: msg}
 	}
 	onePair[3].msg = nil // one heartbeat in the mix
 	// Many senders and nodes behind two sockets, interleaved, with
 	// enough records to split each socket's datagram at the budget.
-	mixed := make([]outEntry, 400)
+	mixed := make([]out, 400)
 	for i := range mixed {
-		mixed[i] = outEntry{from: ident.NodeID(i % 5), to: ident.NodeID(10 + i%7), addr: a, msg: msg}
+		mixed[i] = out{from: ident.NodeID(i % 5), to: ident.NodeID(10 + i%7), addr: a, msg: msg}
 		if i%2 == 1 {
 			mixed[i].addr = b
 		}
@@ -59,7 +59,7 @@ func TestAllocsPack(t *testing.T) {
 	}
 	for _, tc := range []struct {
 		name    string
-		entries []outEntry
+		entries []out
 	}{{"one-pair", onePair}, {"mixed-destinations", mixed}} {
 		s := &shard{}
 		ds := make([]dgram, 0, 16)

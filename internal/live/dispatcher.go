@@ -1,28 +1,38 @@
 package live
 
 import (
+	"errors"
 	"fmt"
+	"math/rand"
 	"net"
 	"net/netip"
+	"os"
 	"sync"
 	"sync/atomic"
+	"time"
 
+	"repro/internal/core"
 	"repro/internal/ident"
+	"repro/internal/pubsub"
+	"repro/internal/sim"
 	"repro/internal/wire"
 )
 
 // A Dispatcher hosts live nodes on a small fixed set of UDP sockets; it
 // is the package's only socket deployment. It shards its nodes across
-// Sockets sockets, drains each with batched reads (recvmmsg on Linux),
-// and walks each datagram's records, handing every record to the node
-// its destination slot names. Outgoing messages are coalesced per
+// Sockets sockets (node id mod Sockets). A shard is one socket, one
+// sim.Kernel holding the timers of all its nodes, one lock guarding
+// their state, and two goroutines: the loop, which drains the socket
+// with batched reads (recvmmsg on Linux), runs the kernel's due timers
+// and hands every record of a datagram to the node its destination slot
+// names; and the writer. Outgoing messages are coalesced per
 // destination socket: one datagram carries the records of every sender
 // on the shard for every node behind that address, and a cycle's
 // datagrams leave in one batched write (sendmmsg). Hosting a thousand
-// nodes costs a handful of file descriptors and goroutines, and the
-// per-message syscall cost drops by roughly the records per datagram
-// times the batch factor. NewNode is the smallest case: one node on a
-// private one-socket dispatcher.
+// nodes costs a handful of file descriptors and exactly two goroutines
+// per socket, and the per-message syscall cost drops by roughly the
+// records per datagram times the batch factor. NewNode is the smallest
+// case: one node on a private one-socket dispatcher.
 
 // maxDatagram is the coalescing budget: a datagram is closed before
 // another record would take it past this size, chosen to clear typical
@@ -74,24 +84,40 @@ type DispatcherStats struct {
 	// Malformed counts datagrams cut short by a truncated record or a
 	// length field running past the end; the walk stops there.
 	Malformed uint64
-	// Misrouted counts records whose destination slot names no hosted
-	// node.
+	// Misrouted counts records whose destination slot names no node
+	// the receiving shard hosts. Honest senders address a node's home
+	// shard socket (Node.Addr).
 	Misrouted uint64
 }
 
-// outEntry is one message queued on a shard's outgoing ring. A nil msg
-// is a heartbeat.
-type outEntry struct {
-	from, to ident.NodeID
-	addr     netip.AddrPort
-	msg      wire.Message
-	oob      bool
+// A shard is one socket of a dispatcher and the nodes whose home it is.
+type shard struct {
+	d  *Dispatcher
+	pc packetConn // nil on a socketless shard (tests)
+	tr transport  // where released records go: the ring, on a socket
+	// out is the writer's ring.
+	out chan out
+
+	// mu is the shard lock. It guards everything below and all the
+	// state of every node the shard hosts.
+	mu sync.Mutex
+	// k is the clock and timer queue of every hosted node; nil until the
+	// shard hosts its first node. Kernel time is real time since the
+	// dispatcher's epoch.
+	k     *sim.Kernel
+	nodes map[ident.NodeID]*Node
+	// outs and delivs collect what the nodes did under mu: the records
+	// they sent and the local deliveries they made. release hands both
+	// on after unlocking.
+	outs   []out
+	delivs []delivery
+	// deadline is the kernel time the socket's read deadline is set to
+	// (never: none).
+	deadline sim.Time
 }
 
-type shard struct {
-	d   *Dispatcher
-	pc  packetConn
-	out chan outEntry
+func newShard(d *Dispatcher, pc packetConn) *shard {
+	return &shard{d: d, pc: pc, nodes: make(map[ident.NodeID]*Node), deadline: never}
 }
 
 // Dispatcher hosts nodes on shared shard sockets.
@@ -100,8 +126,12 @@ type Dispatcher struct {
 	batchIO bool
 	shards  []*shard
 
-	mu    sync.RWMutex
-	nodes map[ident.NodeID]*Node
+	// fix lets the first hosted node set seed and epoch: the seed of
+	// every shard kernel and the time base of every shard clock. Both
+	// are written before any shard has a kernel and never again.
+	fix   sync.Once
+	seed  int64
+	epoch time.Time
 
 	malformed atomic.Uint64
 	misrouted atomic.Uint64
@@ -119,11 +149,7 @@ func NewDispatcher(cfg DispatcherConfig) (*Dispatcher, error) {
 	if err != nil {
 		return nil, fmt.Errorf("live: resolving %q: %w", cfg.Bind, err)
 	}
-	d := &Dispatcher{
-		cfg:   cfg,
-		nodes: make(map[ident.NodeID]*Node),
-		done:  make(chan struct{}),
-	}
+	d := &Dispatcher{cfg: cfg, done: make(chan struct{})}
 	d.batchIO = batchTransportAvailable && !cfg.disableBatchIO
 	for i := 0; i < cfg.Sockets; i++ {
 		conn, err := net.ListenUDP("udp", addr)
@@ -147,7 +173,10 @@ func NewDispatcher(cfg DispatcherConfig) (*Dispatcher, error) {
 			d.batchIO = false
 			pc = &stdConn{conn: conn}
 		}
-		d.shards = append(d.shards, &shard{d: d, pc: pc, out: make(chan outEntry, cfg.Ring)})
+		s := newShard(d, pc)
+		s.out = make(chan out, cfg.Ring)
+		s.tr = &hostedTransport{sh: s}
+		d.shards = append(d.shards, s)
 	}
 	for _, s := range d.shards {
 		d.wg.Add(2)
@@ -175,33 +204,75 @@ func (d *Dispatcher) shardFor(id ident.NodeID) *shard {
 }
 
 // AddNode creates a node hosted on this dispatcher. The node speaks
-// through its shard's socket and ring; cfg.Bind is ignored. The
-// returned node is used exactly like one from NewNode.
+// through its home shard's socket and ring; cfg.Bind is ignored. The
+// first node fixes the dispatcher's Seed and Epoch; a later node whose
+// non-zero Seed or Epoch differs is refused. The returned node is used
+// exactly like one from NewNode.
 func (d *Dispatcher) AddNode(cfg Config) (*Node, error) {
+	n, err := d.host(cfg)
+	if err != nil {
+		return nil, err
+	}
+	n.start()
+	return n, nil
+}
+
+// host builds a node on its home shard: its core on the shard's
+// kernel, its driver state, and its entry in the shard's node table.
+// No timer of it runs until start.
+func (d *Dispatcher) host(cfg Config) (*Node, error) {
+	seed, epoch := cfg.Seed, cfg.Epoch
 	cfg, gcfg, err := cfg.normalize()
 	if err != nil {
 		return nil, err
 	}
-	sh := d.shardFor(cfg.ID)
-	n, err := newNodeState(cfg, gcfg, &hostedTransport{sh: sh}, d)
-	if err != nil {
-		return nil, err
+	d.fix.Do(func() {
+		d.seed, d.epoch = cfg.Seed, cfg.Epoch
+		if d.epoch.IsZero() {
+			d.epoch = time.Now()
+		}
+	})
+	if seed != 0 && seed != d.seed {
+		return nil, fmt.Errorf("live: node %d has Seed %d, its dispatcher %d", cfg.ID, seed, d.seed)
 	}
-	d.mu.Lock()
-	if _, dup := d.nodes[cfg.ID]; dup {
-		d.mu.Unlock()
+	if !epoch.IsZero() && !epoch.Equal(d.epoch) {
+		return nil, fmt.Errorf("live: node %d has Epoch %v, its dispatcher %v", cfg.ID, epoch, d.epoch)
+	}
+	cfg.Seed, cfg.Epoch = d.seed, d.epoch
+
+	s := d.shardFor(cfg.ID)
+	n := &Node{
+		cfg:       cfg,
+		sh:        s,
+		rng:       rand.New(rand.NewSource(sim.DeriveSeed(cfg.Seed, 'l', int64(cfg.ID)))),
+		neighbors: make(map[ident.NodeID]*neighbor),
+		directory: make(map[ident.NodeID]netip.AddrPort),
+		ledger:    make(map[ident.NodeID]*peerLedger),
+	}
+	s.lock()
+	defer s.unlock()
+	if _, dup := s.nodes[cfg.ID]; dup {
 		return nil, fmt.Errorf("live: node %d already hosted", cfg.ID)
 	}
-	d.nodes[cfg.ID] = n
-	d.mu.Unlock()
-	n.startLoops()
+	if s.k == nil {
+		// The epoch may lie far in the past: bring the clock to the
+		// present before anything is scheduled.
+		s.k = sim.New(d.seed)
+		s.k.Run(time.Since(d.epoch))
+	}
+	n.k = s.k
+	pcfg := pubsub.Config{RecordRoutes: cfg.Algorithm.NeedsRoutes(), OnDeliver: n.onDeliver}
+	n.ps = pubsub.NewNode(cfg.ID, n.k, coreNet{n}, nil, pcfg)
+	if cfg.Algorithm != core.NoRecovery {
+		eng, err := core.NewEngine(n.ps, gcfg)
+		if err != nil {
+			return nil, fmt.Errorf("live: %w", err)
+		}
+		eng.SetServeAdmission(n.admitServeLocked)
+		n.eng = eng
+	}
+	s.nodes[cfg.ID] = n
 	return n, nil
-}
-
-func (d *Dispatcher) removeNode(id ident.NodeID) {
-	d.mu.Lock()
-	delete(d.nodes, id)
-	d.mu.Unlock()
 }
 
 // Close shuts down every hosted node, then the shard sockets and their
@@ -209,14 +280,16 @@ func (d *Dispatcher) removeNode(id ident.NodeID) {
 func (d *Dispatcher) Close() error {
 	var err error
 	d.closeOnce.Do(func() {
-		d.mu.RLock()
-		nodes := make([]*Node, 0, len(d.nodes))
-		for _, n := range d.nodes {
-			nodes = append(nodes, n)
-		}
-		d.mu.RUnlock()
-		for _, n := range nodes {
-			n.Close()
+		for _, s := range d.shards {
+			s.mu.Lock()
+			nodes := make([]*Node, 0, len(s.nodes))
+			for _, n := range s.nodes {
+				nodes = append(nodes, n)
+			}
+			s.mu.Unlock()
+			for _, n := range nodes {
+				n.Close()
+			}
 		}
 		close(d.done)
 		for _, s := range d.shards {
@@ -229,50 +302,39 @@ func (d *Dispatcher) Close() error {
 	return err
 }
 
-// hop is one record of a received datagram, resolved to its node.
-type hop struct {
-	n *Node
-	r record
-}
-
 // route hands each record of one received datagram to the node its
-// destination slot names, under one read lock for the whole datagram.
-// A record naming no hosted node is counted as misrouted and skipped; a
-// truncated record ends the datagram, counted as malformed, and the
-// records before it are still delivered. Nodes are resolved first and
-// handed their records after the lock is released: delivery runs the
-// protocol, blocks on full rings and calls OnDeliver. Runs on the shard
-// reader goroutine with its scratch hops; buf is only valid for the
+// destination slot names. A record naming no node this shard hosts is
+// counted as misrouted and skipped; a truncated record ends the
+// datagram, counted as malformed, and the records before it are still
+// delivered. Callers hold the shard lock; buf is only valid for the
 // duration of the call (wire.Decode copies what it keeps).
-func (d *Dispatcher) route(buf []byte, hops []hop) []hop {
-	hops = hops[:0]
-	d.mu.RLock()
+func (s *shard) route(buf []byte) {
 	for {
 		r, rest, err := nextRecord(buf)
 		if err != nil {
-			d.malformed.Add(1)
-			break
+			s.d.malformed.Add(1)
+			return
 		}
-		if n := d.nodes[r.to]; n != nil {
-			hops = append(hops, hop{n: n, r: r})
+		if n := s.nodes[r.to]; n != nil {
+			n.handleRecordLocked(r)
 		} else {
-			d.misrouted.Add(1)
+			s.d.misrouted.Add(1)
 		}
 		if buf = rest; len(buf) == 0 {
-			break
+			return
 		}
 	}
-	d.mu.RUnlock()
-	for _, h := range hops {
-		h.n.handleRecord(h.r)
-	}
-	return hops
 }
 
-// readLoop drains the shard socket in batches and routes each datagram.
-// Receive slots come from one long-lived slab sized batch × 64 KB, so
-// the steady state allocates nothing; after each batch only the slots
-// the read filled (and shortened) are restored to full length.
+// readLoop is the shard loop. It drains the socket in batches and, for
+// each datagram, takes the shard lock (which runs the kernel up to the
+// present), routes the datagram's records and releases the lock, which
+// calls OnDeliver and enqueues the sends. The socket's read deadline is
+// the kernel's next timer, so a deadline error means "timers are due":
+// the loop runs them through the same lock. Receive slots come from one
+// long-lived slab sized batch × 64 KB, so the steady state allocates
+// nothing; after each batch only the slots the read filled (and
+// shortened) are restored to full length.
 func (s *shard) readLoop() {
 	defer s.d.wg.Done()
 	const slot = 64 << 10
@@ -282,12 +344,18 @@ func (s *shard) readLoop() {
 	for i := range ds {
 		ds[i].b = slab[i*slot : (i+1)*slot : (i+1)*slot]
 	}
-	var hops []hop
+	var outs []out
+	var delivs []delivery
 	for {
 		n, err := s.pc.readBatch(ds)
 		if err != nil {
 			if closing(err) {
 				return
+			}
+			if errors.Is(err, os.ErrDeadlineExceeded) {
+				s.lock()
+				outs, delivs = s.release(outs, delivs)
+				continue
 			}
 			select {
 			case <-s.d.done:
@@ -297,7 +365,9 @@ func (s *shard) readLoop() {
 			}
 		}
 		for i := 0; i < n; i++ {
-			hops = s.d.route(ds[i].b, hops)
+			s.lock()
+			s.route(ds[i].b)
+			outs, delivs = s.release(outs, delivs)
 			ds[i].b = ds[i].b[:slot] // only the filled slots were shortened
 		}
 	}
@@ -310,7 +380,7 @@ func (s *shard) readLoop() {
 func (s *shard) writeLoop() {
 	defer s.d.wg.Done()
 	batch := s.d.cfg.Batch
-	entries := make([]outEntry, 0, batch)
+	entries := make([]out, 0, batch)
 	ds := make([]dgram, 0, batch)
 	bufs := make([]*[]byte, 0, batch)
 	// open grows to the distinct addresses one cycle reaches, not to
@@ -354,7 +424,7 @@ func (s *shard) writeLoop() {
 // to one node keep their ring order. A message too large to frame is
 // dropped here, like any datagram UDP would refuse. ds and bufs stay
 // index-aligned: one pooled buffer per datagram.
-func (s *shard) pack(entries []outEntry, ds []dgram, bufs []*[]byte, open map[netip.AddrPort]int) ([]dgram, []*[]byte) {
+func (s *shard) pack(entries []out, ds []dgram, bufs []*[]byte, open map[netip.AddrPort]int) ([]dgram, []*[]byte) {
 	clear(open)
 	for _, e := range entries {
 		size := recordHeader
@@ -377,32 +447,24 @@ func (s *shard) pack(entries []outEntry, ds []dgram, bufs []*[]byte, open map[ne
 	return ds, bufs
 }
 
-// hostedTransport is the transport of a dispatcher-hosted node: sends
-// enqueue on the home shard's ring (blocking when full — backpressure,
-// not loss) and the writer goroutine does the encoding and I/O.
+// hostedTransport is the transport of a socket shard: sends enqueue on
+// the shard's ring (blocking when full — backpressure, not loss) and
+// the writer goroutine does the encoding and I/O.
 type hostedTransport struct {
 	sh *shard
 }
 
-func (t *hostedTransport) sendMsg(from, to ident.NodeID, addr netip.AddrPort, msg wire.Message, oob bool) {
-	t.enqueue(outEntry{from: from, to: to, addr: addr, msg: msg, oob: oob})
-}
-
-func (t *hostedTransport) sendHeartbeat(from, to ident.NodeID, addr netip.AddrPort) {
-	t.enqueue(outEntry{from: from, to: to, addr: addr})
-}
-
-// enqueue puts e on the ring. The common case, a ring with room, is a
+// send puts o on the ring. The common case, a ring with room, is a
 // plain non-blocking send; only a full ring pays for the select that
 // lets shutdown unblock the sender.
-func (t *hostedTransport) enqueue(e outEntry) {
+func (t *hostedTransport) send(o out) {
 	select {
-	case t.sh.out <- e:
+	case t.sh.out <- o:
 		return
 	default:
 	}
 	select {
-	case t.sh.out <- e:
+	case t.sh.out <- o:
 	case <-t.sh.d.done:
 	}
 }

@@ -123,11 +123,16 @@ func TestDispatcherMisroutedCounted(t *testing.T) {
 }
 
 // TestDispatcherNodeCloseLeavesOthersRunning closes one hosted node:
-// its traffic becomes misrouted, the other nodes keep delivering, and
-// the shard sockets stay up.
+// its traffic becomes misrouted, it sends no heartbeat or gossip
+// afterwards, its shard-mates keep delivering, and the shard socket
+// stays up.
 func TestDispatcherNodeCloseLeavesOthersRunning(t *testing.T) {
 	c, err := NewDispatcherCluster(4, 4, 21, DispatcherConfig{Sockets: 1}, func(i int) Config {
-		return Config{}
+		return Config{
+			Algorithm:         core.CombinedPull,
+			GossipInterval:    2 * time.Millisecond,
+			HeartbeatInterval: 2 * time.Millisecond,
+		}
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -143,15 +148,26 @@ func TestDispatcherNodeCloseLeavesOthersRunning(t *testing.T) {
 			break
 		}
 	}
-	if err := c.Nodes[victim].Close(); err != nil {
+	v := c.Nodes[victim]
+	v.Subscribe(3) // something to gossip about
+	waitFor(t, 2*time.Second, func() bool {
+		return v.Stats().HeartbeatsSent > 0
+	}, "heartbeats before the close")
+	if err := v.Close(); err != nil {
 		t.Fatal(err)
 	}
+	closed := v.Stats()
 	for e := 0; e < 20; e++ {
 		c.Nodes[0].Publish(matching.Content{3})
 	}
 	waitFor(t, 2*time.Second, func() bool {
 		return c.Nodes[nb].Stats().Delivered == 20
 	}, "delivery despite closed co-hosted node")
+	time.Sleep(20 * time.Millisecond) // ten heartbeat and gossip periods
+	if st := v.Stats(); st.HeartbeatsSent != closed.HeartbeatsSent || st.GossipSent != closed.GossipSent {
+		t.Fatalf("closed node sent %d heartbeats and %d gossip messages after Close",
+			st.HeartbeatsSent-closed.HeartbeatsSent, st.GossipSent-closed.GossipSent)
+	}
 }
 
 func TestDispatcherDuplicateNodeID(t *testing.T) {
@@ -165,6 +181,37 @@ func TestDispatcherDuplicateNodeID(t *testing.T) {
 	}
 	if _, err := d.AddNode(Config{ID: 1}); err == nil {
 		t.Fatal("hosting a duplicate node ID succeeded")
+	}
+}
+
+// TestDispatcherRefusesForeignSeedOrEpoch: the first node fixes the
+// dispatcher's Seed and Epoch; a later node may leave either zero or
+// repeat it, and is refused when it names another.
+func TestDispatcherRefusesForeignSeedOrEpoch(t *testing.T) {
+	d, err := NewDispatcher(DispatcherConfig{Sockets: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	epoch := time.Now().Add(-time.Minute)
+	if _, err := d.AddNode(Config{ID: 1, Seed: 7, Epoch: epoch}); err != nil {
+		t.Fatal(err)
+	}
+	n, err := d.AddNode(Config{ID: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n.cfg.Seed != 7 || !n.cfg.Epoch.Equal(epoch) {
+		t.Fatalf("a node leaving Seed and Epoch zero got %d and %v, want the dispatcher's 7 and %v", n.cfg.Seed, n.cfg.Epoch, epoch)
+	}
+	if _, err := d.AddNode(Config{ID: 3, Seed: 7, Epoch: epoch}); err != nil {
+		t.Fatalf("a node repeating the dispatcher's Seed and Epoch was refused: %v", err)
+	}
+	if _, err := d.AddNode(Config{ID: 4, Seed: 8}); err == nil {
+		t.Fatal("a node with another Seed was hosted")
+	}
+	if _, err := d.AddNode(Config{ID: 5, Epoch: epoch.Add(time.Second)}); err == nil {
+		t.Fatal("a node with another Epoch was hosted")
 	}
 }
 
@@ -251,7 +298,7 @@ func records(t *testing.T, b []byte) []record {
 }
 
 // packed runs one writer cycle's pack over entries.
-func packed(entries []outEntry) []dgram {
+func packed(entries []out) []dgram {
 	ds, _ := (&shard{}).pack(entries, nil, nil, make(map[netip.AddrPort]int))
 	return ds
 }
@@ -263,7 +310,7 @@ func TestPackCoalescesPerSocket(t *testing.T) {
 	a := netip.MustParseAddrPort("127.0.0.1:9")
 	b := netip.MustParseAddrPort("127.0.0.1:10")
 	sub := &wire.Subscribe{Pattern: 1}
-	ds := packed([]outEntry{
+	ds := packed([]out{
 		{from: 1, to: 2, addr: a, msg: sub},
 		{from: 3, to: 4, addr: b, msg: sub},
 		{from: 5, to: 6, addr: a},
@@ -298,9 +345,9 @@ func TestPackCoalescesPerSocket(t *testing.T) {
 // budget and each pair's messages arrive in ring order.
 func TestPackSplitKeepsOrder(t *testing.T) {
 	a := netip.MustParseAddrPort("127.0.0.1:9")
-	var entries []outEntry
+	var entries []out
 	for i := 0; i < 300; i++ {
-		entries = append(entries, outEntry{from: ident.NodeID(1 + i%2), to: 5, addr: a, msg: &wire.Subscribe{Pattern: ident.PatternID(i)}})
+		entries = append(entries, out{from: ident.NodeID(1 + i%2), to: 5, addr: a, msg: &wire.Subscribe{Pattern: ident.PatternID(i)}})
 	}
 	ds := packed(entries)
 	if len(ds) < 3 {
@@ -338,7 +385,7 @@ func TestPackOversizedRecords(t *testing.T) {
 		huge.Events = append(huge.Events, &wire.Event{Content: make(matching.Content, 16)})
 	}
 	sub := &wire.Subscribe{Pattern: 1}
-	ds := packed([]outEntry{
+	ds := packed([]out{
 		{from: 1, to: 2, addr: a, msg: sub},
 		{from: 1, to: 2, addr: a, msg: big},
 		{from: 1, to: 2, addr: a, msg: huge},
@@ -354,17 +401,18 @@ func TestPackOversizedRecords(t *testing.T) {
 	}
 }
 
-// routeFixture hosts socketless nodes 1 and 3 on a bare dispatcher,
-// each subscribed to pattern 7 and trusting node 2 as an event source.
-func routeFixture(t *testing.T) (*Dispatcher, map[ident.NodeID]*Node) {
-	d := &Dispatcher{nodes: make(map[ident.NodeID]*Node)}
-	for _, id := range []ident.NodeID{1, 3} {
-		n, _ := testNode(t, Config{ID: id}, 2)
-		n.disp = d
+// routeFixture hosts socketless nodes 1 and 3 on shard 1 of a bare
+// two-shard dispatcher and node 4 on its shard 0, each subscribed to
+// pattern 7 and trusting node 2 as an event source. It returns shard 1.
+func routeFixture(t *testing.T) (*shard, map[ident.NodeID]*Node) {
+	d := socketless(&recorder{}, 2)
+	nodes := make(map[ident.NodeID]*Node)
+	for _, id := range []ident.NodeID{1, 3, 4} {
+		n := hostTestNode(t, d, Config{ID: id}, 2)
 		n.Subscribe(7)
-		d.nodes[id] = n
+		nodes[id] = n
 	}
-	return d, d.nodes
+	return d.shards[1], nodes
 }
 
 func routeEvent(seq uint32) *wire.Event {
@@ -375,20 +423,23 @@ func routeEvent(seq uint32) *wire.Event {
 	}
 }
 
-// TestRouteSkipsUnhostedRecord routes a three-record datagram whose
-// middle record names an unhosted node: it alone is dropped.
+// TestRouteSkipsUnhostedRecord routes a four-record datagram on one
+// shard. The second record names a node the dispatcher does not host,
+// the last a node hosted on the dispatcher's other shard: those two
+// alone are dropped, each counted as misrouted.
 func TestRouteSkipsUnhostedRecord(t *testing.T) {
-	d, nodes := routeFixture(t)
+	s, nodes := routeFixture(t)
 	b := appendRecord(nil, 2, 1, routeEvent(1), false)
 	b = appendRecord(b, 2, 99, routeEvent(2), false)
 	b = appendRecord(b, 2, 3, routeEvent(3), false)
-	d.route(b, nil)
-	if st := d.Stats(); st.Misrouted != 1 || st.Malformed != 0 {
-		t.Fatalf("dispatcher counted %+v, want one misrouted record", st)
+	b = appendRecord(b, 2, 4, routeEvent(4), false)
+	s.receive(b)
+	if st := s.d.Stats(); st.Misrouted != 2 || st.Malformed != 0 {
+		t.Fatalf("dispatcher counted %+v, want two misrouted records", st)
 	}
-	for _, id := range []ident.NodeID{1, 3} {
-		if got := nodes[id].Stats().Delivered; got != 1 {
-			t.Fatalf("node %d delivered %d events, want 1", id, got)
+	for id, want := range map[ident.NodeID]uint64{1: 1, 3: 1, 4: 0} {
+		if got := nodes[id].Stats().Delivered; got != want {
+			t.Fatalf("node %d delivered %d events, want %d", id, got, want)
 		}
 	}
 }
@@ -397,12 +448,12 @@ func TestRouteSkipsUnhostedRecord(t *testing.T) {
 // past the end: the datagram is counted malformed, without a panic,
 // and the records before it stay delivered.
 func TestRouteLyingLength(t *testing.T) {
-	d, nodes := routeFixture(t)
+	s, nodes := routeFixture(t)
 	b := appendRecord(nil, 2, 1, routeEvent(1), false)
 	b = appendRecord(b, 2, 3, routeEvent(1), false)
 	b = append(b, 2, 0, 0, 0, 1, 0, 0, 0, 0, 0xff, 0xff, 0x01)
-	d.route(b, nil)
-	if st := d.Stats(); st.Malformed != 1 || st.Misrouted != 0 {
+	s.receive(b)
+	if st := s.d.Stats(); st.Malformed != 1 || st.Misrouted != 0 {
 		t.Fatalf("dispatcher counted %+v, want one malformed datagram", st)
 	}
 	for _, id := range []ident.NodeID{1, 3} {

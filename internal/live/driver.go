@@ -1,100 +1,97 @@
 package live
 
 import (
+	"math"
+	"net/netip"
 	"time"
 
 	"repro/internal/ident"
 	"repro/internal/network"
+	"repro/internal/sim"
 	"repro/internal/wire"
 )
 
 // This file is the seam between the protocol core and the sockets: the
 // locked section every entry point runs in, the pubsub.Net the core
-// sends through, the ingress guard in front of the core, and the timer
-// goroutine that advances the node's kernel in real time.
+// sends through, and the ingress guard in front of the core.
 
-// lock takes the node's lock and runs the kernel up to the present, so
-// every timer that fell due since the last entry point (gossip rounds,
-// request retries, heartbeats) fires before the entry point's own work.
-func (n *Node) lock() {
-	n.mu.Lock()
-	n.k.Run(n.now())
+// never is the read deadline of a shard whose kernel has no timer.
+const never = sim.Time(math.MaxInt64)
+
+// lock takes the shard lock and runs the kernel up to the present, so
+// every timer of every hosted node that fell due (gossip rounds,
+// request retries, heartbeats) fires before the caller's own work.
+func (s *shard) lock() {
+	s.mu.Lock()
+	if s.k != nil {
+		s.k.Run(time.Since(s.d.epoch))
+	}
 }
 
-// unlock releases the lock, then reports the deliveries the core made
-// and transmits the messages it sent. An entry point that scheduled a
-// timer earlier than the timer goroutine's wake-up nudges it.
-func (n *Node) unlock() {
-	outs, ds := n.outs, n.delivs
-	n.outs, n.delivs = nil, nil
-	at, ok := n.k.NextAt()
-	nudge := ok && (n.wakeAt < 0 || at < n.wakeAt)
-	if nudge {
-		n.wakeAt = at
-	}
-	n.mu.Unlock()
-	if nudge {
-		select {
-		case n.wake <- struct{}{}:
-		default:
-		}
-	}
+// unlock releases the shard lock, then reports the deliveries its nodes
+// made and transmits the records they sent.
+func (s *shard) unlock() { s.release(nil, nil) }
+
+// release is unlock for a caller that keeps scratch buffers: the
+// shard's collected records and deliveries are swapped for outs and ds
+// (emptied), and the caller gets them back, cleared, once they are
+// handed on. Before the lock is released the socket's read deadline
+// moves to the kernel's next timer, so the shard loop wakes when it is
+// due.
+func (s *shard) release(outs []out, ds []delivery) ([]out, []delivery) {
+	outs, s.outs = s.outs, outs[:0]
+	ds, s.delivs = s.delivs, ds[:0]
+	s.armLocked()
+	s.mu.Unlock()
 	for _, d := range ds {
-		n.cfg.OnDeliver(d.ev, d.recovered)
+		d.fn(d.ev, d.recovered)
 	}
-	n.flush(outs)
+	for _, o := range outs {
+		s.tr.send(o)
+	}
+	clear(outs)
+	clear(ds)
+	return outs[:0], ds[:0]
 }
 
-// timerLoop drives the kernel in real time: it sleeps until the next
-// scheduled timer (or a nudge from an entry point that scheduled an
-// earlier one), then runs the kernel through lock/unlock.
-func (n *Node) timerLoop() {
-	defer n.wg.Done()
-	t := time.NewTimer(time.Hour)
-	defer t.Stop()
-	for {
-		n.lock()
-		at, ok := n.k.NextAt()
-		n.wakeAt = -1
-		if ok {
-			n.wakeAt = at
-		}
-		n.unlock()
-		if !t.Stop() {
-			select {
-			case <-t.C:
-			default:
-			}
-		}
-		var fire <-chan time.Time
-		if ok {
-			t.Reset(at - n.now())
-			fire = t.C
-		}
-		select {
-		case <-fire:
-		case <-n.wake:
-		case <-n.done:
-			return
-		}
+// armLocked keeps the socket's read deadline on the kernel's next
+// timer. Only a change costs a call into the poller.
+func (s *shard) armLocked() {
+	if s.pc == nil || s.k == nil {
+		return
 	}
+	at, ok := s.k.NextAt()
+	if !ok {
+		at = never
+	}
+	if at == s.deadline {
+		return
+	}
+	s.deadline = at
+	var t time.Time
+	if ok {
+		t = s.d.epoch.Add(at)
+	}
+	// The only failure is a closed socket, which the loop's next read
+	// reports.
+	_ = s.pc.setReadDeadline(t)
 }
 
 // onDeliver is the pubsub delivery hook: count, and queue the OnDeliver
-// callback for after unlock.
+// callback for after the shard lock is released.
 func (n *Node) onDeliver(_ ident.NodeID, ev *wire.Event, recovered bool) {
 	n.stats.delivered.Add(1)
 	if recovered {
 		n.stats.recovered.Add(1)
 	}
-	if n.cfg.OnDeliver != nil {
-		n.delivs = append(n.delivs, delivery{ev: ev, recovered: recovered})
+	if fn := n.cfg.OnDeliver; fn != nil {
+		n.sh.delivs = append(n.sh.delivs, delivery{fn: fn, ev: ev, recovered: recovered})
 	}
 }
 
 // coreNet is the pubsub.Net of a live node. Its methods run under the
-// node's lock, inside the core: they resolve the destination, apply the
-// driver's accounting, and append to the out-buffer.
+// shard lock, inside the core: they resolve the destination, apply the
+// driver's accounting, and queue the record on the shard.
 type coreNet struct{ n *Node }
 
 // Register implements pubsub.Net; a live node feeds its core directly.
@@ -105,19 +102,24 @@ func (coreNet) Register(ident.NodeID, network.Handler) {}
 // in a real deployment the control plane rides a reliable transport
 // (TCP), while events and gossip are the best-effort data plane the
 // paper studies. A send to a node that is no longer a neighbor is lost,
-// as on the simulator's network.
+// as on the simulator's network, and gossip to a neighbor the failure
+// detector suspects is dropped: a wasted transmission to a dead peer.
 func (c coreNet) Send(_, to ident.NodeID, msg wire.Message) {
 	n := c.n
-	addr, ok := n.neighbors[to]
-	if !ok {
+	nb := n.neighbors[to]
+	if nb == nil {
 		return
 	}
-	if k := msg.Kind(); k != wire.KindSubscribe && k != wire.KindUnsubscribe &&
-		n.cfg.DropProb > 0 && n.k.Rand().Float64() < n.cfg.DropProb {
+	k := msg.Kind()
+	if k.IsGossip() && nb.suspected {
+		return
+	}
+	if k != wire.KindSubscribe && k != wire.KindUnsubscribe &&
+		n.cfg.DropProb > 0 && n.rng.Float64() < n.cfg.DropProb {
 		n.stats.droppedInject.Add(1)
 		return
 	}
-	n.outs = append(n.outs, out{to: to, addr: addr, msg: msg})
+	n.sendLocked(to, nb.addr, msg, false)
 }
 
 // SendOOB implements pubsub.Net: an out-of-band send to any directory
@@ -144,32 +146,24 @@ func (c coreNet) SendOOB(_, to ident.NodeID, msg wire.Message) {
 // dropped.
 func (n *Node) sendOOBLocked(to ident.NodeID, msg wire.Message) {
 	if addr, ok := n.directory[to]; ok {
-		n.outs = append(n.outs, out{to: to, addr: addr, msg: msg, oob: true})
+		n.sendLocked(to, addr, msg, true)
 	}
 }
 
-// flush transmits the messages collected under the lock. Gossip to a
-// neighbor the failure detector suspects is dropped here: a wasted
-// transmission to a dead peer.
-func (n *Node) flush(outs []out) {
-	for _, o := range outs {
-		if o.msg == nil {
-			n.tr.sendHeartbeat(n.cfg.ID, o.to, o.addr)
-			continue
-		}
-		switch kind := o.msg.Kind(); {
+// sendLocked counts one record from n and queues it on the shard, which
+// transmits it once its lock is released. A nil msg is a heartbeat.
+func (n *Node) sendLocked(to ident.NodeID, addr netip.AddrPort, msg wire.Message, oob bool) {
+	if msg != nil {
+		switch kind := msg.Kind(); {
 		case kind.IsGossip():
-			if !o.oob && n.isSuspect(o.to) {
-				continue
-			}
 			n.stats.gossipSent.Add(1)
 		case kind == wire.KindEvent:
 			n.stats.eventsSent.Add(1)
 		case kind == wire.KindRetransmit:
-			n.stats.eventsSent.Add(uint64(len(o.msg.(*wire.Retransmit).Events)))
+			n.stats.eventsSent.Add(uint64(len(msg.(*wire.Retransmit).Events)))
 		}
-		n.tr.sendMsg(n.cfg.ID, o.to, o.addr, o.msg, o.oob)
 	}
+	n.sh.outs = append(n.sh.outs, out{from: n.cfg.ID, to: to, addr: addr, msg: msg, oob: oob})
 }
 
 // maxPattern bounds the pattern identifiers a live node accepts from
@@ -185,7 +179,7 @@ const maxPattern = 1 << 16
 // the tree or inside a retransmission) must come from this node or a
 // directory member, whose routes and loss-detection marks the core
 // keeps per source; and a raw event never arrives out of band. Callers
-// hold n.mu.
+// hold the shard lock.
 func (n *Node) admissible(msg wire.Message, oob bool) bool {
 	switch m := msg.(type) {
 	case *wire.Event:
@@ -225,7 +219,8 @@ func (n *Node) eventOK(ev *wire.Event) bool {
 
 // ingressLocked applies the driver's bookkeeping to recovery traffic
 // before the core sees it: the ledger records what each peer sent, and
-// a retransmitted event answers its pending request. Callers hold n.mu.
+// a retransmitted event answers its pending request. Callers hold the
+// shard lock.
 func (n *Node) ingressLocked(msg wire.Message) {
 	switch m := msg.(type) {
 	case *wire.Request:

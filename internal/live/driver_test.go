@@ -3,7 +3,6 @@ package live
 import (
 	"fmt"
 	"net"
-	"net/netip"
 	"sort"
 	"strings"
 	"sync"
@@ -13,22 +12,16 @@ import (
 	"repro/internal/wire"
 )
 
-// recorder is a transport that records what a node transmits instead
+// recorder is a transport that records what a shard transmits instead
 // of writing it to a socket.
 type recorder struct {
 	mu   sync.Mutex
 	sent []out
 }
 
-func (r *recorder) sendMsg(_, to ident.NodeID, _ netip.AddrPort, msg wire.Message, oob bool) {
+func (r *recorder) send(o out) {
 	r.mu.Lock()
-	r.sent = append(r.sent, out{to: to, msg: msg, oob: oob})
-	r.mu.Unlock()
-}
-
-func (r *recorder) sendHeartbeat(_, to ident.NodeID, _ netip.AddrPort) {
-	r.mu.Lock()
-	r.sent = append(r.sent, out{to: to})
+	r.sent = append(r.sent, o)
 	r.mu.Unlock()
 }
 
@@ -48,19 +41,25 @@ func fakeAddr(id ident.NodeID) *net.UDPAddr {
 	return &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1), Port: 40000 + int(id)}
 }
 
-// testNode builds a node on a recorder, with the given peers in its
-// directory and no timer goroutine: its kernel advances only when the
-// test drives an entry point, so no gossip round, retry or heartbeat
-// fires behind the test's back.
-func testNode(t testing.TB, cfg Config, peers ...ident.NodeID) (*Node, *recorder) {
-	t.Helper()
-	cfg, gcfg, err := cfg.normalize()
-	if err != nil {
-		t.Fatal(err)
+// socketless returns a dispatcher of the given number of shards that
+// have no socket and no loop: every shard hands its records to tr, and
+// its kernel advances only when the test drives an entry point.
+func socketless(tr transport, shards int) *Dispatcher {
+	d := &Dispatcher{done: make(chan struct{})}
+	for i := 0; i < shards; i++ {
+		s := newShard(d, nil)
+		s.tr = tr
+		d.shards = append(d.shards, s)
 	}
-	rec := &recorder{}
-	// A socketless dispatcher: Close only deregisters the node from it.
-	n, err := newNodeState(cfg, gcfg, rec, &Dispatcher{})
+	return d
+}
+
+// hostTestNode hosts a node on d without starting it, with the given
+// peers in its directory: no gossip round, retry or heartbeat fires
+// behind the test's back.
+func hostTestNode(t testing.TB, d *Dispatcher, cfg Config, peers ...ident.NodeID) *Node {
+	t.Helper()
+	n, err := d.host(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +68,30 @@ func testNode(t testing.TB, cfg Config, peers ...ident.NodeID) (*Node, *recorder
 		dir[p] = fakeAddr(p)
 	}
 	n.SetDirectory(dir)
-	return n, rec
+	return n
+}
+
+// testNode builds a node on a socketless one-shard dispatcher whose
+// transport is a recorder (see hostTestNode).
+func testNode(t testing.TB, cfg Config, peers ...ident.NodeID) (*Node, *recorder) {
+	t.Helper()
+	rec := &recorder{}
+	return hostTestNode(t, socketless(rec, 1), cfg, peers...), rec
+}
+
+// receive routes one datagram on s as its loop does.
+func (s *shard) receive(b []byte) {
+	s.lock()
+	s.route(b)
+	s.unlock()
+}
+
+// handleRecord hands r to n under its shard lock, whatever r's
+// destination.
+func (n *Node) handleRecord(r record) {
+	n.sh.lock()
+	n.handleRecordLocked(r)
+	n.sh.unlock()
 }
 
 // deliverFrom feeds msg to n as a record sent by from.
@@ -83,16 +105,16 @@ func (n *Node) deliverFrom(from ident.NodeID, msg wire.Message, oob bool) {
 
 // isPending reports whether id has a live pending-request entry.
 func (n *Node) isPending(id ident.EventID) bool {
-	n.mu.Lock()
-	defer n.mu.Unlock()
+	n.sh.mu.Lock()
+	defer n.sh.mu.Unlock()
 	_, ok := n.pending.Get(id)
 	return ok
 }
 
 // pendingLen returns the size of the pending-request table.
 func (n *Node) pendingLen() int {
-	n.mu.Lock()
-	defer n.mu.Unlock()
+	n.sh.mu.Lock()
+	defer n.sh.mu.Unlock()
 	return n.pending.Len()
 }
 

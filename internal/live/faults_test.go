@@ -1,6 +1,7 @@
 package live
 
 import (
+	"bytes"
 	"net"
 	"runtime"
 	"testing"
@@ -61,7 +62,7 @@ func FuzzLiveEnvelope(f *testing.F) {
 	gap.Tags = []ident.PatternSeq{{Pattern: 7, Seq: 1 << 31}}
 	f.Add(appendRecord(nil, 2, 1, &gap, false))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		n.disp.route(data, nil) // must not panic
+		n.sh.receive(data) // must not panic
 	})
 }
 
@@ -74,13 +75,13 @@ func TestLiveFaultMalformedCounted(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer n.Close()
-	d := n.disp
-	d.route([]byte{1, 2, 3}, nil)                                     // short record
-	d.route([]byte{1, 0, 0, 0, 1, 0, 0, 0, 0, 2, 0, 0xee, 0xbb}, nil) // undecodable message
-	d.route([]byte{1, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0}, nil)             // valid heartbeat
-	d.route([]byte{1, 0, 0, 0, 9, 0, 0, 0, 0, 0, 0}, nil)             // another node's record
-	n.handleRecord(record{from: 1, to: 9})                            // handed to the wrong node
-	st, ds := n.Stats(), d.Stats()
+	s := n.sh
+	s.receive([]byte{1, 2, 3})                                     // short record
+	s.receive([]byte{1, 0, 0, 0, 1, 0, 0, 0, 0, 2, 0, 0xee, 0xbb}) // undecodable message
+	s.receive([]byte{1, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0})             // valid heartbeat
+	s.receive([]byte{1, 0, 0, 0, 9, 0, 0, 0, 0, 0, 0})             // another node's record
+	n.handleRecord(record{from: 1, to: 9})                         // handed to the wrong node
+	st, ds := n.Stats(), s.d.Stats()
 	if st.Malformed != 1 || ds.Malformed != 1 {
 		t.Fatalf("Malformed = %d at the node and %d at the dispatcher, want 1 and 1", st.Malformed, ds.Malformed)
 	}
@@ -91,9 +92,11 @@ func TestLiveFaultMalformedCounted(t *testing.T) {
 
 // TestLiveFaultGoroutineHygiene opens and closes hardened nodes (all
 // background loops enabled) repeatedly: Close must join every
-// goroutine it started.
+// goroutine it started. A hosted node owns no goroutine: a two-socket
+// dispatcher runs its two loops and two writers, exactly, whether it
+// hosts one node or 200 gossiping, heartbeating ones.
 func TestLiveFaultGoroutineHygiene(t *testing.T) {
-	before := runtime.NumGoroutine()
+	before := liveGoroutines()
 	for i := 0; i < 10; i++ {
 		n, err := NewNode(Config{
 			ID:                ident.NodeID(i),
@@ -105,22 +108,69 @@ func TestLiveFaultGoroutineHygiene(t *testing.T) {
 			t.Fatal(err)
 		}
 		n.Subscribe(1)
+		waitGoroutines(t, before+2, "a NewNode node runs its socket's 2 goroutines")
 		if err := n.Close(); err != nil {
 			t.Fatal(err)
 		}
 	}
-	// Tolerate runtime background goroutines; retry to let stragglers
-	// finish unwinding.
-	for deadline := time.Now().Add(2 * time.Second); ; {
-		after := runtime.NumGoroutine()
-		if after <= before+2 {
+	waitGoroutines(t, before, "no goroutine outlives 10 open/close cycles")
+
+	c, err := NewDispatcherCluster(200, 4, 5, DispatcherConfig{Sockets: 2}, func(i int) Config {
+		return Config{
+			Algorithm:         core.CombinedPull,
+			GossipInterval:    5 * time.Millisecond,
+			HeartbeatInterval: 5 * time.Millisecond,
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, n := range c.Nodes {
+		n.Subscribe(ident.PatternID(i % 4))
+	}
+	waitFor(t, 2*time.Second, func() bool {
+		return c.Nodes[0].Stats().HeartbeatsSent > 0 && c.Nodes[199].Stats().HeartbeatsSent > 0
+	}, "heartbeats from the hosted nodes")
+	waitGoroutines(t, before+4, "a 2-socket dispatcher hosting 200 nodes runs 4 goroutines")
+	c.Close()
+	waitGoroutines(t, before, "no goroutine outlives the dispatcher's Close")
+}
+
+// waitGoroutines waits until exactly want goroutines run a method of
+// this package: a goroutine just started may not show its function
+// yet, and one that a WaitGroup has just released may still be
+// returning from it.
+func waitGoroutines(t *testing.T, want int, msg string) {
+	t.Helper()
+	got := 0
+	for deadline := time.Now().Add(2 * time.Second); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+		if got = liveGoroutines(); got == want {
 			return
 		}
-		if time.Now().After(deadline) {
-			t.Fatalf("goroutines grew from %d to %d after 10 open/close cycles", before, after)
-		}
-		time.Sleep(10 * time.Millisecond)
 	}
+	t.Fatalf("%s: %d goroutines, want %d", msg, got, want)
+}
+
+// liveGoroutines counts the goroutines running a method of this
+// package: shard loops and writers, or anything else a node or a
+// dispatcher might start. The calling test runs none.
+func liveGoroutines() int {
+	buf := make([]byte, 1<<16)
+	for {
+		n := runtime.Stack(buf, true)
+		if n < len(buf) {
+			buf = buf[:n]
+			break
+		}
+		buf = make([]byte, 2*len(buf))
+	}
+	count := 0
+	for _, g := range bytes.Split(buf, []byte("\n\n")) {
+		if bytes.Contains(g, []byte("repro/internal/live.(*")) {
+			count++
+		}
+	}
+	return count
 }
 
 // TestLiveFaultDetectorSuspectsAndRevives points a node's failure
@@ -154,7 +204,7 @@ func TestLiveFaultDetectorSuspectsAndRevives(t *testing.T) {
 	}
 
 	// Any traffic from the suspect revives it.
-	n.disp.route([]byte{2, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0}, nil) // a heartbeat record
+	n.sh.receive([]byte{2, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0}) // a heartbeat record
 	if len(n.SuspectedNeighbors()) != 0 {
 		t.Fatal("neighbor still suspected after it spoke")
 	}

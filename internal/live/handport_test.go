@@ -456,6 +456,13 @@ type handPort struct {
 	stats handCounters
 }
 
+// peerState is the failure detector's per-neighbor record, guarded by
+// peerMu.
+type peerState struct {
+	lastSeen  time.Duration // n.now() of the neighbor's last datagram
+	suspected bool
+}
+
 // handCounters are the driver's counters plus the one the shared core
 // now keeps itself.
 type handCounters struct {
@@ -678,7 +685,7 @@ func (n *handPort) sendTree(to ident.NodeID, msg wire.Message) {
 	} else if kind == wire.KindEvent {
 		n.stats.eventsSent.Add(1)
 	}
-	n.tr.sendMsg(n.cfg.ID, to, addr, msg, false)
+	n.tr.send(out{from: n.cfg.ID, to: to, addr: addr, msg: msg})
 }
 
 // sendOOB transmits msg to any dispatcher in the directory.
@@ -694,7 +701,7 @@ func (n *handPort) sendOOB(to ident.NodeID, msg wire.Message) {
 	} else if kind == wire.KindRetransmit {
 		n.stats.eventsSent.Add(uint64(len(msg.(*wire.Retransmit).Events)))
 	}
-	n.tr.sendMsg(n.cfg.ID, to, addr, msg, true)
+	n.tr.send(out{from: n.cfg.ID, to: to, addr: addr, msg: msg, oob: true})
 }
 
 // isSuspect reports whether the failure detector currently suspects

@@ -48,8 +48,8 @@ type PeerLedger struct {
 	Pending int
 }
 
-// peerLedger is the mutable per-peer record, guarded by n.mu like the
-// pending table it arbitrates.
+// peerLedger is the mutable per-peer record, guarded by the shard lock
+// like the pending table it arbitrates.
 type peerLedger struct {
 	sentB, sentMsgs uint64
 	recvB, recvMsgs uint64
@@ -62,7 +62,7 @@ type peerLedger struct {
 }
 
 // peerLedgerLocked returns peer's record, creating it on first use —
-// or nil when peer is not in the directory. Callers hold n.mu.
+// or nil when peer is not in the directory. Callers hold the shard lock.
 func (n *Node) peerLedgerLocked(peer ident.NodeID) *peerLedger {
 	pl, ok := n.ledger[peer]
 	if !ok {
@@ -76,7 +76,7 @@ func (n *Node) peerLedgerLocked(peer ident.NodeID) *peerLedger {
 }
 
 // ledgerSentLocked records recovery bytes transmitted to peer. Callers
-// hold n.mu.
+// hold the shard lock.
 func (n *Node) ledgerSentLocked(peer ident.NodeID, bytes int) {
 	if pl := n.peerLedgerLocked(peer); pl != nil {
 		pl.sentB += uint64(bytes)
@@ -85,7 +85,7 @@ func (n *Node) ledgerSentLocked(peer ident.NodeID, bytes int) {
 }
 
 // ledgerRecvLocked records recovery bytes received from peer. Callers
-// hold n.mu.
+// hold the shard lock.
 func (n *Node) ledgerRecvLocked(peer ident.NodeID, bytes int) {
 	if pl := n.peerLedgerLocked(peer); pl != nil {
 		pl.recvB += uint64(bytes)
@@ -97,7 +97,7 @@ func (n *Node) ledgerRecvLocked(peer ident.NodeID, bytes int) {
 // peer if peer is a directory member with ServeBudget left in its
 // current window (always, when no budget is configured). An admitted
 // event is debited from the window at once. Runs inside the core,
-// under n.mu.
+// under the shard lock.
 func (n *Node) admitServeLocked(peer ident.NodeID, ev *wire.Event) bool {
 	pl := n.peerLedgerLocked(peer)
 	if pl == nil {
@@ -122,7 +122,7 @@ func (n *Node) admitServeLocked(peer ident.NodeID, ev *wire.Event) bool {
 // shedGreediestLocked evicts one live pending entry when the table is
 // full: the oldest entry of the greediest peer. Greed is measured in
 // live pending entries (the resource being arbitrated), with recovery
-// bytes already received as the tie-break. Callers hold n.mu.
+// bytes already received as the tie-break. Callers hold the shard lock.
 func (n *Node) shedGreediestLocked() {
 	var victim ident.NodeID
 	var best *peerLedger
@@ -161,8 +161,8 @@ func (n *Node) shedGreediestLocked() {
 // Ledger returns a snapshot of the per-peer recovery-traffic ledger,
 // for tests and monitoring.
 func (n *Node) Ledger() map[ident.NodeID]PeerLedger {
-	n.mu.Lock()
-	defer n.mu.Unlock()
+	n.sh.mu.Lock()
+	defer n.sh.mu.Unlock()
 	out := make(map[ident.NodeID]PeerLedger, len(n.ledger))
 	for id, pl := range n.ledger {
 		out[id] = PeerLedger{

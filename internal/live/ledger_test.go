@@ -43,9 +43,9 @@ func request(n *Node, requester ident.NodeID, ids []ident.EventID) {
 // independent budget.
 func TestLedgerQuotaAsymmetricTraffic(t *testing.T) {
 	n, sz := quotaNode(t, 10, Config{LedgerWindow: time.Hour})
-	n.mu.Lock()
+	n.sh.mu.Lock()
 	n.cfg.ServeBudget = 3 * sz
-	n.mu.Unlock()
+	n.sh.mu.Unlock()
 
 	var ids []ident.EventID
 	for i := 1; i <= 10; i++ {
@@ -87,9 +87,9 @@ func TestLedgerQuotaAsymmetricTraffic(t *testing.T) {
 // forever — after the window rolls over, the same peer is served again.
 func TestLedgerQuotaWindowRefills(t *testing.T) {
 	n, sz := quotaNode(t, 4, Config{LedgerWindow: 20 * time.Millisecond})
-	n.mu.Lock()
+	n.sh.mu.Lock()
 	n.cfg.ServeBudget = 2 * sz
-	n.mu.Unlock()
+	n.sh.mu.Unlock()
 
 	var ids []ident.EventID
 	for i := 1; i <= 4; i++ {
@@ -111,9 +111,9 @@ func TestLedgerQuotaWindowRefills(t *testing.T) {
 // can serve them) rather than silently dropped.
 func TestLedgerQuotaTrimsGossipServe(t *testing.T) {
 	n, sz := quotaNode(t, 4, Config{Algorithm: core.SubscriberPull, LedgerWindow: time.Hour, PForward: 1})
-	n.mu.Lock()
+	n.sh.mu.Lock()
 	n.cfg.ServeBudget = 2 * sz
-	n.mu.Unlock()
+	n.sh.mu.Unlock()
 	// The digest arrives from neighbor 5; neighbor 6 subscribes to 7, so
 	// whatever is left of the digest travels on to it.
 	n.AddNeighbor(5, fakeAddr(5))
@@ -123,7 +123,7 @@ func TestLedgerQuotaTrimsGossipServe(t *testing.T) {
 	for i := 1; i <= 4; i++ {
 		wanted = append(wanted, wire.LostEntry{Source: 1, Pattern: 7, Seq: uint32(i)})
 	}
-	rec := n.tr.(*recorder)
+	rec := n.sh.tr.(*recorder)
 	rec.take()
 	n.deliverFrom(5, &wire.GossipSubPull{Gossiper: 8, Pattern: 7, Wanted: wanted}, false)
 	var outs []*wire.Retransmit

@@ -55,8 +55,8 @@ func waitRoutes(t *testing.T, c *Cluster, p ident.PatternID, subs ...ident.NodeI
 
 // routesToward reports whether n forwards events matching p to hop.
 func (n *Node) routesToward(p ident.PatternID, hop ident.NodeID) bool {
-	n.mu.Lock()
-	defer n.mu.Unlock()
+	n.sh.mu.Lock()
+	defer n.sh.mu.Unlock()
 	var buf pubsub.DirBuf
 	return slices.Contains(n.ps.InterestDirections(&buf, p), hop)
 }
@@ -380,7 +380,7 @@ func TestLiveCloseIsIdempotentAndJoinsGoroutines(t *testing.T) {
 		t.Fatal(err)
 	}
 	closeTwice(t, n.Close)
-	closeTwice(t, n.disp.Close)
+	closeTwice(t, n.sh.d.Close)
 }
 
 func TestLiveSequenceTagsOnWire(t *testing.T) {

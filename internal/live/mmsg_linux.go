@@ -6,6 +6,7 @@ import (
 	"net"
 	"net/netip"
 	"syscall"
+	"time"
 	"unsafe"
 )
 
@@ -148,8 +149,11 @@ func (c *mmsgConn) writeBatch(ds []dgram) (int, error) {
 	return sent, first
 }
 
-func (c *mmsgConn) localAddr() *net.UDPAddr { return c.conn.LocalAddr().(*net.UDPAddr) }
-func (c *mmsgConn) close() error            { return c.conn.Close() }
+// setReadDeadline reaches readBatch through RawConn.Read, which honours
+// the socket's read deadline.
+func (c *mmsgConn) setReadDeadline(t time.Time) error { return c.conn.SetReadDeadline(t) }
+func (c *mmsgConn) localAddr() *net.UDPAddr           { return c.conn.LocalAddr().(*net.UDPAddr) }
+func (c *mmsgConn) close() error                      { return c.conn.Close() }
 
 // putSockaddr encodes ap into sa's storage and returns the length to
 // pass as msg_namelen. IPv4 and IPv4-mapped addresses use AF_INET (sa

@@ -2,18 +2,24 @@
 // processes communicating over UDP sockets (stdlib net only), not
 // simulated components on a virtual clock.
 //
-// A live node is a driver around the simulator's protocol core. It owns
-// a pubsub.Node (subscription forwarding, reverse-path event routing),
+// A live node is a driver around the simulator's protocol core: a
+// pubsub.Node (subscription forwarding, reverse-path event routing) and
 // a core.Engine (sequence-tag loss detection and the epidemic
-// recoveries; none under NoRecovery) and a private sim.Kernel that
-// serves as the node's clock and timer queue. Every entry point —
-// a datagram, Publish, Subscribe, a link change, the node's timer
-// goroutine — takes the node's lock and first runs the kernel up to the
-// real time elapsed since the node's epoch, so gossip rounds, request
-// retries and heartbeats are kernel timers, and the engine's jittered
-// ticker, adaptive period and random streams work unchanged. The core
-// sends through the pubsub.Net seam, which here appends to an
-// out-buffer flushed to the sockets after the lock is released.
+// recoveries; none under NoRecovery). Every node runs on a Dispatcher
+// (dispatcher.go), which hosts many nodes on a small fixed set of shard
+// sockets with batched I/O and coalesced sends. A shard has the
+// simulator's shape on a real clock: one sim.Kernel holds the timers of
+// every node on the shard, one lock guards all of their state, and one
+// loop drives them. The loop reads the shard socket with its read
+// deadline set to the kernel's next timer. Every entry point — a
+// datagram, Publish, Subscribe, a link change, a due timer — takes the
+// shard lock and first runs the kernel up to the real time elapsed
+// since the dispatcher's epoch, so gossip rounds, request retries and
+// heartbeats are kernel timers, and the engine's jittered ticker,
+// adaptive period and random streams work unchanged. The core sends
+// through the pubsub.Net seam, which here queues records on the shard;
+// they go to the socket writer, and deliveries to OnDeliver, after the
+// lock is released. A hosted node owns no goroutine and no lock.
 //
 // What is live-only stays in the driver and acts on the messages the
 // core emits and receives: injected loss (DropProb), the failure
@@ -27,16 +33,15 @@
 // code over the same wire format — and it gives downstream users a
 // deployable starting point rather than only a simulation.
 //
-// Every node runs on a Dispatcher (dispatcher.go), which hosts many
-// nodes on a small fixed set of sockets with batched I/O and coalesced
-// sends. NewNode is the one-node case: a private dispatcher with one
-// socket, closed with the node.
+// NewNode is the one-node case: a private dispatcher with one socket,
+// closed with the node.
 package live
 
 import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math/rand"
 	"net"
 	"net/netip"
 	"sync"
@@ -110,16 +115,22 @@ type Config struct {
 	// LedgerWindow is the quota refill period. Zero means
 	// 10×GossipInterval.
 	LedgerWindow time.Duration
-	// Seed drives the node's randomized choices. Zero means 1.
+	// Seed drives the node's randomized choices. Zero means 1. The
+	// first node of a dispatcher fixes the seed of its shard kernels,
+	// from which each node's engine derives its stream; a later node
+	// must leave Seed zero or repeat it.
 	Seed int64
-	// Epoch, when non-zero, anchors the node's monotonic clock — the
-	// time base of PublishedAt stamps and the Lost buffer. Nodes
-	// sharing an epoch stamp directly comparable PublishedAt values,
-	// which benchmark/live.go uses to measure delivery latency against
-	// one clock. Zero means time.Now() at node start.
+	// Epoch, when non-zero, anchors the dispatcher's monotonic clock —
+	// the time base of its kernels, of PublishedAt stamps and of the
+	// Lost buffer. Nodes sharing an epoch stamp directly comparable
+	// PublishedAt values, which benchmark/live.go uses to measure
+	// delivery latency against one clock. Zero means time.Now() when
+	// the dispatcher's first node is added. That node fixes the epoch;
+	// a later node must leave Epoch zero or repeat it.
 	Epoch time.Time
 	// OnDeliver, when non-nil, observes every local delivery. It is
-	// called outside the node's lock, from the node's goroutines.
+	// called outside the shard lock, from the shard loop or from the
+	// goroutine whose call caused the delivery.
 	OnDeliver func(ev *wire.Event, recovered bool)
 }
 
@@ -238,37 +249,31 @@ func (c *counters) snapshot() Stats {
 	}
 }
 
-// peerState is the failure detector's per-neighbor record, guarded by
-// peerMu — a dedicated leaf lock so that per-datagram liveness updates
-// never contend with the protocol state under mu. Lock order: mu may be
-// held when taking peerMu, never the reverse.
-type peerState struct {
-	lastSeen  time.Duration // n.now() of the neighbor's last datagram
+// neighbor is one tree link: where its records go, and the failure
+// detector's view of the peer.
+type neighbor struct {
+	addr      netip.AddrPort
+	lastSeen  sim.Time // kernel time of the neighbor's last datagram
 	suspected bool
 }
 
 // Node is one live dispatcher.
 type Node struct {
-	cfg  Config
-	tr   transport
-	disp *Dispatcher // owns the sockets
+	cfg Config
+	// sh is the node's home shard: its lock guards everything below up
+	// to stats, and its kernel (k) is the node's clock and timer queue.
+	sh *shard
 	// ownsDisp marks NewNode's private dispatcher, which Close closes.
 	ownsDisp bool
-	start    time.Time
 
-	// mu guards everything below it up to peerMu: the protocol core,
-	// its kernel, and the driver state the core's sends feed.
-	mu        sync.Mutex
-	k         *sim.Kernel
-	ps        *pubsub.Node
-	eng       *core.Engine // nil under NoRecovery
-	neighbors map[ident.NodeID]netip.AddrPort
+	k   *sim.Kernel
+	rng *rand.Rand // the driver's draws: injected loss, backoff jitter
+	ps  *pubsub.Node
+	eng *core.Engine // nil under NoRecovery
+	// heartbeat is the failure detector's ticker (nil when it is off).
+	heartbeat *sim.Ticker
+	neighbors map[ident.NodeID]*neighbor
 	directory map[ident.NodeID]netip.AddrPort
-	// outs and delivs collect what the core did under mu: the messages
-	// it sent and the local deliveries it made. unlock hands both to
-	// the sockets and to OnDeliver after releasing mu.
-	outs   []out
-	delivs []delivery
 	// pending is the outstanding push-request table (retries.go).
 	pending    ident.EventTable[*pendingReq]
 	pendingQ   []*pendingReq // FIFO shadow of pending, oldest first
@@ -276,34 +281,25 @@ type Node struct {
 	retryAt    sim.Time // when retryTimer fires; meaningful while armed
 	retryArmed bool
 	ledger     map[ident.NodeID]*peerLedger // directory members only
-	// wakeAt is the kernel time the timer goroutine sleeps until (-1:
-	// nothing scheduled); an entry point that schedules an earlier
-	// timer nudges the goroutine through wake.
-	wakeAt sim.Time
-	wake   chan struct{}
-
-	peerMu sync.Mutex
-	peers  map[ident.NodeID]*peerState
 
 	stats counters
 
 	closeOnce sync.Once
-	done      chan struct{}
-	wg        sync.WaitGroup
 }
 
-// out is one outbound message the core (or the driver) decided under
-// the lock, with its destination already resolved. A nil msg is a
-// heartbeat.
+// out is one record a node sent under the shard lock, with its
+// destination resolved: what the shard hands its transport, and an
+// entry of the socket writer's ring. A nil msg is a heartbeat.
 type out struct {
-	to   ident.NodeID
-	addr netip.AddrPort
-	msg  wire.Message
-	oob  bool
+	from, to ident.NodeID
+	addr     netip.AddrPort
+	msg      wire.Message
+	oob      bool
 }
 
 // delivery is one local delivery awaiting its OnDeliver callback.
 type delivery struct {
+	fn        func(ev *wire.Event, recovered bool)
 	ev        *wire.Event
 	recovered bool
 }
@@ -334,96 +330,61 @@ func NewNode(cfg Config) (*Node, error) {
 	return n, nil
 }
 
-// newNodeState builds a node's protocol core and driver state. cfg and
-// gcfg come from normalize. No timer runs until startLoops.
-func newNodeState(cfg Config, gcfg core.Config, tr transport, disp *Dispatcher) (*Node, error) {
-	start := cfg.Epoch
-	if start.IsZero() {
-		start = time.Now()
-	}
-	// The kernel's root stream (k.Rand) is the driver's own: loss
-	// injection and backoff jitter. The engine derives its stream from
-	// the same seed.
-	k := sim.New(sim.DeriveSeed(cfg.Seed, 'l', int64(cfg.ID)))
-	n := &Node{
-		cfg:       cfg,
-		tr:        tr,
-		disp:      disp,
-		start:     start,
-		k:         k,
-		neighbors: make(map[ident.NodeID]netip.AddrPort),
-		directory: make(map[ident.NodeID]netip.AddrPort),
-		wakeAt:    -1,
-		wake:      make(chan struct{}, 1),
-		ledger:    make(map[ident.NodeID]*peerLedger),
-		peers:     make(map[ident.NodeID]*peerState),
-		done:      make(chan struct{}),
-	}
-	// Bring the clock to the present before anything is scheduled: a
-	// shared Epoch may lie far in the past.
-	n.k.Run(n.now())
-	pcfg := pubsub.Config{RecordRoutes: cfg.Algorithm.NeedsRoutes(), OnDeliver: n.onDeliver}
-	n.ps = pubsub.NewNode(cfg.ID, n.k, coreNet{n}, nil, pcfg)
-	if cfg.Algorithm != core.NoRecovery {
-		eng, err := core.NewEngine(n.ps, gcfg)
-		if err != nil {
-			return nil, fmt.Errorf("live: %w", err)
-		}
-		eng.SetServeAdmission(n.admitServeLocked)
-		n.eng = eng
-	}
-	return n, nil
-}
-
-// startLoops starts gossip rounds and the failure detector on the
-// kernel, and the timer goroutine that drives the kernel in real time.
-// Datagrams arrive from the dispatcher's shard readers.
-func (n *Node) startLoops() {
-	n.lock()
+// start begins the node's gossip rounds and its failure detector:
+// timers on its shard's kernel.
+func (n *Node) start() {
+	n.sh.lock()
 	if n.eng != nil {
 		n.eng.Start()
 	}
-	if n.cfg.HeartbeatInterval > 0 {
-		iv := n.cfg.HeartbeatInterval
-		sim.NewTicker(n.k, iv, iv, n.heartbeatLocked)
+	if iv := n.cfg.HeartbeatInterval; iv > 0 {
+		n.heartbeat = sim.NewTicker(n.k, iv, iv, n.heartbeatLocked)
 	}
-	n.unlock()
-	n.wg.Add(1)
-	go n.timerLoop()
+	n.sh.unlock()
 }
 
 // ID returns the dispatcher identifier.
 func (n *Node) ID() ident.NodeID { return n.cfg.ID }
 
-// Addr returns the UDP address peers use to reach this node: its
-// dispatcher shard's socket.
-func (n *Node) Addr() *net.UDPAddr { return n.tr.localAddr() }
+// Addr returns the UDP address peers use to reach this node: its home
+// shard's socket.
+func (n *Node) Addr() *net.UDPAddr { return n.sh.tr.localAddr() }
 
 // Stats returns a snapshot of the counters.
 func (n *Node) Stats() Stats {
 	st := n.stats.snapshot()
 	if n.eng != nil {
-		n.mu.Lock()
+		n.sh.mu.Lock()
 		st.LossesDetected = n.eng.Stats().LossesDetected
-		n.mu.Unlock()
+		n.sh.mu.Unlock()
 	}
 	return st
 }
 
-// Close shuts the node down: its goroutines are joined and it leaves
-// its dispatcher. A node from NewNode then closes its private
-// dispatcher and socket; a node from AddNode leaves the shard sockets
-// up for the others.
+// Close shuts the node down: it leaves its shard, and its gossip
+// ticker, heartbeat ticker and retry timer are stopped, so it leaves no
+// live timer in the shared kernel. A node from NewNode then closes its
+// private dispatcher and socket; a node from AddNode leaves the shard
+// sockets up for the others.
 func (n *Node) Close() error {
 	var err error
 	n.closeOnce.Do(func() {
-		close(n.done)
-		n.wg.Wait()
+		s := n.sh
+		s.lock()
 		// Deregister first: Dispatcher.Close closes the nodes it still
 		// hosts, and this one is already inside closeOnce.
-		n.disp.removeNode(n.cfg.ID)
+		delete(s.nodes, n.cfg.ID)
+		if n.eng != nil {
+			n.eng.Stop()
+		}
+		if n.heartbeat != nil {
+			n.heartbeat.Stop()
+		}
+		n.retryTimer.Cancel()
+		n.retryArmed = false
+		s.unlock()
 		if n.ownsDisp {
-			err = n.disp.Close()
+			err = s.d.Close()
 		}
 	})
 	return err
@@ -446,86 +407,78 @@ func toAddrPort(a *net.UDPAddr) netip.AddrPort {
 // only its members are accounted in the ledger, served, or accepted as
 // event sources.
 func (n *Node) SetDirectory(dir map[ident.NodeID]*net.UDPAddr) {
-	n.lock()
+	n.sh.lock()
 	for id, a := range dir {
 		n.directory[id] = toAddrPort(a)
 	}
-	n.unlock()
+	n.sh.unlock()
 }
 
 // AddNeighbor attaches a tree link toward the given dispatcher and
-// advertises every known interest over it (pubsub.Node.OnLinkUp).
+// advertises every known interest over it (pubsub.Node.OnLinkUp). The
+// failure detector starts the neighbor afresh: its silence is timed
+// from now.
 func (n *Node) AddNeighbor(id ident.NodeID, addr *net.UDPAddr) {
 	ap := toAddrPort(addr)
-	n.lock()
+	n.sh.lock()
 	_, known := n.neighbors[id]
-	n.neighbors[id] = ap
+	n.neighbors[id] = &neighbor{addr: ap, lastSeen: n.k.Now()}
 	n.directory[id] = ap
 	if !known {
 		n.ps.OnLinkUp(id)
 	}
-	n.unlock()
-	n.peerMu.Lock()
-	n.peers[id] = &peerState{lastSeen: n.now()} // grace period before the detector may suspect
-	n.peerMu.Unlock()
+	n.sh.unlock()
 }
 
 // RemoveNeighbor detaches a tree link and flushes every route through
 // it (pubsub.Node.OnLinkDown).
 func (n *Node) RemoveNeighbor(id ident.NodeID) {
-	n.lock()
+	n.sh.lock()
 	if _, ok := n.neighbors[id]; ok {
 		delete(n.neighbors, id)
 		n.ps.OnLinkDown(id)
 	}
-	n.unlock()
-	n.peerMu.Lock()
-	delete(n.peers, id)
-	n.peerMu.Unlock()
+	n.sh.unlock()
 }
 
 // Subscribe registers a local subscription and propagates it through
 // the tree (subscription forwarding, paper Sec. II).
 func (n *Node) Subscribe(p ident.PatternID) {
-	n.lock()
+	n.sh.lock()
 	n.ps.Subscribe(p)
-	n.unlock()
+	n.sh.unlock()
 }
 
 // Unsubscribe removes a local subscription and propagates the removal.
 func (n *Node) Unsubscribe(p ident.PatternID) {
-	n.lock()
+	n.sh.lock()
 	n.ps.Unsubscribe(p)
-	n.unlock()
+	n.sh.unlock()
 }
 
 // Subscriptions returns the locally subscribed patterns.
 func (n *Node) Subscriptions() []ident.PatternID {
-	n.mu.Lock()
-	defer n.mu.Unlock()
+	n.sh.mu.Lock()
+	defer n.sh.mu.Unlock()
 	return append([]ident.PatternID(nil), n.ps.LocalPatterns()...)
 }
 
 // KnownPatternCount returns the number of patterns with local or
 // remote interest — tests use it to watch subscription propagation.
 func (n *Node) KnownPatternCount() int {
-	n.mu.Lock()
-	defer n.mu.Unlock()
+	n.sh.mu.Lock()
+	defer n.sh.mu.Unlock()
 	return len(n.ps.KnownPatterns())
 }
 
 // Publish stamps and routes a new event, returning its identifier.
 func (n *Node) Publish(content matching.Content) ident.EventID {
-	n.lock()
+	n.sh.lock()
 	ev := n.ps.Publish(content, 0)
 	n.stats.published.Add(1)
-	n.unlock()
+	n.sh.unlock()
 	return ev.ID
 }
-
-// now returns the node's monotonic clock as a duration since start:
-// the kernel's time base.
-func (n *Node) now() time.Duration { return time.Since(n.start) }
 
 // A datagram is a sequence of records, each one message between two
 // nodes: 4 bytes sender ID, 4 bytes destination ID, 1 byte flags, a
@@ -582,12 +535,11 @@ func closing(err error) bool {
 	return errors.Is(err, net.ErrClosed)
 }
 
-// handleRecord dispatches one record addressed to this node. It must
-// never panic on adversarial input: a message that does not decode or
-// fails the ingress guard is counted as malformed and dropped, like
-// real UDP software. The dispatcher's route calls it; tests call it
-// without a socket.
-func (n *Node) handleRecord(r record) {
+// handleRecordLocked dispatches one record addressed to this node. It
+// must never panic on adversarial input: a message that does not decode
+// or fails the ingress guard is counted as malformed and dropped, like
+// real UDP software. The shard's route calls it under the shard lock.
+func (n *Node) handleRecordLocked(r record) {
 	if r.to != n.cfg.ID {
 		n.stats.misrouted.Add(1)
 		return
@@ -597,8 +549,6 @@ func (n *Node) handleRecord(r record) {
 		return // heartbeat: liveness only
 	}
 	oob := r.flags&flagOOB != 0
-	n.lock()
-	defer n.unlock()
 	msg, err := wire.Decode(r.msg)
 	if err != nil || !n.admissible(msg, oob) {
 		n.stats.malformed.Add(1)
@@ -616,44 +566,25 @@ func (n *Node) observePeer(from ident.NodeID) {
 	if n.cfg.HeartbeatInterval == 0 {
 		return
 	}
-	n.peerMu.Lock()
-	if ps, ok := n.peers[from]; ok {
-		ps.lastSeen = n.now()
-		if ps.suspected {
-			ps.suspected = false
+	if nb := n.neighbors[from]; nb != nil {
+		nb.lastSeen = n.k.Now()
+		if nb.suspected {
+			nb.suspected = false
 			n.stats.neighborsRevived.Add(1)
 		}
 	}
-	n.peerMu.Unlock()
 }
 
-// isSuspect reports whether the failure detector currently suspects
-// id. Safe to call with mu held (peerMu is a leaf lock).
-func (n *Node) isSuspect(id ident.NodeID) bool {
-	if n.cfg.HeartbeatInterval == 0 {
-		return false
-	}
-	n.peerMu.Lock()
-	ps, ok := n.peers[id]
-	s := ok && ps.suspected
-	n.peerMu.Unlock()
-	return s
-}
-
-// heartbeatLocked is the failure detector's kernel tick: heartbeat
-// every tree neighbor and suspect the silent ones.
+// heartbeatLocked is the failure detector's kernel tick: suspect the
+// silent tree neighbors and heartbeat every one.
 func (n *Node) heartbeatLocked() {
-	now := n.now()
-	n.peerMu.Lock()
-	for id := range n.neighbors {
-		if ps, ok := n.peers[id]; ok && !ps.suspected && now-ps.lastSeen > n.cfg.HeartbeatTimeout {
-			ps.suspected = true
+	now := n.k.Now()
+	for id, nb := range n.neighbors {
+		if !nb.suspected && now-nb.lastSeen > n.cfg.HeartbeatTimeout {
+			nb.suspected = true
 			n.stats.neighborsSuspected.Add(1)
 		}
-	}
-	n.peerMu.Unlock()
-	for id, addr := range n.neighbors {
-		n.outs = append(n.outs, out{to: id, addr: addr})
+		n.sendLocked(id, nb.addr, nil, false)
 	}
 	n.stats.heartbeatsSent.Add(uint64(len(n.neighbors)))
 }
@@ -661,11 +592,11 @@ func (n *Node) heartbeatLocked() {
 // SuspectedNeighbors returns the neighbors the failure detector
 // currently suspects, for tests and monitoring.
 func (n *Node) SuspectedNeighbors() []ident.NodeID {
-	n.peerMu.Lock()
-	defer n.peerMu.Unlock()
-	out := make([]ident.NodeID, 0, len(n.peers))
-	for id, ps := range n.peers {
-		if ps.suspected {
+	n.sh.mu.Lock()
+	defer n.sh.mu.Unlock()
+	var out []ident.NodeID
+	for id, nb := range n.neighbors {
+		if nb.suspected {
 			out = append(out, id)
 		}
 	}

@@ -28,7 +28,7 @@ type pendingReq struct {
 // trackRequestLocked enters the IDs of a request the core sends to
 // gossiper into the table. An ID already pending keeps its entry: the
 // core re-requested it after its own suppression window, and the
-// entry's retry schedule stands. Callers hold n.mu.
+// entry's retry schedule stands. Callers hold the shard lock.
 func (n *Node) trackRequestLocked(gossiper ident.NodeID, req *wire.Request) {
 	now := n.k.Now()
 	for _, id := range req.IDs {
@@ -67,7 +67,7 @@ func (n *Node) dropPendingLocked(pr *pendingReq) {
 
 // shedOldestLocked evicts the oldest live pending entry regardless of
 // peer — the fallback when the ledger has no attribution to offer.
-// Callers hold n.mu.
+// Callers hold the shard lock.
 func (n *Node) shedOldestLocked() {
 	for len(n.pendingQ) > 0 {
 		pr := n.pendingQ[0]
@@ -84,10 +84,10 @@ func (n *Node) shedOldestLocked() {
 
 // backoffLocked returns the delay before attempt+1: exponential in the
 // attempt count with ±25% jitter so synchronized losers do not
-// retransmit in lockstep. Callers hold n.mu (for the kernel's rng).
+// retransmit in lockstep. Callers hold the shard lock (for n.rng).
 func (n *Node) backoffLocked(attempts int) sim.Time {
 	d := n.cfg.RequestBackoff << uint(attempts-1)
-	return d + sim.Time(n.k.Rand().Int63n(int64(d)/2+1)) - d/4
+	return d + sim.Time(n.rng.Int63n(int64(d)/2+1)) - d/4
 }
 
 // armRetryLocked makes sure the retry timer fires no later than at.
@@ -106,7 +106,7 @@ func (n *Node) armRetryLocked(at sim.Time) {
 // requests (batched per gossiper, oldest first), abandons entries that
 // exhausted their attempts, compacts the queue once tombstones dominate,
 // and re-arms for the next due entry. Runs inside the kernel, under
-// n.mu.
+// the shard lock.
 func (n *Node) retryDueLocked() {
 	n.retryArmed = false
 	if len(n.pendingQ) > 2*n.pending.Len()+64 {

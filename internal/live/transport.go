@@ -4,9 +4,7 @@ import (
 	"net"
 	"net/netip"
 	"sync"
-
-	"repro/internal/ident"
-	"repro/internal/wire"
+	"time"
 )
 
 // The live transport has two layers. packetConn is the socket layer:
@@ -14,9 +12,10 @@ import (
 // hosting thousands of nodes pays one syscall per batch instead of one
 // per packet. On Linux it is backed by recvmmsg/sendmmsg (mmsg_linux.go);
 // everywhere else by a portable stdlib fallback that degrades to one
-// datagram per call. transport is the node layer: how one live.Node
-// emits messages. Its one socket implementation is hostedTransport
-// (dispatcher.go), which enqueues on the node's dispatcher shard ring.
+// datagram per call. transport is the shard layer: where a shard hands
+// the records its nodes sent once it releases its lock. Its one socket
+// implementation is hostedTransport (dispatcher.go), which enqueues on
+// the shard's ring.
 
 // dgram is one datagram of a batch I/O operation. Reads fill b
 // (re-sliced to the payload length); writes consume b and send to `to`.
@@ -36,6 +35,10 @@ type packetConn interface {
 	// say) is skipped and the rest are still sent; only a closed socket
 	// ends the batch early.
 	writeBatch(ds []dgram) (int, error)
+	// setReadDeadline makes a blocked or later readBatch return
+	// os.ErrDeadlineExceeded at t; the zero t means no deadline. The
+	// shard loop sets it to its kernel's next timer.
+	setReadDeadline(t time.Time) error
 	localAddr() *net.UDPAddr
 	close() error
 }
@@ -75,21 +78,19 @@ func (c *stdConn) writeBatch(ds []dgram) (int, error) {
 	return sent, first
 }
 
-func (c *stdConn) localAddr() *net.UDPAddr { return c.conn.LocalAddr().(*net.UDPAddr) }
-func (c *stdConn) close() error            { return c.conn.Close() }
+func (c *stdConn) setReadDeadline(t time.Time) error { return c.conn.SetReadDeadline(t) }
+func (c *stdConn) localAddr() *net.UDPAddr           { return c.conn.LocalAddr().(*net.UDPAddr) }
+func (c *stdConn) close() error                      { return c.conn.Close() }
 
-// transport is how a node transmits. On sockets that is
-// hostedTransport: sends enqueue on the dispatcher shard's ring, where
-// the writer packs them as records into one datagram per destination
-// socket. Tests record a
-// node's sends through their own implementation.
+// transport is how a shard transmits. On sockets that is
+// hostedTransport: sends enqueue on the shard's ring, where the writer
+// packs them as records into one datagram per destination socket. Tests
+// record a shard's sends through their own implementation.
 type transport interface {
-	// sendMsg transmits msg from one node to another as one record
-	// (possibly coalesced and deferred, per implementation).
-	sendMsg(from, to ident.NodeID, addr netip.AddrPort, msg wire.Message, oob bool)
-	// sendHeartbeat transmits an empty liveness record.
-	sendHeartbeat(from, to ident.NodeID, addr netip.AddrPort)
-	// localAddr is the address peers use to reach this node.
+	// send transmits one record (possibly coalesced and deferred, per
+	// implementation).
+	send(o out)
+	// localAddr is the address peers use to reach the shard's nodes.
 	localAddr() *net.UDPAddr
 }
 

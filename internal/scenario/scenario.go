@@ -126,7 +126,7 @@ type Params struct {
 	// Shards is accepted and ignored: every run executes on the
 	// sequential kernel. It is kept only because benchmark/sim.go sets
 	// it (its sim-sharded workload compares Shards=2 against a Shards=1
-	// twin), and goes with the benchmark revision of ROADMAP item 8.
+	// twin), and goes with the benchmark revision of ROADMAP item 12.
 	Shards int
 	// MetricsMode selects the delivery-accounting implementation.
 	// MetricsExact (the default) keeps the per-event tracker that
