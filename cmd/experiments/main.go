@@ -25,7 +25,10 @@ import (
 	"path/filepath"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/experiments"
+	"repro/internal/network"
+	"repro/internal/scenario"
 )
 
 func main() {
@@ -134,24 +137,32 @@ func writeResult(id, dir string, stdout io.Writer, emit func(io.Writer) error) e
 }
 
 // printFig2 prints the paper's Fig. 2 parameter table with our
-// defaults.
+// defaults, read from the default parameters of the scenario, the
+// gossip engine and the network.
 func printFig2(w io.Writer) error {
+	p := scenario.DefaultParams()
+	g := core.DefaultConfig(core.CombinedPull)
+	nw := network.DefaultConfig()
+	rho := "∞"
+	if p.ReconfigInterval > 0 {
+		rho = fmt.Sprintf("%g s", p.ReconfigInterval.Seconds())
+	}
 	rows := [][2]string{
-		{"number of dispatchers", "N = 100"},
-		{"maximum number of patterns per subscriber", "πmax = 2"},
-		{"total number of patterns", "Π = 70"},
-		{"patterns matched per event (max)", "3"},
-		{"publish rate", "50 publish/s per dispatcher"},
-		{"link error rate", "ε = 0.1"},
-		{"interval between topological reconfigurations", "ρ = ∞"},
-		{"buffer size", "β = 1500"},
-		{"gossip interval", "T = 0.03 s"},
-		{"overlay node degree (max)", "4"},
-		{"link model", "10 Mbit/s, 100 µs propagation"},
-		{"gossip forwarding probability (assumed)", "Pforward = 0.9"},
-		{"combined-pull source probability (assumed)", "Psource = 0.5"},
-		{"message size on the wire (assumed)", "200 bytes, events = gossip"},
-		{"simulated time", "25 s"},
+		{"number of dispatchers", fmt.Sprintf("N = %d", p.N)},
+		{"maximum number of patterns per subscriber", fmt.Sprintf("πmax = %d", p.PatternsPerNode)},
+		{"total number of patterns", fmt.Sprintf("Π = %d", p.NumPatterns)},
+		{"patterns matched per event (max)", fmt.Sprint(p.MaxMatch)},
+		{"publish rate", fmt.Sprintf("%g publish/s per dispatcher", p.PublishRate)},
+		{"link error rate", fmt.Sprintf("ε = %g", nw.LossRate)},
+		{"interval between topological reconfigurations", "ρ = " + rho},
+		{"buffer size", fmt.Sprintf("β = %d", g.BufferSize)},
+		{"gossip interval", fmt.Sprintf("T = %g s", g.GossipInterval.Seconds())},
+		{"overlay node degree (max)", fmt.Sprint(p.MaxDegree)},
+		{"link model", fmt.Sprintf("%g Mbit/s, %d µs propagation", nw.BandwidthBPS/1e6, nw.PropDelay.Microseconds())},
+		{"gossip forwarding probability (assumed)", fmt.Sprintf("Pforward = %g", g.PForward)},
+		{"combined-pull source probability (assumed)", fmt.Sprintf("Psource = %g", g.PSource)},
+		{"message size on the wire (assumed)", fmt.Sprintf("%d bytes, events = gossip", nw.MessageBytes)},
+		{"simulated time", fmt.Sprintf("%g s", p.Duration.Seconds())},
 	}
 	fmt.Fprintln(w, "# 2 — Simulation parameters and their default values (paper Fig. 2)")
 	for _, r := range rows {

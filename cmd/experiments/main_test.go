@@ -64,3 +64,28 @@ func TestUnknownFigure(t *testing.T) {
 		t.Fatal("missing -fig accepted")
 	}
 }
+
+// TestResultsPinned regenerates Fig. 2 and Fig. 7 at full size and
+// requires them byte-identical to the committed results/ files: the
+// cheap end of the contract that scripts/figures.sh checks for every
+// figure. Fig. 7 takes about a second, so this runs under -short too.
+func TestResultsPinned(t *testing.T) {
+	dir := t.TempDir()
+	for _, id := range []string{"2", "7"} {
+		if err := run([]string{"-fig", id, "-out", dir}, &strings.Builder{}); err != nil {
+			t.Fatal(err)
+		}
+		name := "fig" + id + ".txt"
+		got, err := os.ReadFile(filepath.Join(dir, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := os.ReadFile(filepath.Join("..", "..", "results", name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(got) != string(want) {
+			t.Errorf("results/%s is stale or the code changed its output:\n--- regenerated\n%s--- committed\n%s", name, got, want)
+		}
+	}
+}

@@ -255,10 +255,11 @@ func ChurnPlan(seed int64, n int, rate float64, duration, meanDowntime Time) *Fa
 	return faults.ChurnPlan(seed, n, rate, duration, meanDowntime)
 }
 
-// LossModel decides per-transmission drops; install a custom one via
-// Params.NewLossModel. Bernoulli (the default, the paper's ε) drops
-// independently; GilbertElliott drops in bursts driven by a per-link
-// two-state Markov chain.
+// LossModel decides per-transmission drops; install a custom one with a
+// FaultSetLossModel action in Params.FaultPlan (At = 0 for the whole
+// run). Bernoulli (the default, the paper's ε) drops independently;
+// GilbertElliott drops in bursts driven by a per-link two-state Markov
+// chain.
 type (
 	LossModel            = network.LossModel
 	GilbertElliottConfig = network.GilbertElliottConfig

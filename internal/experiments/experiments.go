@@ -1,11 +1,14 @@
 // Package experiments regenerates every figure of the paper's
 // evaluation (Sec. IV): given a figure identifier it builds the
 // parameter sweeps, runs the simulations, and returns the series the
-// paper plots. cmd/experiments renders them as text tables; the
-// repository's benchmark harness runs scaled-down versions.
+// paper plots. A sweep figure is a grid spec (the parameter edits of
+// its series and x values, its measures, its notes) run by one runner;
+// cmd/experiments renders the figures as text tables and SVG charts
+// into results/.
 package experiments
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"slices"
@@ -58,32 +61,32 @@ type generator struct {
 // generators maps figure identifiers to their implementations, in
 // paper order.
 var generators = map[string]generator{
-	"3a": {"Event delivery under lossy links (Fig. 3a)", fig3a},
-	"3b": {"Event delivery under topological reconfigurations (Fig. 3b)", fig3b},
-	"4a": {"Effect of buffer size on delivery (Fig. 4 top)", fig4a},
-	"4b": {"Effect of gossip interval on delivery (Fig. 4 bottom)", fig4b},
-	"5":  {"Interplay of buffer size and gossip interval, combined pull (Fig. 5)", fig5},
-	"6":  {"Delivery as the system size increases (Fig. 6)", fig6},
-	"7":  {"Receivers per event vs subscriptions per dispatcher (Fig. 7)", fig7},
-	"8":  {"Delivery vs subscriptions per dispatcher under low/high load (Fig. 8)", fig8},
-	"9a": {"Gossip overhead vs system size (Fig. 9a)", fig9a},
-	"9b": {"Gossip overhead vs subscriptions per dispatcher (Fig. 9b)", fig9b},
-	"10": {"Gossip overhead vs link error rate (Fig. 10)", fig10},
+	"3a": {"Event delivery under lossy links (Fig. 3a)", figures(fig3a(0.05), fig3a(0.1))},
+	"3b": {"Event delivery under topological reconfigurations (Fig. 3b)", figures(fig3b(200*time.Millisecond), fig3b(30*time.Millisecond))},
+	"4a": {"Effect of buffer size on delivery (Fig. 4 top)", figures(fig4a)},
+	"4b": {"Effect of gossip interval on delivery (Fig. 4 bottom)", figures(fig4b)},
+	"5":  {"Interplay of buffer size and gossip interval, combined pull (Fig. 5)", figures(fig5)},
+	"6":  {"Delivery as the system size increases (Fig. 6)", figures(fig6)},
+	"7":  {"Receivers per event vs subscriptions per dispatcher (Fig. 7)", figures(fig7)},
+	"8":  {"Delivery vs subscriptions per dispatcher under low/high load (Fig. 8)", figures(fig8(5), fig8(50))},
+	"9a": {"Gossip overhead vs system size (Fig. 9a)", figures(fig9a)},
+	"9b": {"Gossip overhead vs subscriptions per dispatcher (Fig. 9b)", figures(fig9b)},
+	"10": {"Gossip overhead vs link error rate (Fig. 10)", figures(fig10(50), fig10(5))},
 
-	// Extensions beyond the paper (see DESIGN.md Sec. 5 and
-	// ablations.go).
-	"x-pforward":     {"EXTENSION: sensitivity to the forwarding probability Pforward", xPForward},
-	"x-psource":      {"EXTENSION: sensitivity of combined pull to Psource", xPSource},
-	"x-bufferpolicy": {"EXTENSION: buffer replacement policy ablation (after [13])", xBufferPolicy},
-	"x-adaptive":     {"EXTENSION: adaptive and hybrid gossip vs static algorithms across fault regimes", xAdaptive},
-	"x-latency":      {"EXTENSION: recovery latency percentiles per algorithm", xLatency},
+	// Extensions beyond the paper (see DESIGN.md Sec. 5,
+	// extensions.go and runs.go).
+	"x-pforward":     {"EXTENSION: sensitivity to the forwarding probability Pforward", figures(xPForward)},
+	"x-psource":      {"EXTENSION: sensitivity of combined pull to Psource", figures(xPSource)},
+	"x-bufferpolicy": {"EXTENSION: buffer replacement policy ablation (after [13])", figures(xBufferPolicy)},
+	"x-adaptive":     {"EXTENSION: adaptive and hybrid gossip vs static algorithms across fault regimes", figures(xAdaptive)},
+	"x-latency":      {"EXTENSION: recovery latency percentiles per algorithm", figures(xLatency)},
 	"x-variance":     {"PAPER Sec. IV-A: delivery-rate spread across seeds", xVariance},
-	"x-churn":        {"EXTENSION: delivery under deterministic node churn", xChurn},
-	"x-burstloss":    {"EXTENSION: bursty (Gilbert–Elliott) vs independent loss", xBurstLoss},
+	"x-churn":        {"EXTENSION: delivery under deterministic node churn", figures(xChurn)},
+	"x-burstloss":    {"EXTENSION: bursty (Gilbert–Elliott) vs independent loss", figures(xBurstLoss)},
 	"x-puregossip":   {"PAPER Sec. V: hpcast-style pure gossip vs tree + recovery", xPureGossip},
-	"x-overlay":      {"EXTENSION: delivery across overlay kinds and repair modes under churn", xOverlay},
+	"x-overlay":      {"EXTENSION: delivery across overlay kinds and repair modes under churn", figures(xOverlay)},
 	"x-scale":        {"EXTENSION: delivery, overhead, and throughput up to N=100,000", xScale},
-	"x-zipf":         {"EXTENSION: delivery, audience, and overhead under Zipf workload skew", xZipf},
+	"x-zipf":         {"EXTENSION: delivery, audience, and overhead under Zipf workload skew", figures(xZipf)},
 }
 
 // IDs returns every figure identifier in paper order.
@@ -117,15 +120,6 @@ func Generate(id string, opt Options) ([]Figure, error) {
 	return g.gen(opt)
 }
 
-// deliveryAlgorithms is the full per-figure algorithm set of the
-// delivery plots (paper legend order).
-func deliveryAlgorithms(opt Options) []core.Algorithm {
-	if opt.Quick {
-		return []core.Algorithm{core.NoRecovery, core.Push, core.CombinedPull}
-	}
-	return core.Algorithms()
-}
-
 // base returns the paper-default parameters adjusted by opt.
 func base(opt Options, defaultDuration sim.Time) scenario.Params {
 	p := scenario.DefaultParams()
@@ -143,86 +137,193 @@ func base(opt Options, defaultDuration sim.Time) scenario.Params {
 	return p
 }
 
-// sweep runs one parameter sweep per algorithm: configure(p, x) adapts
-// the base parameters to the x-value; each entry of measures extracts
-// one y-value per run, yielding one Series set per measure (several
-// paper figures plot two metrics of the same runs). Algorithms for
-// which the x-parameter is irrelevant (xIndependent) are run once and
-// replicated across the axis.
-type sweep struct {
-	xs           []float64
-	algorithms   []core.Algorithm
-	xIndependent func(core.Algorithm) bool
-	configure    func(p *scenario.Params, x float64)
-	measures     []func(scenario.Result) float64
+// grid is one figure's runs as data: every (series, x) pair is one
+// simulation cell, and every panel plots one measure of the same cells
+// (several paper figures plot two metrics of the same runs).
+type grid struct {
+	// duration is each run's default simulated time (0 = 10 s), and
+	// setup edits the base parameters every cell starts from.
+	duration sim.Time
+	setup    func(p *scenario.Params)
+	// xs are the swept values, applied to a cell by at; a grid without
+	// xs runs each series once. With ordinal set the xs are category
+	// numbers, plotted at 1, 2, … in the order given.
+	xs      []float64
+	at      func(p *scenario.Params, x float64)
+	ordinal bool
+	series  []line
+	// quickXs and quickSeries, when set, replace xs and series under
+	// Options.Quick.
+	quickXs     []float64
+	quickSeries []line
+	xLabel      string
+	panels      []panel
+	// curve, when set, draws each series as a curve read from its one
+	// run instead of one point per cell.
+	curve func(scenario.Result) []Point
+	notes []string
+	// post, when set, finishes the figures from the runs: computed
+	// notes or a derived figure. cells[s][i] is series s at xs[i].
+	post func(g grid, cells [][]scenario.Result, figs []Figure) []Figure
 }
 
-func (s sweep) run(p0 scenario.Params) ([][]Series, error) {
-	var params []scenario.Params
-	type slot struct {
-		algo core.Algorithm
-		xi   int // -1 for the x-independent single run
-	}
-	var slots []slot
-	for _, a := range s.algorithms {
-		if s.xIndependent != nil && s.xIndependent(a) {
-			p := p0
-			p.Algorithm = a
-			s.configure(&p, s.xs[0])
-			params = append(params, p)
-			slots = append(slots, slot{algo: a, xi: -1})
-			continue
-		}
-		for xi, x := range s.xs {
-			p := p0
-			p.Algorithm = a
-			s.configure(&p, x)
-			params = append(params, p)
-			slots = append(slots, slot{algo: a, xi: xi})
-		}
-	}
-	results, err := scenario.RunAll(params)
-	if err != nil {
-		return nil, err
-	}
-	out := make([][]Series, len(s.measures))
-	for mi, measure := range s.measures {
-		bySeries := make(map[core.Algorithm][]Point)
-		for i, r := range results {
-			y := measure(r)
-			if slots[i].xi < 0 {
-				for _, x := range s.xs {
-					bySeries[slots[i].algo] = append(bySeries[slots[i].algo], Point{X: x, Y: y})
-				}
-				continue
+// line is one series: its name, its edit of a cell's parameters (run
+// after at, so it may read what at set), and whether it ignores the
+// swept parameter. A flat series runs once, at xs[0], and is drawn
+// level across the axis.
+type line struct {
+	name string
+	edit func(p *scenario.Params)
+	flat bool
+}
+
+// panel is one plotted figure: one measure of every cell.
+type panel struct {
+	id, title, yLabel string
+	y                 func(scenario.Result) float64
+}
+
+// figures returns the generator of one or more grids. Every cell of
+// every grid goes into one scenario.RunAll, and the figures come back
+// in spec order.
+func figures(specs ...grid) func(Options) ([]Figure, error) {
+	return func(opt Options) ([]Figure, error) {
+		gs := slices.Clone(specs)
+		var params []scenario.Params
+		first := make([][]int, len(gs)) // grid → series → its first cell in params
+		for gi := range gs {
+			g := &gs[gi]
+			if opt.Quick && g.quickXs != nil {
+				g.xs = g.quickXs
 			}
-			bySeries[slots[i].algo] = append(bySeries[slots[i].algo], Point{X: s.xs[slots[i].xi], Y: y})
-		}
-		for _, a := range s.algorithms {
-			pts := bySeries[a]
-			slices.SortFunc(pts, func(a, b Point) int {
-				switch {
-				case a.X < b.X:
-					return -1
-				case a.X > b.X:
-					return 1
-				default:
-					return 0
+			if opt.Quick && g.quickSeries != nil {
+				g.series = g.quickSeries
+			}
+			if g.xs == nil {
+				g.xs = []float64{0}
+			}
+			p0 := base(opt, cmp.Or(g.duration, 10*time.Second))
+			if g.setup != nil {
+				g.setup(&p0)
+			}
+			for _, l := range g.series {
+				first[gi] = append(first[gi], len(params))
+				for _, x := range g.xs {
+					p := p0
+					if g.at != nil {
+						g.at(&p, x)
+					}
+					if l.edit != nil {
+						l.edit(&p)
+					}
+					params = append(params, p)
+					if l.flat {
+						break
+					}
 				}
-			})
-			out[mi] = append(out[mi], Series{Name: a.String(), Points: pts})
+			}
 		}
+		results, err := scenario.RunAll(params)
+		if err != nil {
+			return nil, err
+		}
+		var out []Figure
+		for gi, g := range gs {
+			cells := make([][]scenario.Result, len(g.series))
+			for si, l := range g.series {
+				for xi := range g.xs {
+					i := first[gi][si]
+					if !l.flat {
+						i += xi
+					}
+					cells[si] = append(cells[si], results[i])
+				}
+			}
+			out = append(out, g.assemble(cells)...)
+		}
+		return out, nil
 	}
-	return out, nil
 }
 
-// runOne is the common single-measure case.
-func (s sweep) runOne(p0 scenario.Params) ([]Series, error) {
-	all, err := s.run(p0)
-	if err != nil {
-		return nil, err
+// assemble draws every panel of the grid from its cells.
+func (g grid) assemble(cells [][]scenario.Result) []Figure {
+	var figs []Figure
+	for _, pn := range g.panels {
+		f := Figure{ID: pn.id, Title: pn.title, XLabel: g.xLabel, YLabel: pn.yLabel, Notes: slices.Clone(g.notes)}
+		for si, l := range g.series {
+			s := Series{Name: l.name}
+			for xi, r := range cells[si] {
+				if g.curve != nil {
+					s.Points = append(s.Points, g.curve(r)...)
+				} else {
+					s.Points = append(s.Points, Point{X: g.plotX(xi), Y: pn.y(r)})
+				}
+			}
+			f.Series = append(f.Series, s)
+		}
+		figs = append(figs, f)
 	}
-	return all[0], nil
+	if g.post != nil {
+		figs = g.post(g, cells, figs)
+	}
+	return figs
+}
+
+// plotX is where the i-th swept value is drawn.
+func (g grid) plotX(i int) float64 {
+	if g.ordinal {
+		return float64(i + 1)
+	}
+	return g.xs[i]
+}
+
+// noteParams is a post hook that adds one note, written from the
+// parameters of the first run, to every figure.
+func noteParams(note func(p scenario.Params) string) func(grid, [][]scenario.Result, []Figure) []Figure {
+	return func(_ grid, cells [][]scenario.Result, figs []Figure) []Figure {
+		for i := range figs {
+			figs[i].Notes = append(figs[i].Notes, note(cells[0][0].Params))
+		}
+		return figs
+	}
+}
+
+// algoLines is one series per algorithm, named after it.
+func algoLines(algos ...core.Algorithm) []line {
+	ls := make([]line, len(algos))
+	for i, a := range algos {
+		ls[i] = line{name: a.String(), edit: func(p *scenario.Params) { p.Algorithm = a }}
+	}
+	return ls
+}
+
+// The series of the delivery plots: every algorithm in the paper's
+// legend order, and the Quick subset.
+var (
+	paperLines = algoLines(core.Algorithms()...)
+	quickLines = algoLines(core.NoRecovery, core.Push, core.CombinedPull)
+)
+
+// flatBaseline returns ls with the no-recovery series flat: a run
+// without recovery ignores the swept gossip parameter.
+func flatBaseline(ls []line) []line {
+	ls = slices.Clone(ls)
+	for i := range ls {
+		ls[i].flat = ls[i].name == core.NoRecovery.String()
+	}
+	return ls
+}
+
+// The measures the figures plot.
+func delivery(r scenario.Result) float64       { return round2(r.DeliveryRate) }
+func receivers(r scenario.Result) float64      { return round2(r.ReceiversPerEvent) }
+func gossip(r scenario.Result) float64         { return round2(r.GossipPerDispatcher) }
+func gossipWhole(r scenario.Result) float64    { return math.Round(r.GossipPerDispatcher) }
+func gossipPerEvent(r scenario.Result) float64 { return round2(r.GossipEventRatio) }
+
+// setLoss sets the link error rate ε on both channels.
+func setLoss(p *scenario.Params, e float64) {
+	p.Network.LossRate, p.Network.OOBLossRate = e, e
 }
 
 // seconds converts virtual time to float seconds for plotting.

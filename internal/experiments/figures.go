@@ -10,208 +10,101 @@ import (
 	"repro/internal/sim"
 )
 
-// timeSeriesFigure runs every algorithm once under configure and plots
-// the bucketed delivery-rate time series (paper Fig. 3).
-func timeSeriesFigure(opt Options, id, title string, configure func(*scenario.Params)) (Figure, error) {
-	p0 := base(opt, 12*time.Second)
-	configure(&p0)
-	algos := deliveryAlgorithms(opt)
-	var params []scenario.Params
-	for _, a := range algos {
-		p := p0
-		p.Algorithm = a
-		params = append(params, p)
+// fig3 is one panel of paper Fig. 3: every algorithm once under
+// setup, plotting the bucketed delivery-rate time series.
+func fig3(id, title string, setup func(p *scenario.Params)) grid {
+	return grid{
+		duration:    12 * time.Second,
+		setup:       setup,
+		series:      paperLines,
+		quickSeries: quickLines,
+		xLabel:      "seconds",
+		panels:      []panel{{id: id, title: title, yLabel: "delivery rate"}},
+		curve:       timeSeries,
+		post: noteParams(func(p scenario.Params) string {
+			return fmt.Sprintf("N=%d, %.0f publish/s per dispatcher, %v simulated", p.N, p.PublishRate, p.Duration)
+		}),
 	}
-	results, err := scenario.RunAll(params)
-	if err != nil {
-		return Figure{}, err
-	}
-	fig := Figure{
-		ID:     id,
-		Title:  title,
-		XLabel: "seconds",
-		YLabel: "delivery rate",
-	}
-	for i, r := range results {
-		s := Series{Name: algos[i].String()}
-		for _, pt := range r.TimeSeries {
-			t := pt.Time
-			if t < r.Params.MeasureFrom || t >= r.Params.MeasureTo {
-				continue
-			}
-			s.Points = append(s.Points, Point{X: seconds(t), Y: round2(pt.Rate)})
-		}
-		fig.Series = append(fig.Series, s)
-	}
-	fig.Notes = append(fig.Notes,
-		fmt.Sprintf("N=%d, %.0f publish/s per dispatcher, %v simulated", p0.N, p0.PublishRate, p0.Duration))
-	return fig, nil
 }
 
 // fig3a: delivery-rate time series under lossy links, ε = 0.05 and 0.1.
-func fig3a(opt Options) ([]Figure, error) {
-	var out []Figure
-	for _, eps := range []float64{0.05, 0.1} {
-		eps := eps
-		fig, err := timeSeriesFigure(opt,
-			fmt.Sprintf("3a-eps%.2f", eps),
-			fmt.Sprintf("Event delivery, lossy links, ε=%.2f", eps),
-			func(p *scenario.Params) {
-				p.Network.LossRate = eps
-				p.Network.OOBLossRate = eps
-			})
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, fig)
-	}
-	return out, nil
+func fig3a(eps float64) grid {
+	return fig3(fmt.Sprintf("3a-eps%.2f", eps), fmt.Sprintf("Event delivery, lossy links, ε=%.2f", eps),
+		func(p *scenario.Params) { setLoss(p, eps) })
 }
 
 // fig3b: delivery-rate time series under topological reconfigurations,
 // ρ = 0.2 s (non-overlapping) and ρ = 0.03 s (overlapping), reliable
 // links.
-func fig3b(opt Options) ([]Figure, error) {
-	var out []Figure
-	for _, rho := range []sim.Time{200 * time.Millisecond, 30 * time.Millisecond} {
-		rho := rho
-		fig, err := timeSeriesFigure(opt,
-			fmt.Sprintf("3b-rho%.2f", seconds(rho)),
-			fmt.Sprintf("Event delivery, reconfigurations every ρ=%v", rho),
-			func(p *scenario.Params) {
-				p.Network.LossRate = 0
-				p.Network.OOBLossRate = 0
-				p.ReconfigInterval = rho
-			})
-		if err != nil {
-			return nil, err
+func fig3b(rho sim.Time) grid {
+	return fig3(fmt.Sprintf("3b-rho%.2f", seconds(rho)), fmt.Sprintf("Event delivery, reconfigurations every ρ=%v", rho),
+		func(p *scenario.Params) {
+			setLoss(p, 0)
+			p.ReconfigInterval = rho
+		})
+}
+
+// timeSeries is a run's bucketed delivery rate over its measurement
+// window.
+func timeSeries(r scenario.Result) []Point {
+	var pts []Point
+	for _, pt := range r.TimeSeries {
+		if pt.Time >= r.Params.MeasureFrom && pt.Time < r.Params.MeasureTo {
+			pts = append(pts, Point{X: seconds(pt.Time), Y: round2(pt.Rate)})
 		}
-		out = append(out, fig)
 	}
-	return out, nil
+	return pts
 }
 
 // fig4a: delivery vs buffer size β.
-func fig4a(opt Options) ([]Figure, error) {
-	xs := []float64{500, 1000, 1500, 2000, 2500, 3000, 3500, 4000}
-	if opt.Quick {
-		xs = []float64{500, 1500, 4000}
-	}
-	p0 := base(opt, 10*time.Second)
-	s := sweep{
-		xs:           xs,
-		algorithms:   deliveryAlgorithms(opt),
-		xIndependent: func(a core.Algorithm) bool { return a == core.NoRecovery },
-		configure:    func(p *scenario.Params, x float64) { p.Gossip.BufferSize = int(x) },
-		measures:     []func(scenario.Result) float64{func(r scenario.Result) float64 { return round2(r.DeliveryRate) }},
-	}
-	series, err := s.runOne(p0)
-	if err != nil {
-		return nil, err
-	}
-	return []Figure{{
-		ID:     "4a",
-		Title:  "Effect of buffer size β on delivery (ε=0.1)",
-		XLabel: "β (buffer size)",
-		YLabel: "delivery rate",
-		Series: series,
-	}}, nil
+var fig4a = grid{
+	xs:          []float64{500, 1000, 1500, 2000, 2500, 3000, 3500, 4000},
+	quickXs:     []float64{500, 1500, 4000},
+	at:          atBufferSize,
+	series:      flatBaseline(paperLines),
+	quickSeries: flatBaseline(quickLines),
+	xLabel:      "β (buffer size)",
+	panels:      []panel{{"4a", "Effect of buffer size β on delivery (ε=0.1)", "delivery rate", delivery}},
 }
 
 // fig4b: delivery vs gossip interval T.
-func fig4b(opt Options) ([]Figure, error) {
-	xs := []float64{0.010, 0.015, 0.020, 0.025, 0.030, 0.035, 0.040, 0.045, 0.050, 0.055}
-	if opt.Quick {
-		xs = []float64{0.010, 0.030, 0.055}
-	}
-	p0 := base(opt, 10*time.Second)
-	s := sweep{
-		xs:           xs,
-		algorithms:   deliveryAlgorithms(opt),
-		xIndependent: func(a core.Algorithm) bool { return a == core.NoRecovery },
-		configure: func(p *scenario.Params, x float64) {
-			p.Gossip.GossipInterval = sim.Time(x * float64(time.Second))
-		},
-		measures: []func(scenario.Result) float64{func(r scenario.Result) float64 { return round2(r.DeliveryRate) }},
-	}
-	series, err := s.runOne(p0)
-	if err != nil {
-		return nil, err
-	}
-	return []Figure{{
-		ID:     "4b",
-		Title:  "Effect of gossip interval T on delivery (ε=0.1)",
-		XLabel: "T (gossip interval, s)",
-		YLabel: "delivery rate",
-		Series: series,
-	}}, nil
+var fig4b = grid{
+	xs:          []float64{0.010, 0.015, 0.020, 0.025, 0.030, 0.035, 0.040, 0.045, 0.050, 0.055},
+	quickXs:     []float64{0.010, 0.030, 0.055},
+	at:          atGossipInterval,
+	series:      flatBaseline(paperLines),
+	quickSeries: flatBaseline(quickLines),
+	xLabel:      "T (gossip interval, s)",
+	panels:      []panel{{"4b", "Effect of gossip interval T on delivery (ε=0.1)", "delivery rate", delivery}},
 }
 
 // fig5: delivery vs gossip interval for several buffer sizes, combined
 // pull, plus the no-recovery reference.
-func fig5(opt Options) ([]Figure, error) {
-	ts := []float64{0.010, 0.015, 0.020, 0.025, 0.030, 0.035, 0.040, 0.045, 0.050, 0.055}
-	betas := []int{500, 1500, 2500, 3500}
-	if opt.Quick {
-		ts = []float64{0.010, 0.030, 0.055}
-		betas = []int{500, 3500}
-	}
-	p0 := base(opt, 10*time.Second)
+var fig5 = grid{
+	xs:          fig4b.xs,
+	quickXs:     fig4b.quickXs,
+	at:          atGossipInterval,
+	series:      fig5Lines(500, 1500, 2500, 3500),
+	quickSeries: fig5Lines(500, 3500),
+	xLabel:      "T (gossip interval, s)",
+	panels:      []panel{{"5", "Delivery vs T for several β, combined pull (ε=0.1)", "delivery rate", delivery}},
+}
 
-	var params []scenario.Params
-	type slot struct {
-		beta int
-		ti   int
-	}
-	var slots []slot
+func atBufferSize(p *scenario.Params, x float64) { p.Gossip.BufferSize = int(x) }
+
+func atGossipInterval(p *scenario.Params, x float64) {
+	p.Gossip.GossipInterval = sim.Time(x * float64(time.Second))
+}
+
+func fig5Lines(betas ...int) []line {
+	ls := flatBaseline(algoLines(core.NoRecovery))
 	for _, beta := range betas {
-		for ti, t := range ts {
-			p := p0
+		ls = append(ls, line{name: fmt.Sprintf("β=%d", beta), edit: func(p *scenario.Params) {
 			p.Algorithm = core.CombinedPull
 			p.Gossip.BufferSize = beta
-			p.Gossip.GossipInterval = sim.Time(t * float64(time.Second))
-			params = append(params, p)
-			slots = append(slots, slot{beta: beta, ti: ti})
-		}
+		}})
 	}
-	ref := p0
-	ref.Algorithm = core.NoRecovery
-	params = append(params, ref)
-	slots = append(slots, slot{beta: -1})
-
-	results, err := scenario.RunAll(params)
-	if err != nil {
-		return nil, err
-	}
-	fig := Figure{
-		ID:     "5",
-		Title:  "Delivery vs T for several β, combined pull (ε=0.1)",
-		XLabel: "T (gossip interval, s)",
-		YLabel: "delivery rate",
-	}
-	byBeta := make(map[int][]Point)
-	var refRate float64
-	for i, r := range results {
-		if slots[i].beta < 0 {
-			refRate = round2(r.DeliveryRate)
-			continue
-		}
-		byBeta[slots[i].beta] = append(byBeta[slots[i].beta],
-			Point{X: ts[slots[i].ti], Y: round2(r.DeliveryRate)})
-	}
-	var noRec Series
-	noRec.Name = "no-recovery"
-	for _, t := range ts {
-		noRec.Points = append(noRec.Points, Point{X: t, Y: refRate})
-	}
-	fig.Series = append(fig.Series, noRec)
-	for _, beta := range betas {
-		fig.Series = append(fig.Series, Series{
-			Name:   fmt.Sprintf("β=%d", beta),
-			Points: byBeta[beta],
-		})
-	}
-	return []Figure{fig}, nil
+	return ls
 }
 
 // bufferForPersistence returns the buffer size β giving roughly the
@@ -223,223 +116,119 @@ func bufferForPersistence(persistence sim.Time, n int, publishRate float64, patt
 	return int(seconds(persistence) * fillRate)
 }
 
+// atScaledN sets the system size N and scales β with it for ≈4 s
+// persistence.
+func atScaledN(p *scenario.Params, x float64) {
+	p.N = int(x)
+	p.Gossip.BufferSize = bufferForPersistence(4*time.Second, p.N,
+		p.PublishRate, p.PatternsPerNode, p.NumPatterns, p.MaxMatch)
+}
+
+func atPatternsPerNode(p *scenario.Params, x float64) { p.PatternsPerNode = int(x) }
+
 // fig6: delivery as the system size increases, β scaled for ≈4 s
 // persistence.
-func fig6(opt Options) ([]Figure, error) {
-	xs := []float64{20, 40, 60, 80, 100, 120, 140, 160, 180, 200}
-	if opt.Quick {
-		xs = []float64{20, 40}
-	}
-	p0 := base(opt, 10*time.Second)
-	s := sweep{
-		xs:         xs,
-		algorithms: deliveryAlgorithms(opt),
-		configure: func(p *scenario.Params, x float64) {
-			p.N = int(x)
-			p.Gossip.BufferSize = bufferForPersistence(4*time.Second, p.N,
-				p.PublishRate, p.PatternsPerNode, p.NumPatterns, p.MaxMatch)
-		},
-		measures: []func(scenario.Result) float64{func(r scenario.Result) float64 { return round2(r.DeliveryRate) }},
-	}
-	series, err := s.runOne(p0)
-	if err != nil {
-		return nil, err
-	}
-	return []Figure{{
-		ID:     "6",
-		Title:  "Delivery as the system size increases (ε=0.1, β ∝ N)",
-		XLabel: "N (number of dispatchers)",
-		YLabel: "delivery rate",
-		Series: series,
-	}}, nil
+var fig6 = grid{
+	xs:          []float64{20, 40, 60, 80, 100, 120, 140, 160, 180, 200},
+	quickXs:     []float64{20, 40},
+	at:          atScaledN,
+	series:      paperLines,
+	quickSeries: quickLines,
+	xLabel:      "N (number of dispatchers)",
+	panels:      []panel{{"6", "Delivery as the system size increases (ε=0.1, β ∝ N)", "delivery rate", delivery}},
 }
 
 // fig7: receivers per event vs πmax. A routing property: no recovery,
 // loss-free links, short runs.
-func fig7(opt Options) ([]Figure, error) {
-	xs := []float64{1, 2, 3, 5, 8, 10, 15, 20, 25, 30}
-	if opt.Quick {
-		xs = []float64{2, 10, 30}
-	}
-	p0 := base(opt, 3*time.Second)
-	p0.Network.LossRate = 0
-	p0.Network.OOBLossRate = 0
-	p0.PublishRate = 10
-	p0.MeasureFrom = 500 * time.Millisecond
-	p0.MeasureTo = p0.Duration - 500*time.Millisecond
-	s := sweep{
-		xs:         xs,
-		algorithms: []core.Algorithm{core.NoRecovery},
-		configure:  func(p *scenario.Params, x float64) { p.PatternsPerNode = int(x) },
-		measures:   []func(scenario.Result) float64{func(r scenario.Result) float64 { return round2(r.ReceiversPerEvent) }},
-	}
-	series, err := s.runOne(p0)
-	if err != nil {
-		return nil, err
-	}
-	series[0].Name = "receivers per event"
-	return []Figure{{
-		ID:     "7",
-		Title:  "Dispatchers receiving an event vs πmax",
-		XLabel: "πmax (max subscriptions per dispatcher)",
-		YLabel: "receivers per event",
-		Series: series,
-		Notes:  []string{fmt.Sprintf("N=%d; an event matches at most %d patterns", p0.N, p0.MaxMatch)},
-	}}, nil
+var fig7 = grid{
+	duration: 3 * time.Second,
+	setup: func(p *scenario.Params) {
+		setLoss(p, 0)
+		p.PublishRate = 10
+		p.MeasureFrom = 500 * time.Millisecond
+		p.MeasureTo = p.Duration - 500*time.Millisecond
+	},
+	xs:      []float64{1, 2, 3, 5, 8, 10, 15, 20, 25, 30},
+	quickXs: []float64{2, 10, 30},
+	at:      atPatternsPerNode,
+	series:  []line{{name: "receivers per event"}},
+	xLabel:  "πmax (max subscriptions per dispatcher)",
+	panels:  []panel{{"7", "Dispatchers receiving an event vs πmax", "receivers per event", receivers}},
+	post: noteParams(func(p scenario.Params) string {
+		return fmt.Sprintf("N=%d; an event matches at most %d patterns", p.N, p.MaxMatch)
+	}),
 }
 
-// fig8: delivery vs πmax under low (5/s) and high (50/s) publish load,
-// β=4000.
-func fig8(opt Options) ([]Figure, error) {
-	xs := []float64{1, 2, 4, 6, 10, 15, 22, 30}
-	algos := []core.Algorithm{core.NoRecovery, core.SubscriberPull, core.Push, core.CombinedPull}
-	if opt.Quick {
-		xs = []float64{2, 10}
-		algos = []core.Algorithm{core.NoRecovery, core.Push}
+// fig8: delivery vs πmax at one publish load, β=4000; the figure plots
+// low (5/s) and high (50/s) load.
+func fig8(rate float64) grid {
+	// Low load needs the paper's full 25 s: with ≈0.2 events/s per
+	// (source, pattern) stream, sequence-gap detection lags the
+	// publish by seconds, and a short run cuts off the recovery of its
+	// own tail.
+	duration := 10 * time.Second
+	if rate < 10 {
+		duration = 25 * time.Second
 	}
-	var out []Figure
-	for _, rate := range []float64{5, 50} {
-		// Low load needs the paper's full 25 s: with ≈0.2 events/s per
-		// (source, pattern) stream, sequence-gap detection lags the
-		// publish by seconds, and a short run cuts off the recovery of
-		// its own tail.
-		duration := 10 * time.Second
-		if rate < 10 {
-			duration = 25 * time.Second
-		}
-		p0 := base(opt, duration)
-		p0.PublishRate = rate
-		p0.Gossip.BufferSize = 4000
-		s := sweep{
-			xs:         xs,
-			algorithms: algos,
-			configure:  func(p *scenario.Params, x float64) { p.PatternsPerNode = int(x) },
-			measures:   []func(scenario.Result) float64{func(r scenario.Result) float64 { return round2(r.DeliveryRate) }},
-		}
-		series, err := s.runOne(p0)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, Figure{
-			ID:     fmt.Sprintf("8-load%.0f", rate),
-			Title:  fmt.Sprintf("Delivery vs πmax at %.0f publish/s (β=4000, ε=0.1)", rate),
-			XLabel: "πmax (max subscriptions per dispatcher)",
-			YLabel: "delivery rate",
-			Series: series,
-		})
+	return grid{
+		duration: duration,
+		setup: func(p *scenario.Params) {
+			p.PublishRate = rate
+			p.Gossip.BufferSize = 4000
+		},
+		xs:          []float64{1, 2, 4, 6, 10, 15, 22, 30},
+		quickXs:     []float64{2, 10},
+		at:          atPatternsPerNode,
+		series:      algoLines(core.NoRecovery, core.SubscriberPull, core.Push, core.CombinedPull),
+		quickSeries: algoLines(core.NoRecovery, core.Push),
+		xLabel:      "πmax (max subscriptions per dispatcher)",
+		panels: []panel{{fmt.Sprintf("8-load%.0f", rate),
+			fmt.Sprintf("Delivery vs πmax at %.0f publish/s (β=4000, ε=0.1)", rate), "delivery rate", delivery}},
 	}
-	return out, nil
 }
 
-// overheadAlgorithms returns the push and combined-pull pair compared
-// in the overhead figures.
-func overheadAlgorithms() []core.Algorithm {
-	return []core.Algorithm{core.Push, core.CombinedPull}
-}
+// overheadLines is the push and combined-pull pair compared in the
+// overhead figures.
+var overheadLines = algoLines(core.Push, core.CombinedPull)
 
 // fig9a: gossip messages per dispatcher, and gossip/event ratio, vs N.
-func fig9a(opt Options) ([]Figure, error) {
-	xs := []float64{20, 40, 60, 80, 100, 120, 140, 160, 180, 200}
-	if opt.Quick {
-		xs = []float64{20, 40}
-	}
-	p0 := base(opt, 10*time.Second)
-	configure := func(p *scenario.Params, x float64) {
-		p.N = int(x)
-		p.Gossip.BufferSize = bufferForPersistence(4*time.Second, p.N,
-			p.PublishRate, p.PatternsPerNode, p.NumPatterns, p.MaxMatch)
-	}
-	s := sweep{
-		xs: xs, algorithms: overheadAlgorithms(), configure: configure,
-		measures: []func(scenario.Result) float64{
-			func(r scenario.Result) float64 { return math.Round(r.GossipPerDispatcher) },
-			func(r scenario.Result) float64 { return round2(r.GossipEventRatio) },
-		},
-	}
-	both, err := s.run(p0)
-	if err != nil {
-		return nil, err
-	}
-	absSeries, ratioSeries := both[0], both[1]
-	return []Figure{
-		{
-			ID: "9a-abs", Title: "Gossip messages per dispatcher vs N",
-			XLabel: "N (number of dispatchers)", YLabel: "gossip msgs per dispatcher",
-			Series: absSeries,
-		},
-		{
-			ID: "9a-ratio", Title: "Gossip/event message ratio vs N",
-			XLabel: "N (number of dispatchers)", YLabel: "gossip msgs / event msgs",
-			Series: ratioSeries,
-		},
-	}, nil
+var fig9a = grid{
+	xs:      fig6.xs,
+	quickXs: fig6.quickXs,
+	at:      atScaledN,
+	series:  overheadLines,
+	xLabel:  "N (number of dispatchers)",
+	panels: []panel{
+		{"9a-abs", "Gossip messages per dispatcher vs N", "gossip msgs per dispatcher", gossipWhole},
+		{"9a-ratio", "Gossip/event message ratio vs N", "gossip msgs / event msgs", gossipPerEvent},
+	},
 }
 
 // fig9b: the two overhead metrics vs πmax (β=4000, high load).
-func fig9b(opt Options) ([]Figure, error) {
-	xs := []float64{1, 2, 4, 6, 10, 15, 22, 30}
-	if opt.Quick {
-		xs = []float64{2, 10}
-	}
-	p0 := base(opt, 10*time.Second)
-	p0.Gossip.BufferSize = 4000
-	configure := func(p *scenario.Params, x float64) { p.PatternsPerNode = int(x) }
-	s := sweep{
-		xs: xs, algorithms: overheadAlgorithms(), configure: configure,
-		measures: []func(scenario.Result) float64{
-			func(r scenario.Result) float64 { return math.Round(r.GossipPerDispatcher) },
-			func(r scenario.Result) float64 { return round2(r.GossipEventRatio) },
-		},
-	}
-	both, err := s.run(p0)
-	if err != nil {
-		return nil, err
-	}
-	absSeries, ratioSeries := both[0], both[1]
-	return []Figure{
-		{
-			ID: "9b-abs", Title: "Gossip messages per dispatcher vs πmax",
-			XLabel: "πmax", YLabel: "gossip msgs per dispatcher",
-			Series: absSeries,
-		},
-		{
-			ID: "9b-ratio", Title: "Gossip/event message ratio vs πmax",
-			XLabel: "πmax", YLabel: "gossip msgs / event msgs",
-			Series: ratioSeries,
-		},
-	}, nil
+var fig9b = grid{
+	setup:   func(p *scenario.Params) { p.Gossip.BufferSize = 4000 },
+	xs:      []float64{1, 2, 4, 6, 10, 15, 22, 30},
+	quickXs: []float64{2, 10},
+	at:      atPatternsPerNode,
+	series:  overheadLines,
+	xLabel:  "πmax",
+	panels: []panel{
+		{"9b-abs", "Gossip messages per dispatcher vs πmax", "gossip msgs per dispatcher", gossipWhole},
+		{"9b-ratio", "Gossip/event message ratio vs πmax", "gossip msgs / event msgs", gossipPerEvent},
+	},
 }
 
-// fig10: gossip messages per dispatcher vs ε under high and low load.
-func fig10(opt Options) ([]Figure, error) {
-	xs := []float64{0.01, 0.02, 0.03, 0.04, 0.05, 0.06, 0.07, 0.08, 0.09, 0.10}
-	if opt.Quick {
-		xs = []float64{0.01, 0.1}
+// fig10: gossip messages per dispatcher vs ε at one publish load; the
+// figure plots high and low load.
+func fig10(rate float64) grid {
+	return grid{
+		setup:   func(p *scenario.Params) { p.PublishRate = rate },
+		xs:      []float64{0.01, 0.02, 0.03, 0.04, 0.05, 0.06, 0.07, 0.08, 0.09, 0.10},
+		quickXs: []float64{0.01, 0.1},
+		at:      setLoss,
+		series:  overheadLines,
+		xLabel:  "ε (link error rate)",
+		panels: []panel{{fmt.Sprintf("10-load%.0f", rate),
+			fmt.Sprintf("Gossip overhead vs ε at %.0f publish/s", rate), "gossip msgs per dispatcher", gossipWhole}},
 	}
-	var out []Figure
-	for _, rate := range []float64{50, 5} {
-		p0 := base(opt, 10*time.Second)
-		p0.PublishRate = rate
-		s := sweep{
-			xs:         xs,
-			algorithms: overheadAlgorithms(),
-			configure: func(p *scenario.Params, x float64) {
-				p.Network.LossRate = x
-				p.Network.OOBLossRate = x
-			},
-			measures: []func(scenario.Result) float64{func(r scenario.Result) float64 { return math.Round(r.GossipPerDispatcher) }},
-		}
-		series, err := s.runOne(p0)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, Figure{
-			ID:     fmt.Sprintf("10-load%.0f", rate),
-			Title:  fmt.Sprintf("Gossip overhead vs ε at %.0f publish/s", rate),
-			XLabel: "ε (link error rate)",
-			YLabel: "gossip msgs per dispatcher",
-			Series: series,
-		})
-	}
-	return out, nil
 }

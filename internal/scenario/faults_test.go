@@ -194,7 +194,8 @@ func TestFaultLossModelSwitch(t *testing.T) {
 }
 
 // TestBurstLossScenarioDeterministic runs a whole scenario under the
-// Gilbert–Elliott model and pins replay determinism.
+// Gilbert–Elliott model, installed by a fault-plan action at t = 0, and
+// pins replay determinism.
 func TestBurstLossScenarioDeterministic(t *testing.T) {
 	p := DefaultParams()
 	p.Seed = 9
@@ -206,11 +207,14 @@ func TestBurstLossScenarioDeterministic(t *testing.T) {
 	p.Algorithm = core.CombinedPull
 	p.Gossip = core.DefaultConfig(core.CombinedPull)
 	p.Network.LossRate = 0
-	p.NewLossModel = func(stream func(int64) *rand.Rand) network.LossModel {
-		return network.NewGilbertElliott(network.GilbertElliottConfig{
-			PGoodToBad: 0.05, PBadToGood: 0.4, DropGood: 0.01, DropBad: 0.9,
-		}, stream)
-	}
+	p.FaultPlan = &faults.Plan{Actions: []faults.Action{{
+		Kind: faults.SetLossModel,
+		NewModel: func(stream func(int64) *rand.Rand) network.LossModel {
+			return network.NewGilbertElliott(network.GilbertElliottConfig{
+				PGoodToBad: 0.05, PBadToGood: 0.4, DropGood: 0.01, DropBad: 0.9,
+			}, stream)
+		},
+	}}}
 	a, err := Run(p)
 	if err != nil {
 		t.Fatal(err)

@@ -112,11 +112,6 @@ type Params struct {
 	// (node churn, link flaps, partitions, loss-model switches) on top
 	// of the run. The plan is read-only and may be shared across runs.
 	FaultPlan *faults.Plan
-	// NewLossModel, when non-nil, replaces the default Bernoulli
-	// channel loss with a custom model built from the run's
-	// deterministic stream factory (e.g. network.NewGilbertElliott for
-	// bursty loss) before the run starts.
-	NewLossModel func(stream func(tag int64) *rand.Rand) network.LossModel
 	// Check, when non-nil, installs runtime invariant monitors for the
 	// run (see internal/check). The checker is passive — it draws no
 	// randomness and schedules nothing, so results are bit-identical
@@ -510,9 +505,6 @@ func Run(p Params) (Result, error) {
 	nw = network.New(k, topo, p.Network, obs)
 	if chk != nil {
 		nw.SetArrivalObserver(chk)
-	}
-	if p.NewLossModel != nil {
-		nw.SetLossModel(p.NewLossModel(k.NewStream))
 	}
 	var tracker metrics.Tracker
 	if p.MetricsMode == MetricsStreaming {
