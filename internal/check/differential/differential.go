@@ -5,7 +5,7 @@
 // delivered event IDs on both sides. Both sides run the same protocol
 // core (pubsub.Node + core.Engine); what differs is the driver — a
 // virtual network and clock against real sockets, real time, and the
-// live node's loss injection, ledger and request retries.
+// live node's loss injection and ledger.
 //
 // Event identifiers are {source, sequence} with the sequence assigned
 // by the publishing node, so replaying the publish plan in the same

@@ -20,7 +20,7 @@ const never = sim.Time(math.MaxInt64)
 
 // lock takes the shard lock and runs the kernel up to the present, so
 // every timer of every hosted node that fell due (gossip rounds,
-// request retries, heartbeats) fires before the caller's own work.
+// heartbeats) fires before the caller's own work.
 func (s *shard) lock() {
 	s.mu.Lock()
 	if s.k != nil {
@@ -80,9 +80,9 @@ func (s *shard) armLocked() {
 // onDeliver is the pubsub delivery hook: count, and queue the OnDeliver
 // callback for after the shard lock is released.
 func (n *Node) onDeliver(_ ident.NodeID, ev *wire.Event, recovered bool) {
-	n.stats.delivered.Add(1)
+	n.stats.Delivered++
 	if recovered {
-		n.stats.recovered.Add(1)
+		n.stats.Recovered++
 	}
 	if fn := n.cfg.OnDeliver; fn != nil {
 		n.sh.delivs = append(n.sh.delivs, delivery{fn: fn, ev: ev, recovered: recovered})
@@ -116,35 +116,28 @@ func (c coreNet) Send(_, to ident.NodeID, msg wire.Message) {
 	}
 	if k != wire.KindSubscribe && k != wire.KindUnsubscribe &&
 		n.cfg.DropProb > 0 && n.rng.Float64() < n.cfg.DropProb {
-		n.stats.droppedInject.Add(1)
+		n.stats.DroppedInject++
 		return
 	}
 	n.sendLocked(to, nb.addr, msg, false)
 }
 
 // SendOOB implements pubsub.Net: an out-of-band send to any directory
-// member. Push requests enter the pending table; recovery traffic is
-// entered in the ledger.
+// member; unknown destinations are dropped. Recovery traffic is entered
+// in the ledger.
 func (c coreNet) SendOOB(_, to ident.NodeID, msg wire.Message) {
 	n := c.n
 	switch m := msg.(type) {
 	case *wire.Request:
-		n.trackRequestLocked(to, m)
 		n.ledgerSentLocked(to, m.WireSize())
 	case *wire.Retransmit:
-		n.stats.served.Add(uint64(len(m.Events)))
+		n.stats.Served += uint64(len(m.Events))
 		bytes := 0
 		for _, ev := range m.Events {
 			bytes += ev.WireSize()
 		}
 		n.ledgerSentLocked(to, bytes)
 	}
-	n.sendOOBLocked(to, msg)
-}
-
-// sendOOBLocked queues an out-of-band send; unknown destinations are
-// dropped.
-func (n *Node) sendOOBLocked(to ident.NodeID, msg wire.Message) {
 	if addr, ok := n.directory[to]; ok {
 		n.sendLocked(to, addr, msg, true)
 	}
@@ -156,11 +149,11 @@ func (n *Node) sendLocked(to ident.NodeID, addr netip.AddrPort, msg wire.Message
 	if msg != nil {
 		switch kind := msg.Kind(); {
 		case kind.IsGossip():
-			n.stats.gossipSent.Add(1)
+			n.stats.GossipSent++
 		case kind == wire.KindEvent:
-			n.stats.eventsSent.Add(1)
+			n.stats.EventsSent++
 		case kind == wire.KindRetransmit:
-			n.stats.eventsSent.Add(uint64(len(msg.(*wire.Retransmit).Events)))
+			n.stats.EventsSent += uint64(len(msg.(*wire.Retransmit).Events))
 		}
 	}
 	n.sh.outs = append(n.sh.outs, out{from: n.cfg.ID, to: to, addr: addr, msg: msg, oob: oob})
@@ -217,10 +210,8 @@ func (n *Node) eventOK(ev *wire.Event) bool {
 	return true
 }
 
-// ingressLocked applies the driver's bookkeeping to recovery traffic
-// before the core sees it: the ledger records what each peer sent, and
-// a retransmitted event answers its pending request. Callers hold the
-// shard lock.
+// ingressLocked enters the recovery traffic each peer sent in the
+// ledger before the core sees it. Callers hold the shard lock.
 func (n *Node) ingressLocked(msg wire.Message) {
 	switch m := msg.(type) {
 	case *wire.Request:
@@ -228,7 +219,6 @@ func (n *Node) ingressLocked(msg wire.Message) {
 	case *wire.Retransmit:
 		for _, ev := range m.Events {
 			n.ledgerRecvLocked(m.Responder, ev.WireSize())
-			n.resolvePendingLocked(ev.ID)
 		}
 	}
 }

@@ -55,8 +55,8 @@ func socketless(tr transport, shards int) *Dispatcher {
 }
 
 // hostTestNode hosts a node on d without starting it, with the given
-// peers in its directory: no gossip round, retry or heartbeat fires
-// behind the test's back.
+// peers in its directory: no gossip round or heartbeat fires behind
+// the test's back.
 func hostTestNode(t testing.TB, d *Dispatcher, cfg Config, peers ...ident.NodeID) *Node {
 	t.Helper()
 	n, err := d.host(cfg)
@@ -101,21 +101,6 @@ func (n *Node) deliverFrom(from ident.NodeID, msg wire.Message, oob bool) {
 		flags = flagOOB
 	}
 	n.handleRecord(record{from: from, to: n.cfg.ID, flags: flags, msg: wire.Encode(msg)})
-}
-
-// isPending reports whether id has a live pending-request entry.
-func (n *Node) isPending(id ident.EventID) bool {
-	n.sh.mu.Lock()
-	defer n.sh.mu.Unlock()
-	_, ok := n.pending.Get(id)
-	return ok
-}
-
-// pendingLen returns the size of the pending-request table.
-func (n *Node) pendingLen() int {
-	n.sh.mu.Lock()
-	defer n.sh.mu.Unlock()
-	return n.pending.Len()
 }
 
 // describe renders one transmission canonically, for comparing what two

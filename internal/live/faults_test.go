@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"net"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 
@@ -213,70 +214,81 @@ func TestLiveFaultDetectorSuspectsAndRevives(t *testing.T) {
 	}
 }
 
-// TestLiveFaultRequestRetryAndAbandon advertises a digest the node can
-// never fetch (the gossiper does not exist): the request must be
-// retried with backoff up to the cap and then abandoned.
-func TestLiveFaultRequestRetryAndAbandon(t *testing.T) {
-	n, err := NewNode(Config{
-		ID:             1,
-		Algorithm:      core.CombinedPull,
-		GossipInterval: 2 * time.Millisecond,
-		RequestBackoff: 2 * time.Millisecond,
-		RequestRetries: 3,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer n.Close()
-	n.Subscribe(7)
-
-	n.deliverFrom(9, &wire.GossipPush{
-		Gossiper: 9,
-		Pattern:  7,
-		Digest:   []ident.EventID{{Source: 9, Seq: 1}},
-	}, false)
-	waitFor(t, 2*time.Second, func() bool {
-		return n.Stats().RequestsAbandoned == 1
-	}, "unanswerable request was never abandoned")
-	st := n.Stats()
-	if st.RequestsRetried != 2 { // attempts 2 and 3; attempt 4 would exceed the cap
-		t.Fatalf("RequestsRetried = %d, want 2", st.RequestsRetried)
-	}
-	if left := n.pendingLen(); left != 0 {
-		t.Fatalf("%d pending entries survive abandonment", left)
-	}
-}
-
-// TestLiveFaultPendingShedBounded floods the pending-request table
-// past MaxPending: the oldest entries must be shed first and the table
-// must never exceed its bound.
-func TestLiveFaultPendingShedBounded(t *testing.T) {
-	n, _ := testNode(t, Config{
+// TestLiveFaultLostRequestReRequested pins how a live node heals a lost
+// push request: it keeps no retry table, so it waits for a later digest
+// that advertises the event again. Inside the core's PendingTTL the
+// repeated digest asks nothing; after it, the core requests the event
+// again, and the answer is delivered as recovered.
+func TestLiveFaultLostRequestReRequested(t *testing.T) {
+	const gossiper, source = 5, 50
+	ttl := core.DefaultConfig(core.Push).PendingTTL
+	var recovered []ident.EventID
+	n, rec := testNode(t, Config{
 		ID:             1,
 		Algorithm:      core.Push,
-		GossipInterval: time.Hour, // keep the retry sweep out of the way
-		RequestBackoff: time.Hour,
-		MaxPending:     8,
-	})
+		GossipInterval: time.Hour, // no gossip round fires
+		OnDeliver: func(ev *wire.Event, r bool) {
+			if r {
+				recovered = append(recovered, ev.ID)
+			}
+		},
+	}, gossiper, source)
 	n.Subscribe(7)
+	rec.take()
+	// requests counts the Requests for id that went to the gossiper.
+	requests := func(id ident.EventID) int {
+		count := 0
+		for _, o := range rec.take() {
+			if m, ok := o.msg.(*wire.Request); ok && o.to == gossiper && slices.Contains(m.IDs, id) {
+				count++
+			}
+		}
+		return count
+	}
 
-	for i := 1; i <= 20; i++ {
-		n.deliverFrom(9, &wire.GossipPush{
-			Gossiper: 9,
-			Pattern:  7,
-			Digest:   []ident.EventID{{Source: 9, Seq: uint32(i)}},
-		}, false)
+	// The repeat is suppressed only while it lands inside PendingTTL of
+	// real time; a machine slow enough to miss that gets a fresh event.
+	var id ident.EventID
+	var digest *wire.GossipPush
+	for seq := uint32(1); ; seq++ {
+		if seq > 5 {
+			t.Fatalf("two digests never arrived within PendingTTL (%v) of each other", ttl)
+		}
+		id = ident.EventID{Source: source, Seq: seq}
+		digest = &wire.GossipPush{Gossiper: gossiper, Pattern: 7, Digest: []ident.EventID{id}}
+		start := time.Now()
+		n.deliverFrom(gossiper, digest, false)
+		first := requests(id)
+		n.deliverFrom(gossiper, digest, false)
+		second := requests(id)
+		if first != 1 {
+			t.Fatalf("digest yielded %d requests to the gossiper, want 1", first)
+		}
+		if time.Since(start) > ttl {
+			continue
+		}
+		if second != 0 {
+			t.Fatalf("repeated digest inside PendingTTL yielded %d requests, want 0", second)
+		}
+		break
 	}
-	size := n.pendingLen()
-	oldestAlive := n.isPending(ident.EventID{Source: 9, Seq: 1})
-	newestAlive := n.isPending(ident.EventID{Source: 9, Seq: 20})
-	if size != 8 {
-		t.Fatalf("pending table holds %d entries, want the 8-entry bound", size)
+
+	// The request or its answer was lost; once PendingTTL has passed,
+	// the next digest asks again.
+	time.Sleep(ttl + 10*time.Millisecond)
+	n.deliverFrom(gossiper, digest, false)
+	if got := requests(id); got != 1 {
+		t.Fatalf("digest after PendingTTL yielded %d requests, want 1", got)
 	}
-	if oldestAlive || !newestAlive {
-		t.Fatalf("shed order wrong: oldest alive=%v newest alive=%v, want oldest shed first", oldestAlive, newestAlive)
+
+	n.deliverFrom(gossiper, &wire.Retransmit{
+		Responder: gossiper,
+		Events:    []*wire.Event{{ID: id, Content: matching.Content{7}}},
+	}, true)
+	if !slices.Equal(recovered, []ident.EventID{id}) {
+		t.Fatalf("recovered %v, want [%v]", recovered, id)
 	}
-	if got := n.Stats().PendingShed; got != 12 {
-		t.Fatalf("PendingShed = %d, want 12", got)
+	if got := n.Stats().Recovered; got != 1 {
+		t.Fatalf("Recovered = %d, want 1", got)
 	}
 }

@@ -23,7 +23,6 @@ func quotaNode(t *testing.T, k int, cfg Config) (*Node, int) {
 		cfg.Algorithm = core.Push
 	}
 	cfg.GossipInterval = time.Hour
-	cfg.RequestBackoff = time.Hour
 	cfg.OnDeliver = func(ev *wire.Event, _ bool) { size = ev.WireSize() }
 	n, _ := testNode(t, cfg, 8, 9)
 	n.Subscribe(7)
@@ -147,115 +146,6 @@ func TestLedgerQuotaTrimsGossipServe(t *testing.T) {
 	}
 	if got := n.Stats().QuotaTrimmed; got != 2 {
 		t.Fatalf("QuotaTrimmed = %d, want 2", got)
-	}
-}
-
-// push feeds a digest from a given gossiper through the pending-table
-// admission path.
-func push(n *Node, gossiper ident.NodeID, src ident.NodeID, seq uint32) {
-	n.deliverFrom(gossiper, &wire.GossipPush{
-		Gossiper: gossiper,
-		Pattern:  7,
-		Digest:   []ident.EventID{{Source: src, Seq: seq}},
-	}, false)
-}
-
-// TestLedgerGreediestFirstShed: when the pending table fills, the shed
-// victim is the peer with the most live entries — the modest peer's
-// entries survive the greedy peer's flood.
-func TestLedgerGreediestFirstShed(t *testing.T) {
-	n, _ := testNode(t, Config{
-		ID:             1,
-		Algorithm:      core.Push,
-		GossipInterval: time.Hour,
-		RequestBackoff: time.Hour,
-		MaxPending:     8,
-	}, 5, 6, 50, 60)
-	n.Subscribe(7)
-
-	for i := 1; i <= 4; i++ { // greedy peer 5: entries 1-4
-		push(n, 5, 50, uint32(i))
-	}
-	for i := 1; i <= 2; i++ { // modest peer 6: entries 1-2
-		push(n, 6, 60, uint32(i))
-	}
-	for i := 5; i <= 6; i++ { // peer 5 fills the table: 8 entries
-		push(n, 5, 50, uint32(i))
-	}
-	for i := 7; i <= 8; i++ { // two more from 5: two sheds, both from 5
-		push(n, 5, 50, uint32(i))
-	}
-
-	size := n.pendingLen()
-	aOldest := n.isPending(ident.EventID{Source: 50, Seq: 1})
-	aSecond := n.isPending(ident.EventID{Source: 50, Seq: 2})
-	b1 := n.isPending(ident.EventID{Source: 60, Seq: 1})
-	b2 := n.isPending(ident.EventID{Source: 60, Seq: 2})
-	if size != 8 {
-		t.Fatalf("pending table holds %d entries, want 8", size)
-	}
-	if aOldest || aSecond {
-		t.Fatalf("greedy peer's oldest entries survived: seq1=%v seq2=%v", aOldest, aSecond)
-	}
-	if !b1 || !b2 {
-		t.Fatalf("modest peer's entries were shed: b1=%v b2=%v", b1, b2)
-	}
-	if got := n.Stats().PendingShed; got != 2 {
-		t.Fatalf("PendingShed = %d, want 2", got)
-	}
-	led := n.Ledger()
-	if led[5].Pending != 6 || led[6].Pending != 2 {
-		t.Fatalf("ledger pending counts = %d/%d, want 6/2", led[5].Pending, led[6].Pending)
-	}
-}
-
-// TestLedgerFloodDoesNotStarvePeers is the starvation regression: under
-// the old oldest-first policy a peer flooding digests evicted every
-// other peer's pending recovery; with the ledger, the victim of each
-// shed is the flooder itself, so a modest peer's single entry survives
-// a flood dozens of times the table size.
-func TestLedgerFloodDoesNotStarvePeers(t *testing.T) {
-	n, _ := testNode(t, Config{
-		ID:             1,
-		Algorithm:      core.Push,
-		GossipInterval: time.Hour,
-		RequestBackoff: time.Hour,
-		MaxPending:     8,
-	}, 5, 6, 50, 60)
-	n.Subscribe(7)
-
-	for i := 1; i <= 8; i++ { // flooder 5 fills the table
-		push(n, 5, 50, uint32(i))
-	}
-	push(n, 6, 60, 1)          // modest peer 6 wants one recovery
-	for i := 9; i <= 32; i++ { // flood 3× the table size
-		push(n, 5, 50, uint32(i))
-	}
-
-	alive := n.isPending(ident.EventID{Source: 60, Seq: 1})
-	size := n.pendingLen()
-	if size != 8 {
-		t.Fatalf("pending table holds %d entries, want 8", size)
-	}
-	if !alive {
-		t.Fatal("flooding peer starved the modest peer's pending recovery")
-	}
-
-	// The modest peer's recovery still completes: a retransmit answers
-	// its pending entry.
-	n.deliverFrom(6, &wire.Retransmit{
-		Responder: 6,
-		Events: []*wire.Event{{
-			ID:      ident.EventID{Source: 60, Seq: 1},
-			Content: matching.Content{7},
-		}},
-	}, true)
-	st := n.Stats()
-	if st.Recovered != 1 {
-		t.Fatalf("Recovered = %d, want 1", st.Recovered)
-	}
-	if got := n.Ledger()[6].Pending; got != 0 {
-		t.Fatalf("ledger[6].Pending = %d after recovery, want 0", got)
 	}
 }
 

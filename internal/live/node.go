@@ -14,19 +14,22 @@
 // deadline set to the kernel's next timer. Every entry point — a
 // datagram, Publish, Subscribe, a link change, a due timer — takes the
 // shard lock and first runs the kernel up to the real time elapsed
-// since the dispatcher's epoch, so gossip rounds, request retries and
-// heartbeats are kernel timers, and the engine's jittered ticker,
-// adaptive period and random streams work unchanged. The core sends
-// through the pubsub.Net seam, which here queues records on the shard;
-// they go to the socket writer, and deliveries to OnDeliver, after the
-// lock is released. A hosted node owns no goroutine and no lock.
+// since the dispatcher's epoch, so gossip rounds and heartbeats are
+// kernel timers, and the engine's jittered ticker, adaptive period and
+// random streams work unchanged. The core sends through the pubsub.Net
+// seam, which here queues records on the shard; they go to the socket
+// writer, and deliveries to OnDeliver, after the lock is released. A
+// hosted node owns no goroutine and no lock.
 //
 // What is live-only stays in the driver and acts on the messages the
 // core emits and receives: injected loss (DropProb), the failure
-// detector's suspect skipping, the per-peer fairness ledger (ledger.go)
-// with its serve quota, request retry with backoff and abandonment, and
-// greediest-first shedding of the pending-request table. An ingress
-// guard drops input the core would trust blindly (see admissible).
+// detector's suspect skipping, and the per-peer fairness ledger
+// (ledger.go) with its serve quota. An ingress guard drops input the
+// core would trust blindly (see admissible). The node keeps no request
+// table of its own: the core's pending table is the only record of
+// outstanding push requests, and a lost request is healed as in the
+// simulator — a later digest advertises the event again and the core
+// requests it again.
 //
 // The package exists for two reasons: it demonstrates that the
 // simulated protocols are implementable as-is — it runs the very same
@@ -45,7 +48,6 @@ import (
 	"net"
 	"net/netip"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/core"
@@ -95,18 +97,6 @@ type Config struct {
 	// HeartbeatTimeout is the silence after which a neighbor is
 	// suspected. Zero means 4×HeartbeatInterval.
 	HeartbeatTimeout time.Duration
-	// RequestRetries caps how many times an unanswered recovery
-	// Request is transmitted in total before the entry is abandoned.
-	// Zero means 4.
-	RequestRetries int
-	// RequestBackoff is the base retransmission delay for unanswered
-	// Requests; it doubles per attempt with ±25% jitter. Zero means
-	// 2×GossipInterval.
-	RequestBackoff time.Duration
-	// MaxPending bounds the outstanding-request table; when full, the
-	// greediest peer's oldest entries are shed first (see ledger.go).
-	// Zero means 4096.
-	MaxPending int
 	// ServeBudget caps the bytes of recovery traffic (Retransmit
 	// payloads) served to any single peer per LedgerWindow; events
 	// beyond the budget are withheld and counted in Stats.QuotaTrimmed.
@@ -159,21 +149,11 @@ func (c Config) normalize() (Config, core.Config, error) {
 	if c.DropProb < 0 || c.DropProb > 1 {
 		return c, g, fmt.Errorf("live: DropProb %v outside [0, 1]", c.DropProb)
 	}
-	if c.HeartbeatInterval < 0 || c.HeartbeatTimeout < 0 || c.RequestRetries < 0 || c.RequestBackoff < 0 ||
-		c.MaxPending < 0 || c.ServeBudget < 0 || c.LedgerWindow < 0 {
-		return c, g, fmt.Errorf("live: negative heartbeat, retry, pending or ledger setting")
+	if c.HeartbeatInterval < 0 || c.HeartbeatTimeout < 0 || c.ServeBudget < 0 || c.LedgerWindow < 0 {
+		return c, g, fmt.Errorf("live: negative heartbeat or ledger setting")
 	}
 	if c.HeartbeatInterval > 0 && c.HeartbeatTimeout == 0 {
 		c.HeartbeatTimeout = 4 * c.HeartbeatInterval
-	}
-	if c.RequestRetries == 0 {
-		c.RequestRetries = 4
-	}
-	if c.RequestBackoff == 0 {
-		c.RequestBackoff = 2 * c.GossipInterval
-	}
-	if c.MaxPending == 0 {
-		c.MaxPending = 4096
 	}
 	if c.LedgerWindow == 0 {
 		c.LedgerWindow = 10 * c.GossipInterval
@@ -184,7 +164,8 @@ func (c Config) normalize() (Config, core.Config, error) {
 	return c, g, nil
 }
 
-// Stats is a snapshot of a live node's counters.
+// Stats holds a live node's counters. The node counts under its shard
+// lock; Node.Stats returns a copy.
 type Stats struct {
 	Published      uint64
 	Delivered      uint64
@@ -205,48 +186,19 @@ type Stats struct {
 	HeartbeatsSent     uint64
 	NeighborsSuspected uint64
 	NeighborsRevived   uint64
-	// RequestsRetried and RequestsAbandoned report the recovery
-	// Request retransmission machinery; PendingShed counts entries
-	// evicted greediest-peer-first when the pending table hit
-	// MaxPending; QuotaTrimmed counts events withheld from
-	// retransmissions because the requesting peer exhausted its
-	// ServeBudget for the ledger window.
+	// QuotaTrimmed counts events withheld from retransmissions because
+	// the requesting peer exhausted its ServeBudget for the ledger
+	// window.
+	QuotaTrimmed uint64
+	// RequestsRetried, RequestsAbandoned and PendingShed are always
+	// zero: the node no longer retries, abandons or sheds push requests
+	// (the core's pending table re-requests on a later digest).
+	// benchmark/live.go still reports them; they go with the next
+	// revision of the benchmark (ROADMAP item 12), as Params.Shards
+	// does.
 	RequestsRetried   uint64
 	RequestsAbandoned uint64
 	PendingShed       uint64
-	QuotaTrimmed      uint64
-}
-
-// counters are the node's statistics, updated with atomics so the
-// per-datagram hot path never takes a lock just to count.
-type counters struct {
-	published, delivered, recovered                      atomic.Uint64
-	gossipSent, eventsSent, served, droppedInject        atomic.Uint64
-	malformed, misrouted                                 atomic.Uint64
-	heartbeatsSent, neighborsSuspected, neighborsRevived atomic.Uint64
-	requestsRetried, requestsAbandoned, pendingShed      atomic.Uint64
-	quotaTrimmed                                         atomic.Uint64
-}
-
-func (c *counters) snapshot() Stats {
-	return Stats{
-		Published:          c.published.Load(),
-		Delivered:          c.delivered.Load(),
-		Recovered:          c.recovered.Load(),
-		GossipSent:         c.gossipSent.Load(),
-		EventsSent:         c.eventsSent.Load(),
-		Served:             c.served.Load(),
-		DroppedInject:      c.droppedInject.Load(),
-		Malformed:          c.malformed.Load(),
-		Misrouted:          c.misrouted.Load(),
-		HeartbeatsSent:     c.heartbeatsSent.Load(),
-		NeighborsSuspected: c.neighborsSuspected.Load(),
-		NeighborsRevived:   c.neighborsRevived.Load(),
-		RequestsRetried:    c.requestsRetried.Load(),
-		RequestsAbandoned:  c.requestsAbandoned.Load(),
-		PendingShed:        c.pendingShed.Load(),
-		QuotaTrimmed:       c.quotaTrimmed.Load(),
-	}
 }
 
 // neighbor is one tree link: where its records go, and the failure
@@ -261,28 +213,23 @@ type neighbor struct {
 type Node struct {
 	cfg Config
 	// sh is the node's home shard: its lock guards everything below up
-	// to stats, and its kernel (k) is the node's clock and timer queue.
+	// to closeOnce, and its kernel (k) is the node's clock and timer
+	// queue.
 	sh *shard
 	// ownsDisp marks NewNode's private dispatcher, which Close closes.
 	ownsDisp bool
 
 	k   *sim.Kernel
-	rng *rand.Rand // the driver's draws: injected loss, backoff jitter
+	rng *rand.Rand // the driver's draws: injected loss
 	ps  *pubsub.Node
 	eng *core.Engine // nil under NoRecovery
 	// heartbeat is the failure detector's ticker (nil when it is off).
 	heartbeat *sim.Ticker
 	neighbors map[ident.NodeID]*neighbor
 	directory map[ident.NodeID]netip.AddrPort
-	// pending is the outstanding push-request table (retries.go).
-	pending    ident.EventTable[*pendingReq]
-	pendingQ   []*pendingReq // FIFO shadow of pending, oldest first
-	retryTimer sim.Canceler
-	retryAt    sim.Time // when retryTimer fires; meaningful while armed
-	retryArmed bool
-	ledger     map[ident.NodeID]*peerLedger // directory members only
+	ledger    map[ident.NodeID]*peerLedger // directory members only
 
-	stats counters
+	stats Stats
 
 	closeOnce sync.Once
 }
@@ -352,17 +299,17 @@ func (n *Node) Addr() *net.UDPAddr { return n.sh.tr.localAddr() }
 
 // Stats returns a snapshot of the counters.
 func (n *Node) Stats() Stats {
-	st := n.stats.snapshot()
+	n.sh.mu.Lock()
+	defer n.sh.mu.Unlock()
+	st := n.stats
 	if n.eng != nil {
-		n.sh.mu.Lock()
 		st.LossesDetected = n.eng.Stats().LossesDetected
-		n.sh.mu.Unlock()
 	}
 	return st
 }
 
 // Close shuts the node down: it leaves its shard, and its gossip
-// ticker, heartbeat ticker and retry timer are stopped, so it leaves no
+// ticker and heartbeat ticker are stopped, so it leaves no
 // live timer in the shared kernel. A node from NewNode then closes its
 // private dispatcher and socket; a node from AddNode leaves the shard
 // sockets up for the others.
@@ -380,8 +327,6 @@ func (n *Node) Close() error {
 		if n.heartbeat != nil {
 			n.heartbeat.Stop()
 		}
-		n.retryTimer.Cancel()
-		n.retryArmed = false
 		s.unlock()
 		if n.ownsDisp {
 			err = s.d.Close()
@@ -475,7 +420,7 @@ func (n *Node) KnownPatternCount() int {
 func (n *Node) Publish(content matching.Content) ident.EventID {
 	n.sh.lock()
 	ev := n.ps.Publish(content, 0)
-	n.stats.published.Add(1)
+	n.stats.Published++
 	n.sh.unlock()
 	return ev.ID
 }
@@ -541,7 +486,7 @@ func closing(err error) bool {
 // real UDP software. The shard's route calls it under the shard lock.
 func (n *Node) handleRecordLocked(r record) {
 	if r.to != n.cfg.ID {
-		n.stats.misrouted.Add(1)
+		n.stats.Misrouted++
 		return
 	}
 	n.observePeer(r.from)
@@ -551,7 +496,7 @@ func (n *Node) handleRecordLocked(r record) {
 	oob := r.flags&flagOOB != 0
 	msg, err := wire.Decode(r.msg)
 	if err != nil || !n.admissible(msg, oob) {
-		n.stats.malformed.Add(1)
+		n.stats.Malformed++
 		return
 	}
 	n.ingressLocked(msg)
@@ -570,7 +515,7 @@ func (n *Node) observePeer(from ident.NodeID) {
 		nb.lastSeen = n.k.Now()
 		if nb.suspected {
 			nb.suspected = false
-			n.stats.neighborsRevived.Add(1)
+			n.stats.NeighborsRevived++
 		}
 	}
 }
@@ -582,11 +527,11 @@ func (n *Node) heartbeatLocked() {
 	for id, nb := range n.neighbors {
 		if !nb.suspected && now-nb.lastSeen > n.cfg.HeartbeatTimeout {
 			nb.suspected = true
-			n.stats.neighborsSuspected.Add(1)
+			n.stats.NeighborsSuspected++
 		}
 		n.sendLocked(id, nb.addr, nil, false)
 	}
-	n.stats.heartbeatsSent.Add(uint64(len(n.neighbors)))
+	n.stats.HeartbeatsSent += uint64(len(n.neighbors))
 }
 
 // SuspectedNeighbors returns the neighbors the failure detector

@@ -258,6 +258,29 @@ func TestRunSeedsStats(t *testing.T) {
 	}
 }
 
+// TestRunSeedsStartsAtSeed: RunSeeds counts its seeds up from
+// p.Seed, so a figure's -seed moves the runs it summarizes.
+func TestRunSeedsStartsAtSeed(t *testing.T) {
+	p := quickParams()
+	p.Algorithm = core.NoRecovery
+	p.Seed = 5
+	stats, err := RunSeeds(p, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, seed := range []int64{5, 6} {
+		q := p
+		q.Seed = seed
+		res, err := Run(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if stats.Values[i] != res.DeliveryRate {
+			t.Fatalf("RunSeeds value %d = %v, Run at seed %d = %v", i, stats.Values[i], seed, res.DeliveryRate)
+		}
+	}
+}
+
 func TestRunAllPropagatesError(t *testing.T) {
 	good := quickParams()
 	bad := quickParams()

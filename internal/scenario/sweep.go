@@ -72,10 +72,11 @@ func (s SeedStats) RelSpread() float64 {
 	return (s.Max - s.Min) / s.Mean
 }
 
-// RunSeeds runs the same configuration under seeds 1..k and summarizes
-// the delivery rate. The paper used 10 seeds to establish that a
-// single run is representative. k must be at least 1: zero runs have
-// no mean (0/0) and would leak NaN/±Inf into SeedStats.
+// RunSeeds runs the same configuration under the k seeds p.Seed …
+// p.Seed+k−1 and summarizes the delivery rate. The paper used 10 seeds
+// to establish that a single run is representative. k must be at least
+// 1: zero runs have no mean (0/0) and would leak NaN/±Inf into
+// SeedStats.
 func RunSeeds(p Params, k int) (SeedStats, error) {
 	if k < 1 {
 		return SeedStats{}, fmt.Errorf("scenario: RunSeeds needs k >= 1 seeds, got %d", k)
@@ -83,7 +84,7 @@ func RunSeeds(p Params, k int) (SeedStats, error) {
 	params := make([]Params, k)
 	for i := range params {
 		params[i] = p
-		params[i].Seed = int64(i + 1)
+		params[i].Seed = p.Seed + int64(i)
 	}
 	results, err := RunAll(params)
 	if err != nil {
