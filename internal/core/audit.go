@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/ident"
 	"repro/internal/sim"
@@ -27,37 +28,61 @@ func (e *Engine) AuditInvariants(now sim.Time) error {
 	return nil
 }
 
-// auditIndex checks the index rows against the buffer: every row
-// strictly ascending (sorted and duplicate-free), every entry's event
-// buffered, every buffered event present in the row of each of its
-// patterns (push) and tags (pull), and the row totals equal to what the
-// buffered events imply — together, the rows index exactly the buffer.
+// auditIndex checks the index rows against the buffer: every buffered
+// event present in the row of each of its patterns (push) and tags
+// (pull), every entry's event buffered, and the row totals equal to
+// what the buffered events imply — together, the rows index exactly the
+// buffer. A push row is judged by a compacted copy of its log, never by
+// compacting the log itself: its compacted prefix must ascend, its
+// cached digest equal that copy, and its stale count cover the dead
+// entries yet stay within the compaction point, or the log would grow
+// without bound. A pull row must hold as many entries as it counts, in
+// at most ¾ of its slots, each reachable from its home slot.
 func (e *Engine) auditIndex() error {
 	pats := 0
-	for k, r := range e.patRows.rows {
-		p := e.patRows.pats[k]
-		for i, id := range r.ids {
-			if i > 0 && !r.ids[i-1].Less(id) {
-				return fmt.Errorf("push index row %d out of order at %d: %v !< %v", p, i, r.ids[i-1], id)
-			}
-			if !e.buf.Has(id) {
-				return fmt.Errorf("push index row %d holds %v, which is not buffered", p, id)
+	live := make([][]uint64, len(e.patRows.rows))
+	var scratch []uint64
+	for k := range e.patRows.rows {
+		r, p := &e.patRows.rows[k], e.patRows.pats[k]
+		if r.sorted > len(r.log) {
+			return fmt.Errorf("push index row %d has a compacted prefix of %d entries in a log of %d", p, r.sorted, len(r.log))
+		}
+		for i := 1; i < r.sorted; i++ {
+			if r.log[i-1] >= r.log[i] {
+				return fmt.Errorf("push index row %d out of order at %d: %v !< %v", p, i, keyID(r.log[i-1]), keyID(r.log[i]))
 			}
 		}
-		pats += len(r.ids)
+		if 4*r.stale > len(r.log) {
+			return fmt.Errorf("push index row %d counts %d stale entries in a log of %d, past its compaction point", p, r.stale, len(r.log))
+		}
+		live[k] = r.live(nil, e.buf, &scratch)
+		if dead := len(r.log) - len(live[k]); dead > r.stale {
+			return fmt.Errorf("push index row %d logs %d entries that are not buffered or repeat one, but counts %d stale", p, dead, r.stale)
+		}
+		if r.snap != nil && !slices.EqualFunc(r.snap, live[k], func(id ident.EventID, k uint64) bool { return idKey(id) == k }) {
+			return fmt.Errorf("push index row %d keeps digest %v, which its log does not", p, r.snap)
+		}
+		pats += len(live[k])
 	}
 	tags := 0
 	for k, r := range e.tagRows.rows {
-		p := e.tagRows.pats[k]
-		for i, t := range r {
-			if i > 0 && r[i-1].key() >= t.key() {
-				return fmt.Errorf("pull index row %d out of order at %d: %+v !< %+v", p, i, r[i-1], t)
+		p, t, n := e.tagRows.pats[k], r[:cap(r)], 0
+		for i, te := range t {
+			if te.pseq == 0 {
+				continue
 			}
-			if id := (ident.EventID{Source: t.src, Seq: t.eseq}); !e.buf.Has(id) {
+			n++
+			if got, ok := r.get(te.src, te.pseq); !ok || got != te.eseq {
+				return fmt.Errorf("pull index row %d holds %+v out of its probe run at slot %d", p, te, i)
+			}
+			if id := (ident.EventID{Source: te.src, Seq: te.eseq}); !e.buf.Has(id) {
 				return fmt.Errorf("pull index row %d holds %v, which is not buffered", p, id)
 			}
 		}
-		tags += len(r)
+		if n != len(r) || 4*n > 3*len(t) {
+			return fmt.Errorf("pull index row %d holds %d entries in %d slots, counts %d", p, n, len(t), len(r))
+		}
+		tags += n
 	}
 	var err error
 	wantPats, wantTags := 0, 0
@@ -68,7 +93,11 @@ func (e *Engine) auditIndex() error {
 		if e.needPatIdx {
 			for _, p := range ev.Content {
 				wantPats++
-				if !e.pushIndexed(p, ev.ID) {
+				found := false
+				if i, ok := e.patRows.idx.Row(int32(p)); ok {
+					_, found = slices.BinarySearch(live[i], idKey(ev.ID))
+				}
+				if !found {
 					err = fmt.Errorf("buffered %v is missing from push index row %v", ev.ID, p)
 					return
 				}
@@ -76,8 +105,16 @@ func (e *Engine) auditIndex() error {
 		}
 		if e.needTagIdx {
 			for _, t := range ev.Tags {
+				if t.Seq == 0 {
+					continue // never stamped, never indexed
+				}
 				wantTags++
-				if !e.tagIndexed(t.Pattern, ev.ID.Source, t.Seq, ev.ID.Seq) {
+				found := false
+				if r := e.tagRows.row(t.Pattern); r != nil {
+					eseq, ok := r.get(ev.ID.Source, t.Seq)
+					found = ok && eseq == ev.ID.Seq
+				}
+				if !found {
 					err = fmt.Errorf("buffered %v is missing from pull index row %v under %v", ev.ID, t.Pattern, t)
 					return
 				}
@@ -94,28 +131,6 @@ func (e *Engine) auditIndex() error {
 		return fmt.Errorf("pull index rows hold %d entries, the buffered events imply %d", tags, wantTags)
 	}
 	return nil
-}
-
-// pushIndexed reports whether pattern p's push row holds id.
-func (e *Engine) pushIndexed(p ident.PatternID, id ident.EventID) bool {
-	r := e.patRows.row(p)
-	if r == nil {
-		return false
-	}
-	i := r.search(idKey(id))
-	return i < len(r.ids) && r.ids[i] == id
-}
-
-// tagIndexed reports whether pattern p's pull row maps (src, pseq) to the
-// event sequence eseq.
-func (e *Engine) tagIndexed(p ident.PatternID, src ident.NodeID, pseq, eseq uint32) bool {
-	rp := e.tagRows.row(p)
-	if rp == nil {
-		return false
-	}
-	r := *rp
-	i := r.seek(0, tagKey(src, pseq))
-	return i < len(r) && r[i].src == src && r[i].pseq == pseq && r[i].eseq == eseq
 }
 
 // AuditInvariants verifies the buffer's structural invariants: the

@@ -181,70 +181,124 @@ func TestEngineAuditDetectsIndexCorruption(t *testing.T) {
 		{
 			name: "push-row-out-of-order",
 			corrupt: func(e *Engine) {
-				ids := e.patRows.row(5).ids
-				ids[0], ids[1] = ids[1], ids[0]
+				e.pushDigest(5) // compacts the log: sorted from here on
+				log := e.patRows.row(5).log
+				log[0], log[1] = log[1], log[0]
 			},
 			want: "push index row 5 out of order",
 		},
 		{
-			name:    "push-row-duplicate",
-			corrupt: func(e *Engine) { r := e.patRows.row(200); r.ids[1] = r.ids[0] },
-			want:    "push index row 200 out of order",
+			name: "push-row-duplicate",
+			corrupt: func(e *Engine) {
+				e.pushDigest(200)
+				r := e.patRows.row(200)
+				r.log[1] = r.log[0]
+			},
+			want: "push index row 200 out of order",
+		},
+		{
+			name: "push-row-repeated-entry",
+			corrupt: func(e *Engine) {
+				r := e.patRows.row(200)
+				r.log = append(r.log, r.log[0])
+			},
+			want: "push index row 200 logs 1 entries that are not buffered or repeat one, but counts 0 stale",
 		},
 		{
 			name: "push-row-unbuffered-event",
 			corrupt: func(e *Engine) {
 				r := e.patRows.row(5)
-				r.ids = append(r.ids, ident.EventID{Source: 9, Seq: 9})
+				r.log = append(r.log, idKey(ident.EventID{Source: 9, Seq: 9}))
 			},
 			want: "not buffered",
 		},
 		{
 			name:    "push-row-missing-event",
-			corrupt: func(e *Engine) { r := e.patRows.row(200); r.ids = r.ids[1:] },
+			corrupt: func(e *Engine) { r := e.patRows.row(200); r.log = r.log[1:] },
 			want:    "missing from push index row",
 		},
 		{
 			name: "push-row-foreign-event",
 			corrupt: func(e *Engine) {
 				r := e.patRows.row(200)
-				r.ids = append(r.ids, buffered)
+				r.log = append(r.log, idKey(buffered))
 			},
 			want: "push index rows hold 10 entries, the buffered events imply 9",
 		},
 		{
+			name:    "push-row-missed-compaction",
+			corrupt: func(e *Engine) { e.patRows.row(5).stale = 2 },
+			want:    "push index row 5 counts 2 stale entries in a log of 5, past its compaction point",
+		},
+		{
+			name: "push-row-stale-digest",
+			corrupt: func(e *Engine) {
+				e.pushDigest(200)
+				r := e.patRows.row(200)
+				r.log = append(r.log, idKey(buffered))
+			},
+			want: "push index row 200 keeps digest",
+		},
+		{
 			name: "pull-row-out-of-order",
 			corrupt: func(e *Engine) {
+				// Move an entry to the free slot before its home: a probe
+				// from home meets a free slot first.
 				r := *e.tagRows.row(5)
-				r[1], r[2] = r[2], r[1]
+				t := r[:cap(r)]
+				for i, te := range t {
+					if te.pseq == 0 {
+						continue
+					}
+					j := home(te.src, te.pseq, len(t))
+					for t[j].pseq != 0 {
+						j = (j + len(t) - 1) % len(t)
+					}
+					t[i], t[j] = tagEnt{}, te
+					return
+				}
 			},
-			want: "pull index row 5 out of order",
+			want: "pull index row 5 holds",
 		},
 		{
 			name: "pull-row-unbuffered-event",
 			corrupt: func(e *Engine) {
-				r := e.tagRows.row(200)
-				*r = append(*r, tagEnt{src: 9, pseq: 1, eseq: 9})
+				e.tagRows.row(200).put(9, 1, 9)
 			},
 			want: "not buffered",
 		},
 		{
-			name:    "pull-row-wrong-event",
-			corrupt: func(e *Engine) { (*e.tagRows.row(5))[0].eseq = 2 },
-			want:    "missing from pull index row",
+			name: "pull-row-wrong-event",
+			corrupt: func(e *Engine) {
+				r := *e.tagRows.row(5)
+				for i, te := range r[:cap(r)] {
+					if te.src == 2 {
+						r[:cap(r)][i].eseq = te.eseq%4 + 1
+						return
+					}
+				}
+			},
+			want: "missing from pull index row",
 		},
 		{
 			name:    "pull-row-missing-entry",
-			corrupt: func(e *Engine) { e.tagRows.row(200).deleteAt(0) },
+			corrupt: func(e *Engine) { e.tagRows.row(200).del(2, 1) },
 			want:    "missing from pull index row",
 		},
 		{
 			name: "pull-row-foreign-entry",
 			corrupt: func(e *Engine) {
-				r := e.tagRows.row(200)
-				*r = append(*r, tagEnt{src: buffered.Source, pseq: 7, eseq: buffered.Seq})
+				e.tagRows.row(200).put(buffered.Source, 7, buffered.Seq)
 			},
 			want: "pull index rows hold 10 entries, the buffered events imply 9",
+		},
+		{
+			name: "pull-row-miscounted",
+			corrupt: func(e *Engine) {
+				r := e.tagRows.row(200)
+				*r = (*r)[:len(*r)-1]
+			},
+			want: "pull index row 200 holds 4 entries in",
 		},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

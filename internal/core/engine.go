@@ -106,6 +106,7 @@ type Engine struct {
 	idScratch   []ident.EventID
 	evScratch   []*wire.Event
 	wantScratch []wire.LostEntry
+	keyScratch  []uint64 // merge buffer of the push rows' compaction
 }
 
 var _ pubsub.Recovery = (*Engine)(nil)
@@ -270,7 +271,7 @@ func (e *Engine) unindex(ev *wire.Event) {
 	if e.needPatIdx {
 		for _, p := range ev.Content {
 			if r := e.patRows.row(p); r != nil {
-				r.remove(ev.ID)
+				r.remove(e.buf, &e.keyScratch)
 			}
 		}
 	}
@@ -451,7 +452,7 @@ func (e *Engine) pushDigest(p ident.PatternID) []ident.EventID {
 	if r == nil {
 		return nil
 	}
-	return r.digest()
+	return r.digest(e.buf, &e.keyScratch)
 }
 
 // forwardPattern routes a pattern-labelled gossip message like an event
@@ -621,7 +622,7 @@ func (e *Engine) onGossipSubPull(from ident.NodeID, m *wire.GossipSubPull) {
 	if e.knobs.Walk {
 		return
 	}
-	fwd := &wire.GossipSubPull{Gossiper: m.Gossiper, Pattern: m.Pattern, Wanted: slices.Clone(remaining)}
+	fwd := &wire.GossipSubPull{Gossiper: m.Gossiper, Pattern: m.Pattern, Wanted: unserved(m.Wanted, remaining)}
 	e.forwardPattern(fwd, m.Pattern, from)
 }
 
@@ -639,7 +640,7 @@ func (e *Engine) onGossipPubPull(m *wire.GossipPubPull) {
 	fwd := &wire.GossipPubPull{
 		Gossiper: m.Gossiper,
 		Source:   m.Source,
-		Wanted:   slices.Clone(remaining),
+		Wanted:   unserved(m.Wanted, remaining),
 		Route:    m.Route,
 		Next:     uint16(i - 1),
 	}
@@ -669,20 +670,15 @@ func (e *Engine) onGossipRandom(from ident.NodeID, m *wire.GossipRandom) {
 	if len(nbs) == 0 {
 		return
 	}
-	fwd := &wire.GossipRandom{Gossiper: m.Gossiper, Wanted: slices.Clone(remaining)}
+	fwd := &wire.GossipRandom{Gossiper: m.Gossiper, Wanted: unserved(m.Wanted, remaining)}
 	e.node.SendTree(nbs[e.rng.Intn(len(nbs))], fwd)
 }
 
 // serve sends the wanted events present in the local buffer back to the
 // gossiper out-of-band and returns the entries still missing. The
 // returned slice is engine-owned scratch, valid until the next serve
-// call; callers embedding it in a message must clone it.
-//
-// Entries are probed in the order given. Within a run of equal pattern
-// in canonical digest order — a ForPattern digest is a single run — the
-// keys ascend, so the probe position in the pattern's row only moves
-// forward; it restarts at a new pattern or wherever the order breaks,
-// so any order is served correctly.
+// call; a caller that forwards it either clones it or, when serve took
+// nothing, forwards the incoming digest itself (see unserved).
 func (e *Engine) serve(gossiper ident.NodeID, wanted []wire.LostEntry) []wire.LostEntry {
 	if gossiper == e.node.ID() {
 		// A stale route or random walk brought our own digest back.
@@ -691,30 +687,26 @@ func (e *Engine) serve(gossiper ident.NodeID, wanted []wire.LostEntry) []wire.Lo
 	events := e.evScratch[:0]
 	remaining := e.wantScratch[:0]
 	var (
-		row  *tagRow
-		pat  = ident.NoPattern
-		pos  int
-		last uint64
+		row *tagRow
+		pat = ident.NoPattern
 	)
 	for _, w := range wanted {
-		key := tagKey(w.Source, w.Seq)
-		if w.Pattern != pat || key < last {
-			pat, pos, row = w.Pattern, 0, e.tagRows.row(w.Pattern)
+		if w.Pattern != pat {
+			pat, row = w.Pattern, e.tagRows.row(w.Pattern)
 		}
-		last = key
 		if row == nil {
 			remaining = append(remaining, w)
 			continue
 		}
-		pos = row.seek(pos, key)
-		if pos == len(*row) || (*row)[pos].key() != key {
+		eseq, ok := row.get(w.Source, w.Seq)
+		if !ok {
 			remaining = append(remaining, w)
 			continue
 		}
-		id := ident.EventID{Source: w.Source, Seq: (*row)[pos].eseq}
+		id := ident.EventID{Source: w.Source, Seq: eseq}
 		ev := e.buf.Get(id)
 		if ev == nil {
-			row.deleteAt(pos) // stale index entry
+			row.del(w.Source, w.Seq) // stale index entry
 			remaining = append(remaining, w)
 			continue
 		}
@@ -735,6 +727,18 @@ func (e *Engine) serve(gossiper ident.NodeID, wanted []wire.LostEntry) []wire.Lo
 		e.node.SendOOB(gossiper, &wire.Retransmit{Responder: e.node.ID(), Events: slices.Clone(events)})
 	}
 	return remaining
+}
+
+// unserved returns the part of the incoming digest wanted that serve
+// left over as remaining, ready to embed in a forwarded message. When
+// serve took nothing, remaining equals wanted entry for entry, and
+// wanted itself — an immutable Lost-buffer snapshot or a freshly
+// decoded slice — is forwarded without a copy.
+func unserved(wanted, remaining []wire.LostEntry) []wire.LostEntry {
+	if len(remaining) == len(wanted) {
+		return wanted
+	}
+	return slices.Clone(remaining)
 }
 
 func containsEvent(events []*wire.Event, id ident.EventID) bool {

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/cache"
 	"repro/internal/ident"
+	"repro/internal/network"
 	"repro/internal/topology"
 	"repro/internal/wire"
 )
@@ -183,5 +184,85 @@ func TestServeAdmissionWithholdsRefusedEvents(t *testing.T) {
 	e.onRequest(&wire.Request{Requester: 1, IDs: []ident.EventID{{Source: 3, Seq: 2}, {Source: 3, Seq: 4}}})
 	if got := e.Stats().RetransmitsServed; got != 2 {
 		t.Fatalf("RetransmitsServed = %d after a wholly refused request, want 2", got)
+	}
+}
+
+// sendLog records every message the network carries.
+type sendLog struct {
+	network.NopObserver
+	sent []wire.Message
+}
+
+func (l *sendLog) OnSend(_, _ ident.NodeID, msg wire.Message, _ bool) { l.sent = append(l.sent, msg) }
+
+// wantedOf returns the negative digest a pull gossip message carries.
+func wantedOf(msg wire.Message) []wire.LostEntry {
+	switch m := msg.(type) {
+	case *wire.GossipSubPull:
+		return m.Wanted
+	case *wire.GossipPubPull:
+		return m.Wanted
+	case *wire.GossipRandom:
+		return m.Wanted
+	}
+	return nil
+}
+
+// TestForwardedPullDigestSharesUnservedSlice: a pull digest the relay
+// serves nothing from is forwarded as the incoming slice itself, for
+// all three pull messages; it reads the same after the relay serves
+// again and the Lost buffer it came from changes. A digest the relay
+// serves from is forwarded as a copy of the rest.
+func TestForwardedPullDigestSharesUnservedSlice(t *testing.T) {
+	lb := NewLostBuffer(64, 10*time.Second)
+	for q := 1; q <= 4; q++ {
+		lb.Add(le(0, 5, q), 0)
+	}
+	wanted := lb.ForPattern(5, 0)
+	for _, tc := range []struct {
+		name string
+		msg  wire.Message
+	}{
+		{"subscriber-pull", &wire.GossipSubPull{Gossiper: 0, Pattern: 5, Wanted: wanted}},
+		{"publisher-pull", &wire.GossipPubPull{Gossiper: 0, Source: 2, Wanted: wanted, Route: []ident.NodeID{2, 1}, Next: 1}},
+		{"random-pull", &wire.GossipRandom{Gossiper: 0, Wanted: wanted}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			log := &sendLog{}
+			r := newObservedRig(t, topology.NewLine(3), [][]ident.PatternID{{5}, {5}, {5}}, deterministicCfg(CombinedPull), log)
+			relay := r.engines[1]
+			relay.HandleRecovery(0, tc.msg, false)
+			if len(log.sent) != 1 {
+				t.Fatalf("relay sent %d messages, want the forwarded digest only", len(log.sent))
+			}
+			fwd := wantedOf(log.sent[0])
+			if len(fwd) != len(wanted) || &fwd[0] != &wanted[0] {
+				t.Fatalf("forwarded digest %v does not share the incoming slice %v", fwd, wanted)
+			}
+			want := slices.Clone(fwd)
+			relay.serve(0, []wire.LostEntry{le(0, 5, 9), le(0, 5, 8)})
+			lb.Add(le(0, 5, 5), 0)
+			lb.Remove(le(0, 5, 2))
+			relay.index(&wire.Event{ID: ident.EventID{Source: 0, Seq: 3}, Content: content(5), Tags: []ident.PatternSeq{{Pattern: 5, Seq: 3}}})
+			if !slices.Equal(fwd, want) {
+				t.Fatalf("forwarded digest changed to %v, was %v", fwd, want)
+			}
+			// The relay now holds tag 3: it serves it and forwards a
+			// copy of the other entries.
+			log.sent = nil
+			relay.HandleRecovery(0, tc.msg, false)
+			var rest []wire.LostEntry
+			for _, msg := range log.sent {
+				if w := wantedOf(msg); w != nil {
+					rest = w
+				}
+			}
+			if exp := []wire.LostEntry{le(0, 5, 1), le(0, 5, 2), le(0, 5, 4)}; !slices.Equal(rest, exp) {
+				t.Fatalf("forwarded %v after serving tag 3, want %v", rest, exp)
+			}
+			if &rest[0] == &wanted[0] {
+				t.Fatal("a partly served digest was forwarded in the incoming slice")
+			}
+		})
 	}
 }

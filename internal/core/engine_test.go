@@ -45,6 +45,12 @@ type rig struct {
 // local patterns.
 func newRig(t testing.TB, topo *topology.Tree, subs [][]ident.PatternID, cfg Config) *rig {
 	t.Helper()
+	return newObservedRig(t, topo, subs, cfg, nil)
+}
+
+// newObservedRig is newRig whose network reports its traffic to obs.
+func newObservedRig(t testing.TB, topo *topology.Tree, subs [][]ident.PatternID, cfg Config, obs network.Observer) *rig {
+	t.Helper()
 	r := &rig{
 		t:         t,
 		k:         sim.New(11),
@@ -55,7 +61,7 @@ func newRig(t testing.TB, topo *topology.Tree, subs [][]ident.PatternID, cfg Con
 	ncfg := network.DefaultConfig()
 	ncfg.LossRate = 0
 	ncfg.OOBLossRate = 0
-	r.net = network.New(r.k, topo, ncfg, nil)
+	r.net = network.New(r.k, topo, ncfg, obs)
 	pcfg := pubsub.Config{
 		RecordRoutes: cfg.Algorithm.NeedsRoutes(),
 		OnDeliver: func(node ident.NodeID, ev *wire.Event, recovered bool) {

@@ -171,7 +171,9 @@ const maxPattern = 1 << 16
 // is refused here. Patterns must lie in [0, maxPattern); an event (on
 // the tree or inside a retransmission) must come from this node or a
 // directory member, whose routes and loss-detection marks the core
-// keeps per source; and a raw event never arrives out of band. Callers
+// keeps per source; its sequence number and every tag's must be at
+// least 1, as dispatchers stamp them (the core's pull index marks a free
+// slot with tag 0); and a raw event never arrives out of band. Callers
 // hold the shard lock.
 func (n *Node) admissible(msg wire.Message, oob bool) bool {
 	switch m := msg.(type) {
@@ -197,13 +199,16 @@ func (n *Node) eventOK(ev *wire.Event) bool {
 	if _, ok := n.directory[ev.ID.Source]; !ok && ev.ID.Source != n.cfg.ID {
 		return false
 	}
+	if ev.ID.Seq == 0 {
+		return false
+	}
 	for _, p := range ev.Content {
 		if !patternOK(p) {
 			return false
 		}
 	}
 	for _, t := range ev.Tags {
-		if !patternOK(t.Pattern) {
+		if !patternOK(t.Pattern) || t.Seq == 0 {
 			return false
 		}
 	}

@@ -62,6 +62,14 @@ func FuzzLiveEnvelope(f *testing.F) {
 	gap := *ev
 	gap.Tags = []ident.PatternSeq{{Pattern: 7, Seq: 1 << 31}}
 	f.Add(appendRecord(nil, 2, 1, &gap, false))
+	// Sequence numbers 0, never stamped: on a tag, inside a
+	// retransmission, and on the event itself.
+	zero := *ev
+	zero.Tags = []ident.PatternSeq{{Pattern: 7, Seq: 0}}
+	f.Add(appendRecord(nil, 2, 1, &zero, false))
+	f.Add(appendRecord(nil, 2, 1, &wire.Retransmit{Responder: 2, Events: []*wire.Event{&zero}}, true))
+	zero.ID.Seq, zero.Tags = 0, ev.Tags
+	f.Add(appendRecord(nil, 2, 1, &zero, false))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		n.sh.receive(data) // must not panic
 	})
@@ -88,6 +96,36 @@ func TestLiveFaultMalformedCounted(t *testing.T) {
 	}
 	if st.Misrouted != 1 || ds.Misrouted != 1 {
 		t.Fatalf("Misrouted = %d at the node and %d at the dispatcher, want 1 and 1", st.Misrouted, ds.Misrouted)
+	}
+}
+
+// TestLiveFaultZeroSequenceRefused: the ingress guard refuses an event
+// whose sequence number or any tag's is 0 — on the tree or inside a
+// retransmission — and counts it malformed; the core never sees it.
+func TestLiveFaultZeroSequenceRefused(t *testing.T) {
+	n, err := NewNode(Config{ID: 1, Algorithm: core.CombinedPull})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer n.Close()
+	n.SetDirectory(map[ident.NodeID]*net.UDPAddr{2: fakeAddr(2)})
+	n.Subscribe(7)
+	event := func(seq, tag uint32) *wire.Event {
+		return &wire.Event{
+			ID:      ident.EventID{Source: 2, Seq: seq},
+			Content: matching.Content{7},
+			Tags:    []ident.PatternSeq{{Pattern: 7, Seq: tag}},
+		}
+	}
+	n.deliverFrom(2, event(1, 0), false)
+	n.deliverFrom(2, event(0, 1), false)
+	n.deliverFrom(2, &wire.Retransmit{Responder: 2, Events: []*wire.Event{event(1, 1), event(2, 0)}}, true)
+	if st := n.Stats(); st.Malformed != 3 || st.Delivered != 0 {
+		t.Fatalf("Malformed = %d, Delivered = %d after three zero-sequence records; want 3 and 0", st.Malformed, st.Delivered)
+	}
+	n.deliverFrom(2, event(1, 1), false)
+	if st := n.Stats(); st.Malformed != 3 || st.Delivered != 1 {
+		t.Fatalf("Malformed = %d, Delivered = %d after a valid event; want 3 and 1", st.Malformed, st.Delivered)
 	}
 }
 
